@@ -678,7 +678,8 @@ def validation_suite() -> list[tuple[str, bool, str]]:
                 "majorant",
                 report.passed,
                 f"min domination slack {report.domination_min_slack:.3e}, "
-                f"B(r)/r surrogate {report.sublinear_value:.3e}",
+                f"B(r)/r surrogate {report.sublinear_value:.3e}, "
+                f"breakpoint gap {report.continuity_gap:.1e}",
             )
         )
     except Exception as err:

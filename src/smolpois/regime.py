@@ -385,6 +385,9 @@ def build_majorant(c: Coefficient, i_max: int = 40) -> ConcaveMajorant:
     return ConcaveMajorant(gamma=gamma, slopes=tuple(slopes), offsets=tuple(offsets))
 
 
+CONTINUITY_RTOL = 1e-12
+
+
 @dataclass(frozen=True)
 class MajorantReport:
     passed: bool
@@ -393,13 +396,19 @@ class MajorantReport:
     slopes_decreasing: bool
     sublinear_value: float           # B(2^{i_max}) / 2^{i_max}
     sublinear_bound: float           # b_{i_max-1} + (gamma + 2^{i_max-1} b_0) / 2^{i_max}
+    continuity_gap: float            # largest relative jump of B at r = 2^i, i = 1..i_max
     failures: tuple[tuple[float, float], ...]  # (r, slack) with slack < 0
 
 
 def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional[np.ndarray] = None) -> MajorantReport:
     """Check domination B(r) >= -r A(r) >= 0 on log-spaced samples, strict
-    slope decrease (concavity), and the sublinear-growth surrogate at the
-    last breakpoint.
+    slope decrease (concavity), continuity at every breakpoint, and the
+    sublinear-growth surrogate at the last breakpoint.
+
+    Continuity is what pins the offsets: at r = 2^i, i = 1..i_max, the
+    branches i-1 and i must meet, b_{i-1} r + off_{i-1} = b_i r + off_i, to
+    CONTINUITY_RTOL relative.  Domination and the surrogate alone miss an
+    offset that grows too fast, as it only raises B.
 
     The surrogate follows from the construction: with decreasing slopes,
     off_i = sum_{j<i} (b_j - b_{j+1}) 2^{j+1} <= 2^i (b_0 - b_i) <= 2^i b_0.
@@ -423,10 +432,21 @@ def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional
             failures.append((float(r), slack))
     slopes = majorant.slopes
     decreasing = all(b1 > b2 for b1, b2 in zip(slopes, slopes[1:]))
+    offsets = majorant.offsets
+    gap = 0.0
+    for i in range(1, i_max + 1):
+        r = 2.0**i
+        left = slopes[i - 1] * r + offsets[i - 1]
+        right = slopes[i] * r + offsets[i]
+        scale = max(abs(left), abs(right))
+        if scale > 0.0:
+            gap = max(gap, abs(left - right) / scale)
     r_last = 2.0**i_max
     sub_value = majorant(r_last) / r_last
     sub_bound = slopes[i_max - 1] + (majorant.gamma + 2.0 ** (i_max - 1) * slopes[0]) / r_last
-    passed = (not failures) and nonneg and decreasing and sub_value <= sub_bound
+    passed = (
+        (not failures) and nonneg and decreasing and gap <= CONTINUITY_RTOL and sub_value <= sub_bound
+    )
     return MajorantReport(
         passed=passed,
         domination_min_slack=min_slack,
@@ -434,6 +454,7 @@ def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional
         slopes_decreasing=decreasing,
         sublinear_value=sub_value,
         sublinear_bound=sub_bound,
+        continuity_gap=gap,
         failures=tuple(failures),
     )
 

@@ -5,7 +5,11 @@ homogeneous Neumann conditions; advanced by backward Euler with a Newton
 solve of the nonlinear tridiagonal system (Jacobian through
 psi'(f) = a(1/f)/f^2, Neumann via ghost-cell reflection).  A step is
 accepted only if Newton converges and the iterate stays positive;
-otherwise dt halves, and dt underflow is touch-down evidence.
+otherwise dt halves, and dt underflow is touch-down evidence.  A Newton
+solve whose residual stops halving after the fourth iterate, while still
+above 64 times its target, is rejected at that iterate: near the steady
+state the residual stalls at the rounding floor of psi, and further
+iterates do not bring it down.
 
 u-form (original system): d_t u = d_x(a(u) d_x u - u d_x v) coupled to
 the Neumann Poisson problem v'' = M - u with zero mean.  Conservative
@@ -90,27 +94,17 @@ def solve_poisson(uf: FieldU) -> FieldV:
     u = u * (uf.mass / total)
     if abs(h * float(u.sum()) - uf.mass) > 1e-10 * max(1.0, uf.mass):
         raise SolverFailure("u could not be projected onto its mass")
-    g = uf.mass - u  # v'' = M - u
-    # rows 1..n-1 are the three-point stencil; row 0 is the gauge v_0 = 0
-    lower = np.zeros(n)
-    main = np.zeros(n)
-    upper = np.zeros(n)
-    rhs = np.zeros(n)
-    main[0] = 1.0
+    rhs = uf.mass - u  # v'' = M - u
+    # rows 1..n-2 are the three-point stencil, row n-1 reflects the ghost
+    # v_n = v_{n-1}, and row 0 is the gauge v_0 = 0
     h2 = h * h
-    for_row = slice(1, n - 1)
-    lower[0:n - 2] = 1.0 / h2          # sub-diagonal entries for rows 1..n-2
-    main[for_row] = -2.0 / h2
-    upper[2:n] = 1.0 / h2              # super-diagonal entries for rows 1..n-2
-    rhs[for_row] = g[1:n - 1]
-    # last row: ghost reflection v_n = v_{n-1}
-    lower[n - 2] = 1.0 / h2
-    main[n - 1] = -1.0 / h2
-    rhs[n - 1] = g[n - 1]
     ab = np.zeros((3, n))
-    ab[0, 1:] = upper[1:]
-    ab[1, :] = main
-    ab[2, :-1] = lower[:-1]
+    ab[0, 2:] = 1.0 / h2               # super-diagonal entries for rows 1..n-2
+    ab[1, 0] = 1.0
+    ab[1, 1:n - 1] = -2.0 / h2
+    ab[1, n - 1] = -1.0 / h2
+    ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
+    rhs[0] = 0.0
     v = solve_banded((1, 1), ab, rhs)
     v = v - v.mean()
     return FieldV(values=v)
@@ -148,44 +142,50 @@ def _newton_f(pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float)
     """One backward-Euler solve; None when Newton fails or positivity breaks.
 
     Convergence target is NEWTON_TOL plus the rounding floor of the stiff
-    Laplacian term (eps * |psi| / h^2 scales far above eps for fine grids);
-    a stalled iterate at that floor is accepted rather than ground down.
+    Laplacian term (eps * |psi| / h^2 scales far above eps for fine grids).
+    After the fourth iterate a residual that no longer halves against the
+    best one so far has stalled: the solve is accepted when that iterate or
+    the best one lies within 64 times the target, and rejected at once
+    otherwise, so that the caller halves dt without grinding through the
+    remaining iterations.
     """
     w = f_old.copy()
     h2 = h * h
     n = w.size
     eps = np.finfo(float).eps
+    # rows of the banded Jacobian: super-diagonal, main, sub-diagonal; the
+    # unused corners ab[0, 0] and ab[2, -1] stay zero
+    ab = np.zeros((3, n))
     best_w = None
     best_res = math.inf
     for iteration in range(30):
         psi_w = np.asarray(pot.psi(w), dtype=float)
         residual = w - f_old - dt * (_lap_neumann(psi_w, h) + M * w - 1.0)
         res_norm = float(np.max(np.abs(residual)))
+        w_max = float(np.max(w))
         noise_floor = 16.0 * eps * (
-            dt * (float(np.max(np.abs(psi_w))) / h2 + M * float(np.max(w)) + 1.0)
-            + float(np.max(w))
+            dt * (float(np.max(np.abs(psi_w))) / h2 + M * w_max + 1.0)
+            + w_max
         )
-        tol = NEWTON_TOL * max(1.0, float(np.max(w))) + noise_floor
+        tol = NEWTON_TOL * max(1.0, w_max) + noise_floor
         if res_norm <= tol:
             return w
         if res_norm < best_res:
-            if res_norm > 0.5 * best_res and iteration > 3 and res_norm <= 64.0 * tol:
-                # stalled at the rounding floor of the residual evaluation
-                return w
+            if res_norm > 0.5 * best_res and iteration > 3:
+                # stalled: at the rounding floor of the residual evaluation,
+                # or above it where further iterates cannot get below it
+                return w if res_norm <= 64.0 * tol else None
             best_res = res_norm
             best_w = w
-        elif iteration > 3 and best_res <= 64.0 * tol:
-            return best_w
+        elif iteration > 3:
+            return best_w if best_res <= 64.0 * tol else None
         dpsi = np.asarray(pot.psi_prime(w), dtype=float)
         # J = I - dt (T diag(psi') / h^2 + M I), T the Neumann Laplacian stencil
-        main = 1.0 - dt * M + 2.0 * dt * dpsi / h2
-        main[0] = 1.0 - dt * M + dt * dpsi[0] / h2
-        main[-1] = 1.0 - dt * M + dt * dpsi[-1] / h2
-        upper = np.zeros(n)
-        lower = np.zeros(n)
-        upper[1:] = -dt * dpsi[1:] / h2
-        lower[:-1] = -dt * dpsi[:-1] / h2
-        ab = np.vstack((upper, main, lower))
+        ab[0, 1:] = -dt * dpsi[1:] / h2
+        ab[1] = 1.0 - dt * M + 2.0 * dt * dpsi / h2
+        ab[1, 0] = 1.0 - dt * M + dt * dpsi[0] / h2
+        ab[1, -1] = 1.0 - dt * M + dt * dpsi[-1] / h2
+        ab[2, :-1] = -dt * dpsi[:-1] / h2
         try:
             dw = solve_banded((1, 1), ab, -residual, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
@@ -241,15 +241,14 @@ def _try_u_step(pot: Potentials, uf: FieldU, fv: FieldV, dt: float) -> Optional[
     div_adv[1:] -= flux_adv / h
     # implicit diffusion: (I - dt/h^2 D) u_new = u_old - dt * div_adv
     h2 = h * h
-    main = np.ones(n)
-    upper = np.zeros(n)
-    lower = np.zeros(n)
-    main[:-1] += dt * a_face / h2
-    main[1:] += dt * a_face / h2
-    upper[1:] = -dt * a_face / h2
-    lower[:-1] = -dt * a_face / h2
+    coupling = dt * a_face / h2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -coupling
+    ab[1] = 1.0
+    ab[1, :-1] += coupling
+    ab[1, 1:] += coupling
+    ab[2, :-1] = -coupling
     rhs = u - dt * div_adv
-    ab = np.vstack((upper, main, lower))
     u_new = solve_banded((1, 1), ab, rhs, check_finite=False)
     if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
         return None

@@ -6,6 +6,7 @@ import pytest
 from smolpois.coefficient import Potentials, coefficient_from_text
 from smolpois.diagnostics import moment_mq
 from smolpois.regime import (
+    ConcaveMajorant,
     DesignFailure,
     RegimeError,
     build_majorant,
@@ -159,6 +160,23 @@ class TestMajorant:
         assert report.nonnegative_ok
         assert report.domination_min_slack >= 0.0
         assert report.sublinear_value <= report.sublinear_bound
+
+    def test_verification_catches_offset_error(self, majorant):
+        # offsets accumulated with 2^{j+2} in place of 2^{j+1} for j >= 1 only
+        # raise B, so domination and the sublinear surrogate still hold; the
+        # branches no longer meet at r = 4, 8, ...
+        coeff = coefficient_from_text("(1+r)^-2")
+        b = majorant.slopes
+        offsets = [0.0]
+        for j in range(majorant.i_max):
+            offsets.append(offsets[-1] + (b[j] - b[j + 1]) * 2.0 ** (j + 1 + (j >= 1)))
+        broken = ConcaveMajorant(gamma=majorant.gamma, slopes=b, offsets=tuple(offsets))
+        report = verify_majorant(coeff, broken)
+        assert not report.passed
+        assert report.continuity_gap > 1e-3
+        assert report.domination_min_slack >= 0.0
+        assert report.sublinear_value <= report.sublinear_bound
+        assert verify_majorant(coeff, majorant).continuity_gap <= 1e-12
 
     def test_domination_example(self, majorant):
         # -r A(r) = 0.75 at r = 3, below B(3) = 11/6

@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from smolpois import solver
 from smolpois.coefficient import Potentials, coefficient_from_text
 from smolpois.diagnostics import check_moment_ode, sigma
 from smolpois.regime import BlowupDesign, moment_at_start
 from smolpois.solver import (
+    NEWTON_TOL,
     SolverState,
+    _lap_neumann,
+    _newton_f,
+    build_initial_data,
     poisson_residual,
     run,
     run_crossval,
@@ -322,3 +330,103 @@ class TestCrossFormulation:
         assert summary_f.verdict == "global-so-far"
         assert summary_u.verdict == "global-so-far"
         assert gap <= 0.02
+
+
+def _grinding_newton_f(pot, f_old, M, h, dt):
+    """The f-form Newton loop before stalls were rejected: it runs all 30
+    iterations unless it converges, and accepts a stall only within 64 times
+    the target.  Reference for what an accepted solve must return."""
+    w = f_old.copy()
+    h2 = h * h
+    n = w.size
+    eps = np.finfo(float).eps
+    best_w = None
+    best_res = math.inf
+    for iteration in range(30):
+        psi_w = np.asarray(pot.psi(w), dtype=float)
+        residual = w - f_old - dt * (_lap_neumann(psi_w, h) + M * w - 1.0)
+        res_norm = float(np.max(np.abs(residual)))
+        noise_floor = 16.0 * eps * (
+            dt * (float(np.max(np.abs(psi_w))) / h2 + M * float(np.max(w)) + 1.0)
+            + float(np.max(w))
+        )
+        tol = NEWTON_TOL * max(1.0, float(np.max(w))) + noise_floor
+        if res_norm <= tol:
+            return w
+        if res_norm < best_res:
+            if res_norm > 0.5 * best_res and iteration > 3 and res_norm <= 64.0 * tol:
+                return w
+            best_res = res_norm
+            best_w = w
+        elif iteration > 3 and best_res <= 64.0 * tol:
+            return best_w
+        dpsi = np.asarray(pot.psi_prime(w), dtype=float)
+        main = 1.0 - dt * M + 2.0 * dt * dpsi / h2
+        main[0] = 1.0 - dt * M + dt * dpsi[0] / h2
+        main[-1] = 1.0 - dt * M + dt * dpsi[-1] / h2
+        upper = np.zeros(n)
+        lower = np.zeros(n)
+        upper[1:] = -dt * dpsi[1:] / h2
+        lower[:-1] = -dt * dpsi[:-1] / h2
+        dw = scipy.linalg.solve_banded((1, 1), np.vstack((upper, main, lower)), -residual, check_finite=False)
+        w = w + dw
+        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+            return None
+    return None
+
+
+class CountingPotentials(Potentials):
+    def __init__(self, coefficient):
+        super().__init__(coefficient)
+        self.psi_calls = 0
+
+    def psi(self, f):
+        self.psi_calls += 1
+        return super().psi(f)
+
+
+class TestNewtonStall:
+    # near-flat data: at dt = 0.004096 the residual stalls at ~1e-11 from
+    # the second iterate on, above 64 times the acceptance target
+    @pytest.fixture(scope="class")
+    def f0(self):
+        cfg = preset_config("global-demo").with_overrides(
+            initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
+        )
+        return build_initial_data(cfg)[1]
+
+    def test_stalled_solve_rejected_at_once(self, f0):
+        pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
+        assert _newton_f(pot, f0.values, 1.0, f0.h, 0.004096) is None
+        assert pot.psi_calls <= 5
+        ref = CountingPotentials(coefficient_from_text("(1+r)^-1"))
+        assert _grinding_newton_f(ref, f0.values, 1.0, f0.h, 0.004096) is None
+        assert ref.psi_calls == 30
+
+    @pytest.mark.parametrize("dt", [0.002048, 0.001024])
+    def test_converging_solve_unchanged(self, f0, dt):
+        pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
+        w = _newton_f(pot, f0.values, 1.0, f0.h, dt)
+        ref = _grinding_newton_f(pot, f0.values, 1.0, f0.h, dt)
+        assert w is not None and ref is not None
+        assert np.array_equal(w, ref)
+
+    def test_near_steady_run_regression(self, monkeypatch):
+        # the benchmark's global-fine run at its nominal inputs: every
+        # accepted step as before, only the rejected trials get cheaper
+        calls = []
+        band_solve = solver.solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return band_solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_banded", counting)
+        cfg = preset_config("global-demo").with_overrides(
+            initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600, t_max=0.2
+        )
+        summary, _ = run(cfg)
+        assert summary.verdict == "global-so-far"
+        assert summary.final_state.steps == 108
+        assert abs(summary.final_state.field.min_value - 0.9995435001852524) <= 1e-12
+        assert len(calls) <= 1000

@@ -1,0 +1,160 @@
+"""Golden diff: run the same simulations from two smolpois source trees and
+byte-compare what they write.
+
+Usage, from anywhere:
+
+    python tools/golden_diff.py OLD_SRC NEW_SRC [PRESET ...]
+        [--config INI ...] [--grid N] [--t-max T]
+
+OLD_SRC and NEW_SRC are directories that hold the ``smolpois`` package
+(a checkout's ``src/``).  Each run is ``python -m smolpois simulate`` with
+``PYTHONPATH`` set to one tree, then the other, in a fresh temporary
+directory with ``--out out``, so that the config echo in ``summary.json``
+is the same on both sides.  Runs are the named presets (all of them when
+neither a preset nor ``--config`` is given) and the INI files given with
+``--config``; a path inside such a file should be absolute.  ``--grid``
+and ``--t-max`` are passed through to every run.
+
+For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
+match byte for byte, and otherwise the first record of ``series.csv``
+that differs and the relative gap of every column of the final record
+that differs.  The exit code is 0 when every run is identical, 1 when any
+differs and 2 when a run wrote no outputs.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS = ("blowup-demo", "crossval", "decr-demo", "global-demo")
+OUTPUTS = ("series.csv", "summary.json")
+
+
+def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
+    """Run one simulation from ``src`` in ``workdir``; the bytes of each
+    output, or None where the run wrote none, and the run's stderr."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smolpois", "simulate", *run_args, "--out", "out"],
+        cwd=workdir,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    files = {}
+    for name in OUTPUTS:
+        path = workdir / "out" / name
+        files[name] = path.read_bytes() if path.exists() else None
+    files["stderr"] = proc.stderr
+    return files
+
+
+def _rows(data: bytes) -> tuple[list[str], list[list[str]]]:
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    header = next(reader)
+    return header, list(reader)
+
+
+def _rel_gap(old: str, new: str) -> float:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return float("inf")
+    if a == b:
+        return 0.0
+    return abs(b - a) / max(abs(a), abs(b))
+
+
+def describe_series(old: bytes, new: bytes) -> list[str]:
+    """The first differing record and the final-record relative gaps."""
+    header, rows_old = _rows(old)
+    _, rows_new = _rows(new)
+    lines = []
+    first = next(
+        (i for i, (a, b) in enumerate(zip(rows_old, rows_new)) if a != b),
+        min(len(rows_old), len(rows_new)),
+    )
+    if first < min(len(rows_old), len(rows_new)):
+        lines.append(f"series.csv: records differ from record {first} (old t = {rows_old[first][0]}, new t = {rows_new[first][0]})")
+    if len(rows_old) != len(rows_new):
+        lines.append(f"series.csv: {len(rows_old)} records old, {len(rows_new)} new")
+    if rows_old and rows_new:
+        gaps = [
+            f"{name} {_rel_gap(a, b):.2e}"
+            for name, a, b in zip(header, rows_old[-1], rows_new[-1])
+            if a != b
+        ]
+        lines.append("final record relative gaps: " + (", ".join(gaps) if gaps else "none"))
+    return lines
+
+
+def describe_summary(old: bytes, new: bytes) -> list[str]:
+    """The top-level keys of summary.json whose values differ."""
+    a, b = json.loads(old), json.loads(new)
+    keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return [f"summary.json: differs in {', '.join(keys)}"]
+
+
+def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scratch: Path) -> int:
+    old = simulate(old_src, run_args, scratch / label / "old")
+    new = simulate(new_src, run_args, scratch / label / "new")
+    missing = [side for side, files in (("old", old), ("new", new)) if None in (files[n] for n in OUTPUTS)]
+    if missing:
+        print(f"{label}: ERROR, no outputs from {' and '.join(missing)}")
+        for side in missing:
+            tail = (old if side == "old" else new)["stderr"].strip().splitlines()[-3:]
+            print("\n".join(f"  {side}: {line}" for line in tail))
+        return 2
+    if all(old[n] == new[n] for n in OUTPUTS):
+        print(f"{label}: IDENTICAL")
+        return 0
+    print(f"{label}: DIFFERENT")
+    lines = []
+    if old["series.csv"] != new["series.csv"]:
+        lines += describe_series(old["series.csv"], new["series.csv"])
+    if old["summary.json"] != new["summary.json"]:
+        lines += describe_summary(old["summary.json"], new["summary.json"])
+    print("\n".join(f"  {line}" for line in lines))
+    return 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("presets", nargs="*", metavar="PRESET")
+    parser.add_argument("--config", action="append", default=[], type=Path, help="INI config, repeatable")
+    parser.add_argument("--grid", type=int, default=None, help="sets both n and n_y")
+    parser.add_argument("--t-max", type=float, default=None, dest="t_max")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "smolpois" / "__init__.py").is_file():
+            parser.error(f"{src} holds no smolpois package")
+    overrides = []
+    if args.grid is not None:
+        overrides += ["--grid", str(args.grid)]
+    if args.t_max is not None:
+        overrides += ["--t-max", repr(args.t_max)]
+    runs = [(name, ["--preset", name]) for name in args.presets]
+    runs += [(path.stem, ["--config", str(path.resolve())]) for path in args.config]
+    if not runs:
+        runs = [(name, ["--preset", name]) for name in PRESETS]
+    worst = 0
+    with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
+        for i, (label, run_args) in enumerate(runs):
+            status = compare(label, args.old_src.resolve(), args.new_src.resolve(), run_args + overrides, Path(tmp) / str(i))
+            worst = max(worst, status)
+    return worst
+
+
+if __name__ == "__main__":
+    sys.exit(main())
