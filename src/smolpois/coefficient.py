@@ -32,6 +32,7 @@ from .quadrature import (
     QuadratureError,
     dyadic_decay_probe,
     integrate,
+    integrate_cells,
     integrate_tail,
 )
 
@@ -81,15 +82,29 @@ class Coefficient:
     def __call__(self, r):
         raise NotImplementedError
 
-    def eval_a(self, r: float) -> float:
-        """a(r) for r > 0; guaranteed finite and positive."""
-        if np.any(np.asarray(r) <= 0.0):
+    def eval_a(self, r):
+        """a(r) for r > 0 (scalar or array); guaranteed finite and positive.
+
+        On an array, the error names the first offending point and is the
+        one that evaluating point by point, in order, would raise.
+        """
+        r_arr = np.asarray(r)
+        if np.any(r_arr <= 0.0):
             raise CoefficientError("coefficient evaluated at r <= 0")
-        value = self(r)
-        if np.any(~np.isfinite(np.asarray(value))):
-            raise expr.EvalDomainError(f"coefficient not finite at r={r!r}")
-        if np.any(np.asarray(value) <= 0.0):
-            raise CoefficientError(f"coefficient not positive at r={r!r}")
+        try:
+            value = self(r)
+        except expr.EvalDomainError:
+            if r_arr.ndim == 0:
+                raise
+            return np.array([self.eval_a(x) for x in r_arr.ravel()]).reshape(r_arr.shape)
+        v = np.asarray(value)
+        bad = ~np.isfinite(v) | (v <= 0.0)
+        if np.any(bad):
+            first = np.flatnonzero(bad)[0]
+            at = r if r_arr.ndim == 0 else r_arr.flat[first]
+            if not np.isfinite(v.flat[first]):
+                raise expr.EvalDomainError(f"coefficient not finite at r={at!r}")
+            raise CoefficientError(f"coefficient not positive at r={at!r}")
         return value
 
     @cached_property
@@ -182,15 +197,18 @@ class PowerProductCoefficient(Coefficient):
             return self.c * out
         return None
 
-    def tail_integral(self, r: float) -> float:
+    def tail_integral(self, r):
+        """A(r) for a scalar r, or elementwise for an array."""
         if not self.tail_integrable:
             return -math.inf
         prim = self.primitive(r)
         if prim is not None:
             # the primitive vanishes at infinity (every exponent < -1 here),
             # so A(r) = F(r) - F(inf) = F(r)
-            return float(prim)
-        return -integrate_tail(self.__call__, r)
+            return float(prim) if np.ndim(r) == 0 else np.asarray(prim, dtype=float)
+        if np.ndim(r) == 0:
+            return -integrate_tail(self.__call__, r)
+        return np.array([-integrate_tail(self.__call__, x) for x in np.ravel(r).tolist()]).reshape(np.shape(r))
 
 
 class ExpressionCoefficient(Coefficient):
@@ -203,12 +221,20 @@ class ExpressionCoefficient(Coefficient):
         self.text = text
         # positivity sampling: negative, non-finite or failing samples are
         # hard errors; an exact zero at large r is tolerated as floating
-        # underflow of a rapidly decaying positive tail (e.g. exp(-r))
-        for r in np.geomspace(1e-6, 1e6, 64):
-            try:
-                value = expr.evaluate(tree, float(r))
-            except expr.EvalDomainError as err:
-                raise CoefficientError(f"coefficient fails at r={r:.3e}: {err}") from None
+        # underflow of a rapidly decaying positive tail (e.g. exp(-r)).  One
+        # call samples every point; when it fails, the point-by-point loop
+        # names the first failing r.
+        samples = np.geomspace(1e-6, 1e6, 64)
+        try:
+            values = expr.evaluate(tree, samples).tolist()
+        except expr.EvalDomainError:
+            values = [None] * samples.size
+        for r, value in zip(samples, values):
+            if value is None:
+                try:
+                    value = expr.evaluate(tree, float(r))
+                except expr.EvalDomainError as err:
+                    raise CoefficientError(f"coefficient fails at r={r:.3e}: {err}") from None
             if value < 0.0 or (value == 0.0 and r < 1.0):
                 raise CoefficientError(
                     f"coefficient not positive: value {value!r} at r={r:.3e}"
@@ -450,33 +476,20 @@ class Potentials:
         return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
 
     def _segmented(self, g, r_arr: np.ndarray) -> np.ndarray:
-        """Evaluate int_{1/r}^1 g for many r with one cumulative sweep."""
-        points = 1.0 / r_arr.ravel()
-        order = np.argsort(points)
-        sorted_pts = points[order]
-        # signed cumulative C(p) = int_1^p g at each distinct point
-        cumulative = np.empty_like(sorted_pts)
-        unique_vals: dict[float, float] = {}
-        prev_pt, prev_val = 1.0, 0.0
-        # sweep outward from 1 in both directions
-        below = [p for p in sorted_pts if p < 1.0]
-        above = [p for p in sorted_pts if p >= 1.0]
-        for p in reversed(below):
-            prev_val += integrate(g, prev_pt, p, atol=self.atol)
-            unique_vals[p] = prev_val
-            prev_pt = p
-        prev_pt, prev_val = 1.0, 0.0
-        for p in above:
-            if p in unique_vals:
-                continue
-            prev_val += integrate(g, prev_pt, p, atol=self.atol)
-            unique_vals[p] = prev_val
-            prev_pt = p
-        for i, p in enumerate(sorted_pts):
-            cumulative[i] = unique_vals[p]
-        out = np.empty_like(cumulative)
-        out[order] = -cumulative  # int_{p}^{1} = -int_1^p
-        return out.reshape(r_arr.shape)
+        """Evaluate int_{1/r}^1 g for many r with one cumulative sweep.
+
+        The distinct points p = 1/r are swept outward from 1, downward and
+        then upward, one cell integral per step; C(p) = int_1^p g is the
+        running sum.
+        """
+        points, inverse = np.unique(1.0 / r_arr.ravel(), return_inverse=True)
+        split = int(np.searchsorted(points, 1.0))
+        cumulative = []
+        for sweep in (points[:split][::-1], points[split:]):
+            cells = integrate_cells(g, np.concatenate(([1.0], sweep)), atol=self.atol)
+            cumulative.append(np.add.accumulate(np.concatenate(([0.0], cells)))[1:])
+        cumulative = np.concatenate((cumulative[0][::-1], cumulative[1]))
+        return -cumulative[inverse].reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
 
     # -- tail integral passthrough --
 

@@ -9,10 +9,16 @@ bounded interval (0, 1] by the substitution s = r/t,
 which turns algebraic tails into mild endpoint singularities the panel
 subdivision grades into automatically.
 
-Integrability of a tail is *decided* separately (`tail_is_integrable`)
+Many adjacent cells (a cumulative sweep over a grid) go through
+``integrate_cells``: it evaluates the integrand on the Kronrod nodes of 64
+cells per call and accepts a cell whose single panel meets the tolerance,
+the acceptance rule of QUADPACK (Piessens et al., 1983).  The rest go to
+``integrate``, so each cell's value is bit-identical to its own call.
+
+Integrability of a tail is *decided* separately (``dyadic_decay_probe``)
 by checking geometric decay of the integral over 40 dyadic blocks
-[r 2^k, r 2^{k+1}]; the verdict is a numeric heuristic and callers label
-it as such.
+[r 2^k, r 2^{k+1}], swept as one ``integrate_cells`` call; the verdict is
+a numeric heuristic and callers label it as such.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ _WG = np.array([
 
 DEFAULT_ATOL = 1e-10
 _MAX_PANELS = 4000
+_CELL_BLOCK = 64          # cells per integrand call in integrate_cells
 
 
 class QuadratureError(ArithmeticError):
@@ -105,10 +112,47 @@ def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> fl
     raise QuadratureError("panel budget exhausted", sign * total, total_err)
 
 
+def integrate_cells(f: Callable, edges, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """``integrate(f, edges[k], edges[k+1], atol)`` for every k, in one array.
+
+    Each cell gets one 7/15 Kronrod panel, with ``f`` evaluated on the nodes
+    of ``_CELL_BLOCK`` cells per call.  A cell whose panel meets the
+    acceptance test of ``integrate`` on its first pass takes that panel's
+    value; a zero-width cell, a cell that misses it, and every cell of a
+    block whose evaluation raises or is not finite go to ``integrate``
+    itself, in order.  Every value, and every error raised, is the one the
+    per-cell ``integrate`` calls give.
+    """
+    edges = np.asarray(edges, dtype=float)
+    out = np.empty(max(edges.size - 1, 0))
+    for start in range(0, out.size, _CELL_BLOCK):
+        stop = min(start + _CELL_BLOCK, out.size)
+        left, right = edges[start:stop], edges[start + 1:stop + 1]
+        lo, hi = np.minimum(left, right), np.maximum(left, right)
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
+        try:
+            with np.errstate(all="ignore"):
+                y = np.asarray(f(x), dtype=float)
+            finite = np.all(np.isfinite(y))
+        except ArithmeticError:  # a domain error: the per-cell calls raise it again, in order
+            finite = False
+        for k in range(right.size):
+            if finite and lo[k] < hi[k]:
+                k15 = half[k] * float(np.dot(_WK, y[k]))
+                g7 = half[k] * float(np.dot(_WG, y[k, 1::2]))
+                total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
+                if abs(k15 - g7) <= atol * max(1.0, abs(total)):
+                    out[start + k] = (-1.0 if right[k] < left[k] else 1.0) * total
+                    continue
+            out[start + k] = integrate(f, float(left[k]), float(right[k]), atol=atol)
+    return out
+
+
 def integrate_tail(f: Callable, r: float, atol: float = DEFAULT_ATOL) -> float:
     """Integrate a vectorized ``f`` over [r, inf) via the s = r/t substitution.
 
-    Assumes the tail is integrable; use ``tail_is_integrable`` first when in
+    Assumes the tail is integrable; use ``dyadic_decay_probe`` first when in
     doubt, otherwise the panel refinement diverges and raises.
     """
     if r <= 0.0:
@@ -146,13 +190,9 @@ def dyadic_decay_probe(
     ``ratio_max``; everything else is divergent.  Purely numeric: slowly
     converging integrals (e.g. 1/(s ln^2 s)) are declared divergent.
     """
-    blocks = []
-    for k in range(n_blocks):
-        if direction == "up":
-            a, b = r * 2.0**k, r * 2.0 ** (k + 1)
-        else:
-            a, b = r * 2.0 ** (-(k + 1)), r * 2.0 ** (-k)
-        blocks.append(abs(integrate(f, a, b, atol=atol)))
+    step = 1 if direction == "up" else -1
+    edges = [r * 2.0 ** (step * k) for k in range(n_blocks + 1)]
+    blocks = np.abs(integrate_cells(f, edges, atol=atol)).tolist()
     ratios = []
     for prev, cur in zip(blocks, blocks[1:]):
         if prev <= atol:

@@ -20,7 +20,11 @@ inequality dm_q/dt <= Lambda(m_q) < 0 forces finite-time touch-down.
 Suprema over open intervals are estimated on a 2048-point log grid with
 golden-section refinement around the maximizer; divergence at the corner
 of the interval is decided exactly for recognized power products and by
-decade-growth heuristics (flagged "numeric") otherwise.
+decade-growth heuristics (flagged "numeric") otherwise; one estimator,
+``_sup_estimate``, serves every supremum.  Grid values come from one
+array call (the numeric gamma's tail integrals from one ``integrate_cells``
+sweep), bit-identical to a point-by-point loop; only the refinement
+evaluates point by point.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .coefficient import (
     TailDivergenceError,
 )
 from .diagnostics import lyapunov_L1, mu_mass
-from .quadrature import integrate
+from .quadrature import integrate, integrate_cells
 from .transform import pam_profile
 
 _GRID_POINTS = 2048
@@ -91,16 +95,23 @@ def _gss_max(phi, lo: float, hi: float) -> float:
     return best
 
 
-def _sup_on_grid(phi, lo: float, hi: float, corner: str) -> tuple[float, bool]:
-    """Supremum of phi over the open interval via log grid plus refinement.
+def _sup_on_grid(phi, lo: float, hi: float, corner: str) -> float:
+    """Supremum of phi over the open interval via log grid plus refinement;
+    phi is evaluated once on the whole grid, then point by point."""
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    return _sup_estimate(grid, np.asarray(phi(grid), dtype=float), phi, corner)
+
+
+def _sup_estimate(grid: np.ndarray, vals: np.ndarray, phi, corner: str) -> float:
+    """Supremum from the values ``vals`` of phi on a log grid, refined by a
+    golden-section search on the two cells around the grid maximizer.
 
     ``corner`` names the potentially divergent end ("left" or "right");
-    returns (value, diverged_numeric) where the flag applies decade growth
-    heuristics: growth by a factor > 10 over the corner decade, or a
-    maximizer inside the corner decade that still climbs into the corner.
+    returns math.inf when decade growth heuristics flag divergence: growth
+    by a factor > 10 over the corner decade, or a maximizer inside the
+    corner decade that still climbs into the corner.
     """
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
-    vals = np.array([phi(r) for r in grid])
+    lo, hi = grid[0], grid[-1]
     if corner == "left":
         corner_mask = grid < lo * 10.0
         next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
@@ -110,28 +121,21 @@ def _sup_on_grid(phi, lo: float, hi: float, corner: str) -> tuple[float, bool]:
     m_corner = float(vals[corner_mask].max())
     m_next = float(vals[next_mask].max())
     if m_corner > 10.0 * m_next:
-        return math.inf, True
+        return math.inf
     imax = int(np.argmax(vals))
     if bool(corner_mask[imax]) and m_corner > m_next * (1.0 + 1e-3):
         # maximizer sits in the corner decade and is still climbing: the
         # grid has not resolved a finite supremum
-        return math.inf, True
+        return math.inf
     a = grid[max(imax - 1, 0)]
     b = grid[min(imax + 1, grid.size - 1)]
-    refined = _gss_max(phi, a, b)
-    return max(float(vals[imax]), refined), False
+    return max(float(vals[imax]), _gss_max(phi, a, b))
 
 
-def _sup_unit_interval(phi) -> tuple[float, bool]:
-    """sup over (0,1): grid on [1e-8, 1) with the divergence corner at 0."""
-    value, diverged = _sup_on_grid(phi, 1e-8, 1.0 - 1e-15, corner="left")
-    return value, diverged
-
-
-def _sup_from_one(phi) -> tuple[float, bool]:
-    """sup over [1, inf): grid on [1, 1e8] with the divergence corner at inf."""
-    value, diverged = _sup_on_grid(phi, 1.0, 1e8, corner="right")
-    return value, diverged
+# sup over (0,1): grid on [1e-8, 1) with the divergence corner at 0
+_UNIT_INTERVAL = (1e-8, 1.0 - 1e-15, "left")
+# sup over [1, inf): grid on [1, 1e8] with the divergence corner at inf
+_FROM_ONE = (1.0, 1e8, "right")
 
 
 # --- condition (gamma) and the decay-pair constants -----------------------------
@@ -146,32 +150,19 @@ def compute_gamma(c: Coefficient) -> float:
         # -r A(r) ~ r^{p+2} near zero: divergent exactly when p < -2
         if c.smallr_exponent < -2.0:
             return math.inf
-        phi = lambda r: -r * c.tail_integral(r)
-        value, _ = _sup_unit_interval(phi)
-        return value
+        return _sup_on_grid(lambda r: -r * c.tail_integral(r), *_UNIT_INTERVAL)
     return _gamma_numeric(c)
 
 
 def _gamma_numeric(c: Coefficient) -> float:
     """Numeric gamma: one cumulative sweep of the tail integral over the log
     grid (2048 independent improper integrals would be needlessly slow)."""
-    lo, hi = 1e-8, 1.0 - 1e-15
+    lo, hi, corner = _UNIT_INTERVAL
     grid = np.geomspace(lo, hi, _GRID_POINTS)
-    tails = np.empty(_GRID_POINTS)
-    tails[-1] = -c.tail_integral(float(grid[-1]))
-    for k in range(_GRID_POINTS - 2, -1, -1):
-        tails[k] = tails[k + 1] + integrate(c, float(grid[k]), float(grid[k + 1]))
-    vals = grid * tails
-
-    corner_mask = grid < lo * 10.0
-    next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
-    m_corner = float(vals[corner_mask].max())
-    m_next = float(vals[next_mask].max())
-    if m_corner > 10.0 * m_next:
-        return math.inf
-    imax = int(np.argmax(vals))
-    if bool(corner_mask[imax]) and m_corner > m_next * (1.0 + 1e-3):
-        return math.inf
+    cells = integrate_cells(c, grid)
+    # tails[k] = tails[k + 1] + int_{grid[k]}^{grid[k+1]} a, summed downward
+    start = -c.tail_integral(float(grid[-1]))
+    tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]
 
     def phi(r: float) -> float:
         k = int(np.searchsorted(grid, r))
@@ -179,16 +170,15 @@ def _gamma_numeric(c: Coefficient) -> float:
             return r * -c.tail_integral(r)
         return r * (tails[k] + integrate(c, r, float(grid[k])))
 
-    a = grid[max(imax - 1, 0)]
-    b = grid[min(imax + 1, grid.size - 1)]
-    return max(float(vals[imax]), _gss_max(phi, float(a), float(b)))
+    return _sup_estimate(grid, grid * tails, phi, corner)
 
 
 def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[float, float]:
     """(gamma_theta, C_inf) = (sup_{(0,1)} r^{2+theta} a, sup_{r>=1} r^alpha a).
 
     Requires theta > 0 and alpha in (theta/(1+theta), 2]; infinite values
-    are returned as math.inf rather than raised.
+    are returned as math.inf rather than raised.  For a power product the
+    exponents decide divergence exactly.
     """
     if theta <= 0.0:
         raise RegimeError("theta must be positive")
@@ -196,21 +186,20 @@ def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[
         raise RegimeError(
             f"alpha={alpha!r} outside the admissible range ({theta/(1+theta)!r}, 2]"
         )
-    if isinstance(c, PowerProductCoefficient):
-        gamma_theta = (
-            math.inf
-            if c.smallr_exponent + 2.0 + theta < 0.0
-            else _sup_unit_interval(lambda r: r ** (2.0 + theta) * c.eval_a(r))[0]
-        )
-        c_inf = (
-            math.inf
-            if c.tail_exponent + alpha > 0.0
-            else _sup_from_one(lambda r: r**alpha * c.eval_a(r))[0]
-        )
-        return gamma_theta, c_inf
-    gt, gt_div = _sup_unit_interval(lambda r: r ** (2.0 + theta) * c.eval_a(r))
-    ci, ci_div = _sup_from_one(lambda r: r**alpha * c.eval_a(r))
-    return (math.inf if gt_div else gt), (math.inf if ci_div else ci)
+    exact = isinstance(c, PowerProductCoefficient)
+    if exact and c.smallr_exponent + 2.0 + theta < 0.0:
+        gamma_theta = math.inf
+    else:
+        gamma_theta = _sup_on_grid(_weighted_a(c, 2.0 + theta), *_UNIT_INTERVAL)
+    if exact and c.tail_exponent + alpha > 0.0:
+        return gamma_theta, math.inf
+    return gamma_theta, _sup_on_grid(_weighted_a(c, alpha), *_FROM_ONE)
+
+
+def _weighted_a(c: Coefficient, e: float):
+    """phi(r) = r^e a(r) on a scalar or an array, with r^e by Python's float
+    pow per element (numpy's array power can differ from it by one ulp)."""
+    return lambda r: (r**e if np.ndim(r) == 0 else np.fromiter((x**e for x in r.flat), float, r.size)) * c.eval_a(r)
 
 
 # --- classification --------------------------------------------------------------

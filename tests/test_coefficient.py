@@ -12,6 +12,7 @@ from smolpois.coefficient import (
     TailDivergenceError,
     coefficient_from_text,
 )
+from smolpois import expr
 from smolpois.quadrature import integrate, integrate_tail
 
 
@@ -75,6 +76,53 @@ class TestEval:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(CoefficientError):
             coefficient_from_text("(1+r)^-1").eval_a(0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "text, lo, hi",
+        [
+            ("exp(-r)", 1.0, 1e8),        # underflows to 0 at r ~ 745.6: not positive
+            ("exp(r/10000)", 1.0, 1e8),   # the expression overflows: not finite
+            ("r^-40", 1e-8, 1.0),         # the power product overflows: not finite
+        ],
+    )
+    def test_array_error_names_first_point(self, text, lo, hi):
+        c = coefficient_from_text(text)
+        grid = np.geomspace(lo, hi, 2048)
+        with pytest.raises((ArithmeticError, ValueError)) as pointwise:
+            for r in grid:
+                c.eval_a(r)
+        with pytest.raises((ArithmeticError, ValueError)) as batched:
+            c.eval_a(grid)
+        assert type(batched.value) is type(pointwise.value)
+        assert str(batched.value) == str(pointwise.value)
+
+    def test_array_values_equal_pointwise(self):
+        c = coefficient_from_text("1/(1+r^2)")
+        grid = np.geomspace(1e-8, 1e8, 2048)
+        assert c.eval_a(grid).tolist() == [c.eval_a(r) for r in grid]
+
+
+class TestPositivitySampling:
+    def test_one_evaluate_call(self, monkeypatch):
+        calls = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        ExpressionCoefficient(expr.parse_coefficient("1/(1+r^2)"), "1/(1+r^2)")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 - r", "coefficient not positive: value -0.24519708473503177 at r=1.245e+00"),
+            ("sqrt(r-1)+1", "coefficient fails at r=1.000e-06: sqrt of a negative value"),
+            ("exp(r)", "coefficient fails at r=8.962e+02: non-finite value in exp"),
+        ],
+    )
+    def test_error_names_first_failing_sample(self, text, message):
+        with pytest.raises(CoefficientError) as err:
+            coefficient_from_text(text)
+        assert str(err.value) == message
 
 
 class TestTailIntegral:

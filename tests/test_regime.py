@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from smolpois.coefficient import Potentials, coefficient_from_text
+from smolpois import expr, quadrature, regime
+from smolpois.coefficient import CoefficientError, Potentials, coefficient_from_text
 from smolpois.diagnostics import moment_mq
+from smolpois.quadrature import integrate
 from smolpois.regime import (
     ConcaveMajorant,
     DesignFailure,
@@ -13,6 +16,7 @@ from smolpois.regime import (
     classify,
     compute_decr_constants,
     compute_gamma,
+    default_candidates,
     design_blowup,
     lambda_value,
     moment_at_start,
@@ -296,3 +300,152 @@ class TestSelectDelta:
         with pytest.raises(DesignFailure) as err:
             select_delta(pot, 1.0, 4.0, 0.5, 2.0**-6, 207.47, 1e30, n_y=100)
         assert len(err.value.trace) > 10
+
+
+# --- the scalar loops the batched regime path replaced, kept as the reference ---
+
+CERTIFY = ("(1+r)^-2", "(1+r)*r^-2.5", "(1+r)^-1", "(2+r)^-2", "exp(-r)", "1/(2+r)", "1/(1+r^2)", "(1+r)^-3")
+EXP_ERROR = "coefficient not positive at r=np.float64(745.5835819317275)"
+
+
+def _scalar_cells(f, edges, atol=quadrature.DEFAULT_ATOL):
+    return np.array([integrate(f, a, b, atol=atol) for a, b in zip(edges[:-1], edges[1:])])
+
+
+def _scalar_sup_on_grid(phi, lo, hi, corner):
+    grid = np.geomspace(lo, hi, 2048)
+    vals = np.array([phi(r) for r in grid])
+    if corner == "left":
+        corner_mask = grid < lo * 10.0
+        next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
+    else:
+        corner_mask = grid > hi / 10.0
+        next_mask = (grid <= hi / 10.0) & (grid > hi / 100.0)
+    m_corner = float(vals[corner_mask].max())
+    m_next = float(vals[next_mask].max())
+    if m_corner > 10.0 * m_next:
+        return math.inf
+    imax = int(np.argmax(vals))
+    if bool(corner_mask[imax]) and m_corner > m_next * (1.0 + 1e-3):
+        return math.inf
+    a = grid[max(imax - 1, 0)]
+    b = grid[min(imax + 1, grid.size - 1)]
+    return max(float(vals[imax]), regime._gss_max(phi, a, b))
+
+
+def _scalar_gamma_numeric(c):
+    lo, hi = 1e-8, 1.0 - 1e-15
+    grid = np.geomspace(lo, hi, 2048)
+    tails = np.empty(2048)
+    tails[-1] = -c.tail_integral(float(grid[-1]))
+    for k in range(2046, -1, -1):
+        tails[k] = tails[k + 1] + integrate(c, float(grid[k]), float(grid[k + 1]))
+    vals = grid * tails
+    corner_mask = grid < lo * 10.0
+    next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
+    m_corner = float(vals[corner_mask].max())
+    m_next = float(vals[next_mask].max())
+    if m_corner > 10.0 * m_next:
+        return math.inf
+    imax = int(np.argmax(vals))
+    if bool(corner_mask[imax]) and m_corner > m_next * (1.0 + 1e-3):
+        return math.inf
+
+    def phi(r):
+        k = int(np.searchsorted(grid, r))
+        if k >= 2048:
+            return r * -c.tail_integral(r)
+        return r * (tails[k] + integrate(c, r, float(grid[k])))
+
+    a = grid[max(imax - 1, 0)]
+    b = grid[min(imax + 1, grid.size - 1)]
+    return max(float(vals[imax]), regime._gss_max(phi, float(a), float(b)))
+
+
+def _scalar_segmented(self, g, r_arr):
+    points = 1.0 / r_arr.ravel()
+    order = np.argsort(points)
+    sorted_pts = points[order]
+    cumulative = np.empty_like(sorted_pts)
+    unique_vals = {}
+    prev_pt, prev_val = 1.0, 0.0
+    below = [p for p in sorted_pts if p < 1.0]
+    above = [p for p in sorted_pts if p >= 1.0]
+    for p in reversed(below):
+        prev_val += integrate(g, prev_pt, p, atol=self.atol)
+        unique_vals[p] = prev_val
+        prev_pt = p
+    prev_pt, prev_val = 1.0, 0.0
+    for p in above:
+        if p in unique_vals:
+            continue
+        prev_val += integrate(g, prev_pt, p, atol=self.atol)
+        unique_vals[p] = prev_val
+        prev_pt = p
+    for i, p in enumerate(sorted_pts):
+        cumulative[i] = unique_vals[p]
+    out = np.empty_like(cumulative)
+    out[order] = -cumulative
+    return out.reshape(r_arr.shape)
+
+
+def _regime_outputs(text, masses):
+    """repr of every regime result for one coefficient, or the error raised;
+    the candidate search runs, as in a certificate pass, for blowup clauses."""
+    c = coefficient_from_text(text)
+    out = []
+
+    def record(fn, *args):
+        try:
+            result = fn(*args)
+        except Exception as err:
+            result = f"{type(err).__name__}: {err}"
+        out.append(repr(result))
+        return result
+
+    record(compute_gamma, c)
+    report = record(classify, c)
+    pair = (0.5, 2.0)
+    if report.clause.startswith("blowup"):
+        pair = record(default_candidates, c, None, None)
+        if isinstance(pair, str):
+            return out
+    record(compute_decr_constants, c, *pair)
+    for mass in masses:
+        design = record(design_blowup, c, mass, *pair)
+        if not isinstance(design, str):
+            out.append(repr(design.search_trace))
+    return out
+
+
+class TestBatchedRegimePath:
+    """The batched grid and cell sweeps give what the scalar loops gave."""
+
+    @pytest.mark.parametrize("text", CERTIFY)
+    def test_equals_scalar_loops(self, text, monkeypatch):
+        masses = (1.0, 0.93, 1.07)
+        with monkeypatch.context() as m:
+            m.setattr(regime, "_sup_on_grid", _scalar_sup_on_grid)
+            m.setattr(regime, "_gamma_numeric", _scalar_gamma_numeric)
+            m.setattr(Potentials, "_segmented", _scalar_segmented)
+            m.setattr(quadrature, "integrate_cells", _scalar_cells)
+            reference = _regime_outputs(text, masses)
+        assert _regime_outputs(text, masses) == reference
+
+    def test_underflow_error_kept(self):
+        c = coefficient_from_text("exp(-r)")
+        with pytest.raises(CoefficientError, match=re.escape(EXP_ERROR)):
+            default_candidates(c, None, None)
+        with pytest.raises(CoefficientError, match=re.escape(EXP_ERROR)):
+            compute_decr_constants(c, 0.5, 2.0)
+
+    def test_numeric_certificate_evaluation_budget(self, monkeypatch):
+        c = coefficient_from_text("1/(1+r^2)")
+        calls = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        classify(c)
+        theta, alpha = default_candidates(c, None, None)
+        design_blowup(c, 1.0, theta, alpha)
+        # 12100 with one evaluate call per grid point and per cell
+        assert len(calls) <= 2000

@@ -1,25 +1,33 @@
-"""Golden diff: run the same simulations from two smolpois source trees and
-byte-compare what they write.
+"""Golden diff: run the same simulations and regime commands from two
+smolpois source trees and byte-compare what they write.
 
 Usage, from anywhere:
 
     python tools/golden_diff.py OLD_SRC NEW_SRC [PRESET ...]
-        [--config INI ...] [--grid N] [--t-max T]
+        [--config INI ...] [--coeff TEXT ...] [--grid N] [--t-max T]
 
 OLD_SRC and NEW_SRC are directories that hold the ``smolpois`` package
 (a checkout's ``src/``).  Each run is ``python -m smolpois simulate`` with
 ``PYTHONPATH`` set to one tree, then the other, in a fresh temporary
 directory with ``--out out``, so that the config echo in ``summary.json``
-is the same on both sides.  Runs are the named presets (all of them when
-neither a preset nor ``--config`` is given) and the INI files given with
-``--config``; a path inside such a file should be absolute.  ``--grid``
-and ``--t-max`` are passed through to every run.
+is the same on both sides.  Runs are the named presets and the INI files
+given with ``--config``; a path inside such a file should be absolute.
+All four presets run when none of PRESET, ``--config`` and ``--coeff`` is
+given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
 that differs and the relative gap of every column of the final record
-that differs.  The exit code is 0 when every run is identical, 1 when any
-differs and 2 when a run wrote no outputs.  Standard library only.
+that differs.
+
+Each ``--coeff TEXT`` adds two runs, ``python -m smolpois classify --coeff
+TEXT`` and ``design --coeff TEXT`` (these take the numeric regime path
+for a coefficient that is not a power product, which no preset does).
+They are IDENTICAL when stdout, the exit code and the last line of stderr
+(the error message, if any; tracebacks name the tree's paths) match.
+
+The exit code is 0 when every run is identical, 1 when any differs and 2
+when a simulation wrote no outputs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -56,6 +64,29 @@ def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
         files[name] = path.read_bytes() if path.exists() else None
     files["stderr"] = proc.stderr
     return files
+
+
+def regime_command(src: Path, run_args: list[str]) -> tuple[str, int, str]:
+    """stdout, exit code and last stderr line of one ``smolpois`` command."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smolpois", *run_args], env=env, capture_output=True, text=True
+    )
+    lines = proc.stderr.strip().splitlines()
+    return proc.stdout, proc.returncode, lines[-1] if lines else ""
+
+
+def compare_command(label: str, old_src: Path, new_src: Path, run_args: list[str]) -> int:
+    old = regime_command(old_src, run_args)
+    new = regime_command(new_src, run_args)
+    if old == new:
+        print(f"{label}: IDENTICAL")
+        return 0
+    print(f"{label}: DIFFERENT")
+    lines = describe_json("stdout", old[0], new[0]) if old[0] != new[0] else []
+    lines += [f"{part}: old {a!r}, new {b!r}" for part, a, b in zip(("exit code", "error"), old[1:], new[1:]) if a != b]
+    print("\n".join(f"  {line}" for line in lines))
+    return 1
 
 
 def _rows(data: bytes) -> tuple[list[str], list[list[str]]]:
@@ -97,11 +128,14 @@ def describe_series(old: bytes, new: bytes) -> list[str]:
     return lines
 
 
-def describe_summary(old: bytes, new: bytes) -> list[str]:
-    """The top-level keys of summary.json whose values differ."""
-    a, b = json.loads(old), json.loads(new)
-    keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return [f"summary.json: differs in {', '.join(keys)}"]
+def describe_json(name: str, old, new) -> list[str]:
+    """The top-level keys of a JSON object whose values differ."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+        keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    except (ValueError, AttributeError):
+        return [f"{name} differs"]
+    return [f"{name}: differs in {', '.join(keys)}"]
 
 
 def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scratch: Path) -> int:
@@ -122,7 +156,7 @@ def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scrat
     if old["series.csv"] != new["series.csv"]:
         lines += describe_series(old["series.csv"], new["series.csv"])
     if old["summary.json"] != new["summary.json"]:
-        lines += describe_summary(old["summary.json"], new["summary.json"])
+        lines += describe_json("summary.json", old["summary.json"], new["summary.json"])
     print("\n".join(f"  {line}" for line in lines))
     return 1
 
@@ -133,6 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument("new_src", type=Path)
     parser.add_argument("presets", nargs="*", metavar="PRESET")
     parser.add_argument("--config", action="append", default=[], type=Path, help="INI config, repeatable")
+    parser.add_argument("--coeff", action="append", default=[], help="coefficient for classify and design, repeatable")
     parser.add_argument("--grid", type=int, default=None, help="sets both n and n_y")
     parser.add_argument("--t-max", type=float, default=None, dest="t_max")
     args = parser.parse_args(argv)
@@ -146,12 +181,17 @@ def main(argv=None) -> int:
         overrides += ["--t-max", repr(args.t_max)]
     runs = [(name, ["--preset", name]) for name in args.presets]
     runs += [(path.stem, ["--config", str(path.resolve())]) for path in args.config]
-    if not runs:
+    if not runs and not args.coeff:
         runs = [(name, ["--preset", name]) for name in PRESETS]
+    old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     worst = 0
     with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
         for i, (label, run_args) in enumerate(runs):
-            status = compare(label, args.old_src.resolve(), args.new_src.resolve(), run_args + overrides, Path(tmp) / str(i))
+            status = compare(label, old_src, new_src, run_args + overrides, Path(tmp) / str(i))
+            worst = max(worst, status)
+    for text in args.coeff:
+        for command in ("classify", "design"):
+            status = compare_command(f"{command} {text}", old_src, new_src, [command, "--coeff", text])
             worst = max(worst, status)
     return worst
 
