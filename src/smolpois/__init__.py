@@ -6,7 +6,7 @@ global-existence / finite-time-blowup regimes, constructs explicit blowup
 certificates, and checks the supporting inequalities along trajectories.
 """
 
-from .coefficient import Coefficient, Potentials, coefficient_from_text, compute_limits
+from .coefficient import Coefficient, Potentials, coefficient_from_text
 from .expr import parse_coefficient, evaluate, validate_positivity
 from .regime import (
     BlowupDesign,
@@ -17,12 +17,11 @@ from .regime import (
     compute_decr_constants,
     compute_gamma,
     design_blowup,
-    lambda_value,
     select_delta,
     verify_majorant,
 )
 from .transform import FieldF, FieldU, f_to_u, pam_profile, u_to_f
-from .solver import FieldV, SolverState, run, solve_poisson, step_f, step_u
+from .solver import SolverState, run, solve_poisson, step_f, step_u
 from .harness import (
     RunConfig,
     RunSummary,
@@ -37,7 +36,6 @@ __all__ = [
     "Coefficient",
     "Potentials",
     "coefficient_from_text",
-    "compute_limits",
     "parse_coefficient",
     "evaluate",
     "validate_positivity",
@@ -49,7 +47,6 @@ __all__ = [
     "compute_decr_constants",
     "compute_gamma",
     "design_blowup",
-    "lambda_value",
     "select_delta",
     "verify_majorant",
     "FieldF",
@@ -57,7 +54,6 @@ __all__ = [
     "f_to_u",
     "pam_profile",
     "u_to_f",
-    "FieldV",
     "SolverState",
     "run",
     "solve_poisson",

@@ -373,11 +373,6 @@ class LimitsRecord:
     source: str                 # closed-form | numeric
 
 
-def compute_limits(c: Coefficient) -> "LimitsRecord":
-    """Limits and integrability flags of the potentials derived from a."""
-    return Potentials(c).limits
-
-
 class Potentials:
     """Evaluators for psi, psi1 and psi~ derived from one coefficient.
 

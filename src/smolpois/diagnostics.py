@@ -6,12 +6,17 @@ cell values, norms and integrals use the midpoint rule.
 
 A *slack* is always (bound) - (quantity); negative slack marks a violated
 inequality and is reported verbatim, never clipped.
+
+The solver's per-record pass computes every functional and slack of a
+profile from one evaluation of psi(f) (``energy_norm_terms``,
+``global_bound_chain``) and stores them on its ``DiagnosticsRecord``; the
+suite checks over a series read those records and evaluate no potential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,25 +103,31 @@ def psi_tilde_max(p: Potentials, f: FieldF) -> float:
 # --- per-record slacks ---------------------------------------------------------
 
 
-def energy_norm_slacks(p: Potentials, f: FieldF, M: Optional[float] = None) -> tuple[float, float]:
-    """Signed slacks of the two energy/norm inequalities for h = psi(f):
+def energy_norm_terms(
+    h: np.ndarray, dy: float, M: float, psi_inv_m: float
+) -> tuple[float, float, float, float]:
+    """(||d_y h||_2^2, ||h||_1, gex5 slack, gex6 slack) of h = psi(f) on cells
+    of width dy, given psi_inv_m = |psi(1/M)|; the slacks are those of
 
         E1(h) >= (1/4)||d_y h||^2 - M^3 - M |psi(1/M)|
         ||h||_1 <= M^{3/2} ||d_y h||_2 + M |psi(1/M)|
 
     valid whenever the profile f integrates to one.
     """
+    grad_sq = grad_norm_sq(h, dy)
+    h_l1 = dy * float(np.sum(np.abs(h)))
+    slack_gex5 = energy_E1(h, M) - 0.25 * grad_sq + M**3 + M * psi_inv_m
+    slack_gex6 = M**1.5 * math.sqrt(grad_sq) + M * psi_inv_m - h_l1
+    return grad_sq, h_l1, slack_gex5, slack_gex6
+
+
+def energy_norm_slacks(p: Potentials, f: FieldF, M: Optional[float] = None) -> tuple[float, float]:
+    """Signed slacks of the two energy/norm inequalities of
+    ``energy_norm_terms`` for h = psi(f)."""
     if M is None:
         M = f.mass
     h = np.asarray(p.psi(f.values), dtype=float)
-    dy = f.h
-    grad_sq = grad_norm_sq(h, dy)
-    e1 = energy_E1(h, M)
-    psi_inv_m = abs(p.psi(1.0 / M))
-    slack_gex5 = e1 - 0.25 * grad_sq + M**3 + M * psi_inv_m
-    h_l1 = dy * float(np.sum(np.abs(h)))
-    slack_gex6 = M**1.5 * math.sqrt(grad_sq) + M * psi_inv_m - h_l1
-    return slack_gex5, slack_gex6
+    return energy_norm_terms(h, f.h, M, abs(p.psi(1.0 / M)))[2:]
 
 
 def moment_interval_slack(design, t0: float, mq0: float, t1: float, mq1: float) -> float:
@@ -125,19 +136,29 @@ def moment_interval_slack(design, t0: float, mq0: float, t1: float, mq1: float) 
     return design.lambda_value(mq0) - rate
 
 
-def gradient_bound_rhs(p: Potentials, l1_0: float, M: float, sigma_t: float) -> float:
-    """Right-hand side L1(0) + M^3 + M|psi(1/M)| + M^2 psi1(Sigma(t))."""
-    return l1_0 + M**3 + M * abs(p.psi(1.0 / M)) + M**2 * p.psi1(sigma_t)
+def gradient_bound_rhs(p: Potentials, l1_0: float, M: float, sigma_t: float, psi_inv_m: float) -> float:
+    """Right-hand side L1(0) + M^3 + M|psi(1/M)| + M^2 psi1(Sigma(t)), given
+    psi_inv_m = |psi(1/M)|."""
+    return l1_0 + M**3 + M * psi_inv_m + M**2 * p.psi1(sigma_t)
+
+
+def global_bound_chain(
+    p: Potentials, l1_0: float, M: float, sigma_t: float, psi_inv_m: float
+) -> tuple[float, float, float, float]:
+    """Divergent-tail bound chain at time t, given psi_inv_m = |psi(1/M)|: the
+    gradient bound X(t) on (1/4)||d_y psi(f)||^2, the bound
+    2 M^{3/2} sqrt(X) + M|psi(1/M)| on ||psi(f)||_1, the sup-norm bound C7(t)
+    on |psi(f)| and the induced positive lower barrier psi^{-1}(-C7(t)) on f."""
+    x = gradient_bound_rhs(p, l1_0, M, sigma_t, psi_inv_m)
+    root = math.sqrt(max(x, 0.0))
+    rhs_l1 = 2.0 * M**1.5 * root + M * psi_inv_m
+    c7 = rhs_l1 / M + math.sqrt(M) * (2.0 * root)
+    return x, rhs_l1, c7, p.psi_inverse(-c7)
 
 
 def global_barrier(p: Potentials, l1_0: float, M: float, sigma_t: float) -> tuple[float, float]:
-    """Explicit sup-norm bound C7(t) on |psi(f)| and the induced positive
-    lower barrier psi^{-1}(-C7(t)) for f in the divergent-tail regime."""
-    x = max(gradient_bound_rhs(p, l1_0, M, sigma_t), 0.0)
-    rhs_grad = 2.0 * math.sqrt(x)
-    rhs_l1 = 2.0 * M**1.5 * math.sqrt(x) + M * abs(p.psi(1.0 / M))
-    c7 = rhs_l1 / M + math.sqrt(M) * rhs_grad
-    return c7, p.psi_inverse(-c7)
+    """C7(t) and the lower barrier psi^{-1}(-C7(t)) of ``global_bound_chain``."""
+    return global_bound_chain(p, l1_0, M, sigma_t, abs(p.psi(1.0 / M)))[2:]
 
 
 # --- records -------------------------------------------------------------------
@@ -157,14 +178,12 @@ class DiagnosticsRecord:
     m_q: Optional[float] = None
     sigma_t: Optional[float] = None
     psi_tilde_max: Optional[float] = None
-    grad_psi_sq: Optional[float] = None
-    psi_f_l1: Optional[float] = None
-    h1_psi: Optional[float] = None
     slack_corollary: Optional[float] = None
     slack_gex5: Optional[float] = None
     slack_gex6: Optional[float] = None
     slack_moment_ode: Optional[float] = None
     slack_prandtl: Optional[float] = None
+    slack_psi_l1: Optional[float] = None
     slack_barrier: Optional[float] = None
 
 
@@ -215,41 +234,35 @@ def check_sigma_comparison(series: Sequence[DiagnosticsRecord], tol: float = 1e-
 
 
 def check_corollary_bound(
-    p: Potentials,
-    series: Sequence[DiagnosticsRecord],
-    lyap_f0: float,
-    M: float,
-    mu_m: Optional[float] = None,
-    tol: float = 1e-6,
+    series: Sequence[DiagnosticsRecord], M: float, mu_m: float, tol: float = 1e-6
 ) -> tuple[CheckResult, CheckResult]:
     """Uniform bound on psi~ along the trajectory (integrable-tail regime).
 
-    Returns the trajectory-level check against the fixed bound from L1(f0)
-    and the sharper per-time variant using L1(f(t)).
+    Returns the trajectory-level check against the fixed bound from L1(f0),
+    read from the records' slack, and the sharper per-time variant using
+    L1(f(t)).
     """
-    if mu_m is None:
-        mu_m = mu_mass(p, M)
-    bound = psi_tilde_sup_bound(lyap_f0, M, mu_m)
-    fixed_pairs = []
-    pertime_pairs = []
-    for rec in series:
-        if rec.psi_tilde_max is None:
-            continue
-        fixed_pairs.append((rec.t, bound - rec.psi_tilde_max))
-        if rec.l1 is not None:
-            pertime_pairs.append(
-                (rec.t, 32.0 * M * max(rec.l1, 0.0) + mu_m - rec.psi_tilde_max**2)
-            )
+    pertime_pairs = [
+        (rec.t, 32.0 * M * max(rec.l1, 0.0) + mu_m - rec.psi_tilde_max**2)
+        for rec in series
+        if rec.psi_tilde_max is not None and rec.l1 is not None
+    ]
     return (
-        _suite("psi_tilde_bound_fixed", fixed_pairs, tol=tol),
+        _suite("psi_tilde_bound_fixed", _slack_pairs(series, "slack_corollary"), tol=tol),
         _suite("psi_tilde_bound_pertime", pertime_pairs, tol=tol),
     )
 
 
+def _slack_pairs(series: Sequence[DiagnosticsRecord], name: str) -> list[tuple[float, float]]:
+    """(t, slack) of every record that carries the slack ``name``."""
+    return [(r.t, getattr(r, name)) for r in series if getattr(r, name) is not None]
+
+
 def check_energy_norm_series(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> tuple[CheckResult, CheckResult]:
-    gex5 = [(r.t, r.slack_gex5) for r in series if r.slack_gex5 is not None]
-    gex6 = [(r.t, r.slack_gex6) for r in series if r.slack_gex6 is not None]
-    return _suite("gex5", gex5, tol=tol), _suite("gex6", gex6, tol=tol)
+    return (
+        _suite("gex5", _slack_pairs(series, "slack_gex5"), tol=tol),
+        _suite("gex6", _slack_pairs(series, "slack_gex6"), tol=tol),
+    )
 
 
 @dataclass(frozen=True)
@@ -294,40 +307,13 @@ class GlobalBoundsResult:
     prandtl: CheckResult
     psi_l1: CheckResult
     barrier: CheckResult
-    c7_values: tuple[tuple[float, float], ...] = field(default=())
 
 
-def check_global_bounds(
-    p: Potentials,
-    series: Sequence[DiagnosticsRecord],
-    l1_0: float,
-    M: float,
-    m0: float,
-    tol: float = 1e-8,
-) -> GlobalBoundsResult:
-    """Divergent-tail bound chain: gradient bound, L1 bound on psi(f), and
-    the induced lower barrier on min f."""
-    if p.limits.tail_integrable:
-        raise TailDivergenceError("global bound chain applies to divergent tails only")
-    prandtl_pairs = []
-    l1_pairs = []
-    barrier_pairs = []
-    c7_values = []
-    for rec in series:
-        if rec.grad_psi_sq is None or rec.sigma_t is None:
-            continue
-        x = gradient_bound_rhs(p, l1_0, M, rec.sigma_t)
-        prandtl_pairs.append((rec.t, x - 0.25 * rec.grad_psi_sq))
-        if rec.psi_f_l1 is not None:
-            rhs_l1 = 2.0 * M**1.5 * math.sqrt(max(x, 0.0)) + M * abs(p.psi(1.0 / M))
-            l1_pairs.append((rec.t, rhs_l1 - rec.psi_f_l1))
-        c7, f_floor = global_barrier(p, l1_0, M, rec.sigma_t)
-        c7_values.append((rec.t, c7))
-        if rec.f_min is not None:
-            barrier_pairs.append((rec.t, rec.f_min - f_floor))
+def check_global_bounds(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> GlobalBoundsResult:
+    """Divergent-tail bound chain from the records' slacks: gradient bound,
+    L1 bound on psi(f), and the induced lower barrier on min f."""
     return GlobalBoundsResult(
-        prandtl=_suite("prandtl", prandtl_pairs, tol=tol),
-        psi_l1=_suite("psi_l1_bound", l1_pairs, tol=tol),
-        barrier=_suite("f_min_barrier", barrier_pairs, tol=0.0),
-        c7_values=tuple(c7_values),
+        prandtl=_suite("prandtl", _slack_pairs(series, "slack_prandtl"), tol=tol),
+        psi_l1=_suite("psi_l1_bound", _slack_pairs(series, "slack_psi_l1"), tol=tol),
+        barrier=_suite("f_min_barrier", _slack_pairs(series, "slack_barrier"), tol=0.0),
     )

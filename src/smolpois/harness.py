@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,10 +42,27 @@ from .regime import (
 from .solver import SolverFailure, run, run_crossval
 from .transform import FieldF, field_to_csv
 
-CSV_HEADER = (
-    "t,dt,f_min,f_max,u_max,mass_err,L1,m_q,sigma,"
-    "slack_corollary,slack_gex5,slack_gex6,slack_moment_ode,slack_prandtl"
-)
+# series.csv columns: header name -> the DiagnosticsRecord attribute it holds
+_SERIES_COLUMNS = {
+    "t": "t",
+    "dt": "dt",
+    "f_min": "f_min",
+    "f_max": "f_max",
+    "u_max": "u_max",
+    "mass_err": "mass_err",
+    "L1": "l1",
+    "m_q": "m_q",
+    "sigma": "sigma_t",
+    "slack_corollary": "slack_corollary",
+    "slack_gex5": "slack_gex5",
+    "slack_gex6": "slack_gex6",
+    "slack_moment_ode": "slack_moment_ode",
+    "slack_prandtl": "slack_prandtl",
+}
+CSV_HEADER = ",".join(_SERIES_COLUMNS)
+
+# RunConfig fields left out of the config echo in summary.json
+_NOT_ECHOED = ("out_dir", "save_fields")
 
 
 class ConfigError(ValueError):
@@ -125,25 +142,11 @@ class RunConfig:
         return replace(self, **kwargs).validate()
 
     def to_dict(self) -> dict:
+        """The config echo of summary.json, in field order."""
         return {
-            "coefficient": self.coefficient_text,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "mass": self.mass,
-            "formulation": self.formulation,
-            "n": self.n,
-            "n_y": self.n_y,
-            "t_max": self.t_max,
-            "dt_init": self.dt_init,
-            "dt_max": self.dt_max,
-            "output_interval": self.output_interval,
-            "initial_kind": self.initial_kind,
-            "amplitude": self.amplitude,
-            "pam_q": self.pam_q,
-            "pam_delta": self.pam_delta,
-            "samples_file": self.samples_file,
-            "eps_touchdown": self.eps_touchdown,
-            "preset": self.preset,
+            ("coefficient" if f.name == "coefficient_text" else f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _NOT_ECHOED
         }
 
 
@@ -189,55 +192,34 @@ class RunSummary:
 
 # --- config file loading ---------------------------------------------------------
 
-_SCHEMA = {
-    "coefficient.expr": str,
-    "coefficient.theta": float,
-    "coefficient.alpha": float,
-    "run.mass": float,
-    "run.formulation": str,
-    "run.t_max": float,
-    "run.dt_init": float,
-    "run.dt_max": "float_or_auto",
-    "run.output_interval": float,
-    "run.out_dir": str,
-    "run.eps_touchdown": float,
-    "grid.n": int,
-    "grid.n_y": int,
-    "initial.kind": str,
-    "initial.amplitude": float,
-    "initial.q": "float_or_auto",
-    "initial.delta": "float_or_auto",
-    "initial.file": str,
-    "output.save_fields": bool,
-    "sweep.key": str,
-    "sweep.values": str,
-}
-
-_KEY_TO_FIELD = {
-    "coefficient.expr": "coefficient_text",
-    "coefficient.theta": "theta",
-    "coefficient.alpha": "alpha",
-    "run.mass": "mass",
-    "run.formulation": "formulation",
-    "run.t_max": "t_max",
-    "run.dt_init": "dt_init",
-    "run.dt_max": "dt_max",
-    "run.output_interval": "output_interval",
-    "run.out_dir": "out_dir",
-    "run.eps_touchdown": "eps_touchdown",
-    "grid.n": "n",
-    "grid.n_y": "n_y",
-    "initial.kind": "initial_kind",
-    "initial.amplitude": "amplitude",
-    "initial.q": "pam_q",
-    "initial.delta": "pam_delta",
-    "initial.file": "samples_file",
-    "output.save_fields": "save_fields",
+# config key -> (RunConfig field, kind); the sweep keys set no field
+_CONFIG_KEYS = {
+    "coefficient.expr": ("coefficient_text", str),
+    "coefficient.theta": ("theta", float),
+    "coefficient.alpha": ("alpha", float),
+    "run.mass": ("mass", float),
+    "run.formulation": ("formulation", str),
+    "run.t_max": ("t_max", float),
+    "run.dt_init": ("dt_init", float),
+    "run.dt_max": ("dt_max", "float_or_auto"),
+    "run.output_interval": ("output_interval", float),
+    "run.out_dir": ("out_dir", str),
+    "run.eps_touchdown": ("eps_touchdown", float),
+    "grid.n": ("n", int),
+    "grid.n_y": ("n_y", int),
+    "initial.kind": ("initial_kind", str),
+    "initial.amplitude": ("amplitude", float),
+    "initial.q": ("pam_q", "float_or_auto"),
+    "initial.delta": ("pam_delta", "float_or_auto"),
+    "initial.file": ("samples_file", str),
+    "output.save_fields": ("save_fields", bool),
+    "sweep.key": (None, str),
+    "sweep.values": (None, str),
 }
 
 
 def _coerce(key: str, raw: str):
-    kind = _SCHEMA[key]
+    kind = _CONFIG_KEYS[key][1]
     raw = raw.strip()
     if kind is str:
         return raw
@@ -277,7 +259,7 @@ def _read_config_pairs(path) -> dict:
     for section in parser.sections():
         for key, raw in parser.items(section):
             full = f"{section}.{key}"
-            if full not in _SCHEMA:
+            if full not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {full!r}")
             pairs[full] = _coerce(full, raw)
     if "coefficient.expr" not in pairs:
@@ -292,7 +274,7 @@ def load_config(path) -> RunConfig:
     for key, value in pairs.items():
         if key.startswith("sweep."):
             continue
-        kwargs[_KEY_TO_FIELD[key]] = value
+        kwargs[_CONFIG_KEYS[key][0]] = value
     return RunConfig(**kwargs).validate()
 
 
@@ -302,7 +284,7 @@ def load_sweep(path) -> tuple[RunConfig, str, list]:
     if "sweep.key" not in pairs or "sweep.values" not in pairs:
         raise ConfigError("sweep config needs sweep.key and sweep.values")
     key = pairs["sweep.key"]
-    if key not in _SCHEMA or key.startswith("sweep."):
+    if key not in _CONFIG_KEYS or key.startswith("sweep."):
         raise ConfigError(f"sweep.key {key!r} is not a config key")
     values = [_coerce(key, item) for item in pairs["sweep.values"].split(",") if item.strip()]
     if not values:
@@ -429,26 +411,7 @@ def emit_outputs(summary: RunSummary, series, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     rows = [CSV_HEADER]
     for rec in series:
-        rows.append(
-            ",".join(
-                [
-                    _fmt(rec.t),
-                    _fmt(rec.dt),
-                    _fmt(rec.f_min),
-                    _fmt(rec.f_max),
-                    _fmt(rec.u_max),
-                    _fmt(rec.mass_err),
-                    _fmt(rec.l1),
-                    _fmt(rec.m_q),
-                    _fmt(rec.sigma_t),
-                    _fmt(rec.slack_corollary),
-                    _fmt(rec.slack_gex5),
-                    _fmt(rec.slack_gex6),
-                    _fmt(rec.slack_moment_ode),
-                    _fmt(rec.slack_prandtl),
-                ]
-            )
-        )
+        rows.append(",".join(_fmt(getattr(rec, attr)) for attr in _SERIES_COLUMNS.values()))
     series_path = out / "series.csv"
     series_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     summary_path = out / "summary.json"
@@ -537,17 +500,12 @@ def simulate(config: RunConfig) -> tuple[RunSummary, list]:
             notes = notes + (
                 f"formulations disagree: f={summary_f.verdict}, u={summary_u.verdict}",
             )
-        summary = RunSummary(
-            verdict=summary_f.verdict,
-            blowup_time=summary_f.blowup_time,
-            final_time=summary_f.final_time,
-            regime=summary_f.regime,
-            design=summary_f.design,
+        summary = replace(
+            summary_f,
             checks=checks,
             config_echo=config.to_dict(),
             wall_clock_s=(summary_f.wall_clock_s or 0.0) + (summary_u.wall_clock_s or 0.0),
             notes=notes,
-            final_state=summary_f.final_state,
             crossval_gap=gap,
         )
         return summary, series_f
@@ -586,7 +544,7 @@ def _cmd_sweep(args) -> int:
     jobs = max(1, args.jobs)
     children = []
     for index, value in enumerate(values):
-        config = base.with_overrides(**{_KEY_TO_FIELD[key]: value})
+        config = base.with_overrides(**{_CONFIG_KEYS[key][0]: value})
         child_dir = out_root / f"run-{index:03d}"
         children.append((index, config, str(child_dir)))
     if jobs == 1:

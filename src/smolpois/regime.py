@@ -73,7 +73,12 @@ class DesignFailure(RuntimeError):
 
 
 def _gss_max(phi, lo: float, hi: float) -> float:
-    """Best value of phi seen by a golden-section maximum search on [lo, hi]."""
+    """Best value of phi seen by a golden-section maximum search on [lo, hi].
+
+    The search stops once every float strictly inside the bracket (a, b) is
+    c or d: each later iterate would evaluate c, d or an end of the bracket,
+    and an end is lo, hi or a point already evaluated.
+    """
     best = -math.inf
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
@@ -81,7 +86,10 @@ def _gss_max(phi, lo: float, hi: float) -> float:
     fc, fd = phi(c), phi(d)
     best = max(best, fc, fd)
     for _ in range(_GSS_ITERS):
-        if b - a < 1e-300:
+        inside = math.nextafter(a, b)
+        while inside < b and (inside == c or inside == d):
+            inside = math.nextafter(inside, b)
+        if inside >= b:
             break
         if fc < fd:
             a, c, fc = c, d, fd
@@ -519,10 +527,6 @@ class BlowupDesign:
             "c_infinity": self.c_infinity,
             "n_y": self.n_y,
         }
-
-
-def lambda_value(design: BlowupDesign, m: float) -> float:
-    return design.lambda_value(m)
 
 
 def moment_at_start(M: float, q: float, delta: float) -> float:

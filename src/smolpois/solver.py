@@ -17,6 +17,12 @@ finite volumes: implicit diffusion with harmonic-mean face coefficients
 frozen at the current state, explicit upwind drift, zero total flux at
 the walls, mass conserved by the flux form.
 
+Both steppers share one halve-and-retry loop (``_advance``): a rejected
+trial halves dt, and dt underflow raises ``NearSingularity``, whose message
+names the monitored extremum.  ``run`` has one step loop for both
+formulations; it chooses the stepper, the record function, the monitored
+extremum and its blowup test once, before the loop.
+
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
 controller targets a 5% relative change of the monitored extremum per
@@ -28,6 +34,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import attrgetter, gt, lt
 from typing import Optional
 
 import numpy as np
@@ -53,34 +61,45 @@ class NearSingularity(SolverFailure):
 
 
 @dataclass(frozen=True)
-class FieldV:
-    """Chemoattractant potential on the u grid: zero mean, zero Neumann flux."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
-@dataclass(frozen=True)
 class SolverState:
     formulation: str                 # "f" | "u"
     t: float
     field: object                    # FieldF or FieldU
     potentials: Potentials
-    v: Optional[FieldV] = None
+    v: Optional[np.ndarray] = None   # potential on the u grid (u-form)
     dt: float = 0.0
     steps: int = 0
+
+
+def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
+    """The state advanced by the first of dt, dt/2, dt/4, ... for which
+    ``attempt(trial)`` returns new field values.
+
+    Raises ``NearSingularity`` once dt underflows (touch-down evidence);
+    ``describe()`` names the monitored extremum and is called only then.
+    """
+    trial = dt
+    while True:
+        values = attempt(trial)
+        if values is not None:
+            return replace(
+                state,
+                t=state.t + trial,
+                field=state.field.with_values(values),
+                dt=trial,
+                steps=state.steps + 1,
+            )
+        trial *= 0.5
+        if trial < DT_UNDERFLOW:
+            raise NearSingularity(
+                f"dt underflowed below {DT_UNDERFLOW:g} at t={state.t:.6g} ({describe()})"
+            )
 
 
 # --- Poisson ------------------------------------------------------------------
 
 
-def solve_poisson(uf: FieldU) -> FieldV:
+def solve_poisson(uf: FieldU) -> np.ndarray:
     """Solve v'' = M - u with homogeneous Neumann walls and zero mean.
 
     u is first projected multiplicatively onto mass M (discrete solvability
@@ -106,16 +125,14 @@ def solve_poisson(uf: FieldU) -> FieldV:
     ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
     rhs[0] = 0.0
     v = solve_banded((1, 1), ab, rhs)
-    v = v - v.mean()
-    return FieldV(values=v)
+    return v - v.mean()
 
 
-def poisson_residual(uf: FieldU, fv: FieldV) -> float:
+def poisson_residual(uf: FieldU, v: np.ndarray) -> float:
     """Max residual of the three-point Neumann discretization."""
     h2 = uf.h**2
     u = uf.values * (uf.mass / (uf.h * float(uf.values.sum())))
     g = uf.mass - u
-    v = fv.values
     res = np.empty_like(v)
     res[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2 - g[1:-1]
     res[0] = (v[1] - v[0]) / h2 - g[0]
@@ -197,35 +214,21 @@ def _newton_f(pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float)
 
 
 def step_f(state: SolverState, dt: float) -> SolverState:
-    """Advance the f-form by one accepted implicit step.
-
-    Retries with halved dt on Newton failure or loss of positivity; raises
-    ``NearSingularity`` once dt underflows (touch-down evidence).
-    """
-    field: FieldF = state.field
-    trial = dt
-    while True:
-        w = _newton_f(state.potentials, field.values, field.mass, field.h, trial)
-        if w is not None:
-            return replace(
-                state,
-                t=state.t + trial,
-                field=field.with_values(w),
-                dt=trial,
-                steps=state.steps + 1,
-            )
-        trial *= 0.5
-        if trial < DT_UNDERFLOW:
-            raise NearSingularity(
-                f"dt underflowed below {DT_UNDERFLOW:g} at t={state.t:.6g} "
-                f"(min f = {field.min_value:.3e})"
-            )
+    """Advance the f-form by one accepted implicit step, halving dt on
+    Newton failure or loss of positivity."""
+    f: FieldF = state.field
+    return _advance(
+        state,
+        dt,
+        lambda trial: _newton_f(state.potentials, f.values, f.mass, f.h, trial),
+        lambda: f"min f = {f.min_value:.3e}",
+    )
 
 
 # --- u-form step ---------------------------------------------------------------
 
 
-def _try_u_step(pot: Potentials, uf: FieldU, fv: FieldV, dt: float) -> Optional[np.ndarray]:
+def _try_u_step(pot: Potentials, uf: FieldU, v: np.ndarray, dt: float) -> Optional[np.ndarray]:
     u = uf.values
     n = u.size
     h = uf.h
@@ -233,7 +236,7 @@ def _try_u_step(pot: Potentials, uf: FieldU, fv: FieldV, dt: float) -> Optional[
     a_vals = np.asarray(coeff(u), dtype=float)
     # harmonic-mean diffusivity on interior faces, frozen at the current state
     a_face = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:])
-    velocity = np.diff(fv.values) / h            # d_x v on interior faces
+    velocity = np.diff(v) / h            # d_x v on interior faces
     upwind = np.where(velocity > 0.0, u[:-1], u[1:])
     flux_adv = upwind * velocity                 # advective flux u * d_x v
     div_adv = np.zeros(n)
@@ -256,30 +259,18 @@ def _try_u_step(pot: Potentials, uf: FieldU, fv: FieldV, dt: float) -> Optional[
 
 
 def step_u(state: SolverState, dt: float) -> SolverState:
-    """Advance the original system by one accepted finite-volume step and
-    re-solve the Poisson problem."""
-    field: FieldU = state.field
+    """Advance the original system by one accepted finite-volume step,
+    halving dt on loss of positivity, and re-solve the Poisson problem."""
     if state.v is None:
-        state = replace(state, v=solve_poisson(field))
-    trial = dt
-    while True:
-        u_new = _try_u_step(state.potentials, field, state.v, trial)
-        if u_new is not None:
-            new_field = field.with_values(u_new)
-            return replace(
-                state,
-                t=state.t + trial,
-                field=new_field,
-                v=solve_poisson(new_field),
-                dt=trial,
-                steps=state.steps + 1,
-            )
-        trial *= 0.5
-        if trial < DT_UNDERFLOW:
-            raise NearSingularity(
-                f"dt underflowed below {DT_UNDERFLOW:g} at t={state.t:.6g} "
-                f"(max u = {field.max_value:.3e})"
-            )
+        state = replace(state, v=solve_poisson(state.field))
+    u, v = state.field, state.v
+    new = _advance(
+        state,
+        dt,
+        lambda trial: _try_u_step(state.potentials, u, v, trial),
+        lambda: f"max u = {u.max_value:.3e}",
+    )
+    return replace(new, v=solve_poisson(new.field))
 
 
 # --- run loop -------------------------------------------------------------------
@@ -292,6 +283,7 @@ class _RunContext:
     m0: float
     q: Optional[float]
     tail_integrable: bool
+    psi_inv_m: Optional[float] = None              # |psi(1/M)|
     lyap_f0: Optional[float] = None
     mu_m: Optional[float] = None
     l1_0: Optional[float] = None
@@ -300,13 +292,13 @@ class _RunContext:
 
 
 def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.DiagnosticsRecord:
+    """The one functional pass over an f profile: psi(f) and psi1(f) are
+    evaluated once, and every functional and slack of the record is derived
+    from them and from the run's constants."""
     pot, M = ctx.pot, ctx.M
     psi_f = np.asarray(pot.psi(field.values), dtype=float)
-    grad_sq = diag.grad_norm_sq(psi_f, field.h)
     psi1_f = np.asarray(pot.psi1(field.values), dtype=float)
-    l1 = 0.5 * grad_sq + field.h * float(np.sum(psi_f - M * psi1_f))
-    psi_l1 = field.h * float(np.sum(np.abs(psi_f)))
-    h1 = math.sqrt(field.h * float(np.dot(psi_f, psi_f)) + grad_sq)
+    grad_sq, psi_l1, slack5, slack6 = diag.energy_norm_terms(psi_f, field.h, M, ctx.psi_inv_m)
     rec = diag.DiagnosticsRecord(
         t=t,
         dt=dt,
@@ -314,15 +306,11 @@ def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.Diag
         f_max=field.max_value,
         u_max=1.0 / field.min_value,
         mass_err=field.integral_error(),
-        l1=l1,
+        l1=0.5 * grad_sq + field.h * float(np.sum(psi_f - M * psi1_f)),
         sigma_t=diag.sigma(M, ctx.m0, t),
-        grad_psi_sq=grad_sq,
-        psi_f_l1=psi_l1,
-        h1_psi=h1,
+        slack_gex5=slack5,
+        slack_gex6=slack6,
     )
-    slack5, slack6 = diag.energy_norm_slacks(pot, field, M)
-    rec.slack_gex5 = slack5
-    rec.slack_gex6 = slack6
     if ctx.q is not None:
         rec.m_q = diag.moment_mq(field, ctx.q)
         if ctx.design is not None and ctx.prev_mq is not None:
@@ -332,12 +320,11 @@ def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.Diag
         ctx.prev_mq = (t, rec.m_q)
     if ctx.tail_integrable:
         rec.psi_tilde_max = float(np.max(psi_f)) - pot.limits.psi0
-        if ctx.lyap_f0 is not None and ctx.mu_m is not None:
-            rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.lyap_f0, M, ctx.mu_m) - rec.psi_tilde_max
+        rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.lyap_f0, M, ctx.mu_m) - rec.psi_tilde_max
     else:
-        x = diag.gradient_bound_rhs(pot, ctx.l1_0, M, rec.sigma_t)
+        x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, rec.sigma_t, ctx.psi_inv_m)
         rec.slack_prandtl = x - 0.25 * grad_sq
-        _, f_floor = diag.global_barrier(pot, ctx.l1_0, M, rec.sigma_t)
+        rec.slack_psi_l1 = rhs_l1 - psi_l1
         rec.slack_barrier = rec.f_min - f_floor
     return rec
 
@@ -409,9 +396,12 @@ def _read_samples(path: str) -> np.ndarray:
 def run(config):
     """Advance one formulation to t_max or a verdict.
 
-    Returns (RunSummary, series).  Verdicts: "blowup" on touch-down of f /
-    runaway of u / dt underflow, "global-so-far" at t_max, "inconclusive"
-    on solver failure.
+    Everything that depends on the formulation is chosen once, before the
+    step loop: the initial field, the monitored extremum (min f or max u)
+    and its blowup test, the record function, the stepper and the run's
+    constants.  Returns (RunSummary, series).  Verdicts: "blowup" on
+    touch-down of f / runaway of u / dt underflow, "global-so-far" at
+    t_max, "inconclusive" on solver failure.
     """
     from .harness import RunSummary  # deferred: harness imports this module
 
@@ -425,45 +415,50 @@ def run(config):
     u0, f0, design = build_initial_data(config)
     M = config.mass
     eps_td = config.eps_touchdown
-    u_cap = 1.0 / eps_td
+    notes = list(regime_report.notes)
 
     if formulation == "f":
         if f0 is None:
             raise SolverFailure("initial data does not define an f profile")
-        field0 = f0
-        m0 = 1.0 / f0.max_value
+        field0, m0 = f0, 1.0 / f0.max_value
+        monitor = attrgetter("min_value")
+        crossed = partial(gt, eps_td)           # touch-down: eps_td > min f
+        start_note = "initial min f = {:.3e} already below the touch-down threshold {:g}"
+        stepper, record = step_f, _record_f
+        if coeff.tail_integrable:
+            constants = dict(mu_m=diag.mu_mass(pot, M), lyap_f0=diag.lyapunov_L1(pot, f0, M))
+        else:
+            constants = dict(l1_0=diag.lyapunov_L1(pot, f0, M))
+        constants["psi_inv_m"] = abs(pot.psi(1.0 / M))
     else:
         if u0 is None:
             if f0 is not None and f0.min_value > TOUCHDOWN_FLOOR:
                 u0 = f_to_u(f0, config.n)
             else:
                 raise SolverFailure("initial data does not define a u profile")
-        field0 = u0
-        m0 = u0.min_value
+        field0, m0 = u0, u0.min_value
+        monitor = attrgetter("max_value")
+        crossed = partial(lt, 1.0 / eps_td)     # runaway: 1/eps_td < max u
+        start_note = None
+        stepper, record = step_u, _record_u
+        constants = {}
 
     ctx = _RunContext(
         pot=pot,
         M=M,
         m0=min(m0, M),
-        q=(design.q if design is not None else (None if config.pam_q == "auto" else _maybe_float(config.pam_q))),
+        q=design.q if design is not None else (None if config.pam_q == "auto" else float(config.pam_q)),
         tail_integrable=coeff.tail_integrable,
         design=design,
+        **constants,
     )
-    if formulation == "f" and coeff.tail_integrable:
-        ctx.mu_m = diag.mu_mass(pot, M)
-        ctx.lyap_f0 = diag.lyapunov_L1(pot, field0, M)
-    if formulation == "f" and not coeff.tail_integrable:
-        ctx.l1_0 = diag.lyapunov_L1(pot, field0, M)
-
     state = SolverState(
         formulation=formulation,
         t=0.0,
         field=field0,
         potentials=pot,
-        v=solve_poisson(field0) if formulation == "u" else None,
         dt=config.dt_init,
     )
-    record = _record_f if formulation == "f" else _record_u
     series = [record(ctx, 0.0, config.dt_init, field0)]
     out_every = config.resolved_output_interval()
     dt_max = config.resolved_dt_max()
@@ -471,7 +466,6 @@ def run(config):
 
     verdict = None
     blowup_time = None
-    notes = list(regime_report.notes)
     if config.initial_kind == "pam":
         delta_used = design.delta if design is not None else float(config.pam_delta)
         if f0 is not None and delta_used < f0.h:
@@ -482,45 +476,28 @@ def run(config):
             )
     dt = min(config.dt_init, dt_max)
 
-    def monitored(fld):
-        return fld.min_value if formulation == "f" else fld.max_value
-
-    if formulation == "f" and field0.min_value < eps_td:
+    if crossed(monitor(field0)):
         verdict = "blowup"
         blowup_time = 0.0
-        notes.append(
-            f"initial min f = {field0.min_value:.3e} already below the "
-            f"touch-down threshold {eps_td:g}"
-        )
-    if formulation == "u" and field0.max_value > u_cap:
-        verdict = "blowup"
-        blowup_time = 0.0
+        if start_note is not None:
+            notes.append(start_note.format(monitor(field0), eps_td))
 
-    stepper = step_f if formulation == "f" else step_u
     try:
         while verdict is None:
             if state.t >= config.t_max:
                 verdict = "global-so-far"
                 break
-            prev_monitor = monitored(state.field)
+            prev_monitor = monitor(state.field)
             dt = min(dt, config.t_max - state.t)
             state = stepper(state, dt)
-            new_monitor = monitored(state.field)
+            new_monitor = monitor(state.field)
             if state.t >= next_record or state.t >= config.t_max:
                 series.append(record(ctx, state.t, state.dt, state.field))
                 while next_record <= state.t:
                     next_record += out_every
-            if formulation == "f" and new_monitor < eps_td:
+            if crossed(new_monitor):
                 verdict = "blowup"
                 blowup_time = state.t
-                if series[-1].t < state.t:
-                    series.append(record(ctx, state.t, state.dt, state.field))
-                break
-            if formulation == "u" and new_monitor > u_cap:
-                verdict = "blowup"
-                blowup_time = state.t
-                if series[-1].t < state.t:
-                    series.append(record(ctx, state.t, state.dt, state.field))
                 break
             rel = abs(new_monitor - prev_monitor) / max(abs(prev_monitor), 1e-300)
             used = state.dt
@@ -534,12 +511,11 @@ def run(config):
         verdict = "blowup"
         blowup_time = state.t
         notes.append(f"near-singularity: {err}")
-        if series[-1].t < state.t:
-            series.append(record(ctx, state.t, state.dt, state.field))
     except SolverFailure as err:
         verdict = "inconclusive"
         notes.append(f"solver failure: {err}")
 
+    # the state a verdict was reached at always ends the series
     if series[-1].t < state.t:
         series.append(record(ctx, state.t, state.dt, state.field))
 
@@ -560,30 +536,19 @@ def run(config):
     return summary, series
 
 
-def _maybe_float(x):
-    try:
-        return float(x)
-    except (TypeError, ValueError):
-        return None
-
-
 def _assemble_checks(ctx: _RunContext, series, formulation: str) -> dict:
     checks: dict[str, diag.CheckResult] = {}
     if formulation != "f":
         return checks
     checks["lyapunov"] = diag.check_lyapunov(series)
     checks["sigma_comparison"] = diag.check_sigma_comparison(series)
-    gex5, gex6 = diag.check_energy_norm_series(series)
-    checks["gex5"] = gex5
-    checks["gex6"] = gex6
-    if ctx.tail_integrable and ctx.lyap_f0 is not None:
-        fixed, pertime = diag.check_corollary_bound(
-            ctx.pot, series, ctx.lyap_f0, ctx.M, mu_m=ctx.mu_m
+    checks["gex5"], checks["gex6"] = diag.check_energy_norm_series(series)
+    if ctx.tail_integrable:
+        checks["psi_tilde_bound_fixed"], checks["psi_tilde_bound_pertime"] = diag.check_corollary_bound(
+            series, ctx.M, ctx.mu_m
         )
-        checks["psi_tilde_bound_fixed"] = fixed
-        checks["psi_tilde_bound_pertime"] = pertime
-    if not ctx.tail_integrable and ctx.l1_0 is not None:
-        bounds = diag.check_global_bounds(ctx.pot, series, ctx.l1_0, ctx.M, ctx.m0)
+    else:
+        bounds = diag.check_global_bounds(series)
         checks["prandtl"] = bounds.prandtl
         checks["psi_l1_bound"] = bounds.psi_l1
         checks["f_min_barrier"] = bounds.barrier

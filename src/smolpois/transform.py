@@ -35,11 +35,31 @@ def _cell_centers(n: int, length: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FieldU:
-    """Cell-centered samples of u on a uniform grid of [0,1] with mass M."""
+class _Field:
+    """Cell-centered samples of a profile on a uniform grid; ``mass`` is M."""
 
     values: np.ndarray
     mass: float
+
+    @property
+    def n(self) -> int:
+        return self.values.size
+
+    @property
+    def min_value(self) -> float:
+        return float(self.values.min())
+
+    @property
+    def max_value(self) -> float:
+        return float(self.values.max())
+
+    def with_values(self, values: np.ndarray):
+        return type(self)(values=values, mass=self.mass)
+
+
+@dataclass(frozen=True)
+class FieldU(_Field):
+    """Cell-centered samples of u on a uniform grid of [0,1] with mass M."""
 
     @staticmethod
     def from_samples(values, mass: float) -> "FieldU":
@@ -55,10 +75,6 @@ class FieldU:
         return FieldU(values=values * (mass / current), mass=float(mass))
 
     @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
     def h(self) -> float:
         return 1.0 / self.values.size
 
@@ -66,27 +82,14 @@ class FieldU:
     def centers(self) -> np.ndarray:
         return _cell_centers(self.n, 1.0)
 
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
-
     def mass_error(self) -> float:
         return abs(self.h * float(self.values.sum()) - self.mass) / self.mass
 
-    def with_values(self, values: np.ndarray) -> "FieldU":
-        return FieldU(values=values, mass=self.mass)
-
 
 @dataclass(frozen=True)
-class FieldF:
-    """Cell-centered samples of f on a uniform grid of [0,M] with integral 1."""
-
-    values: np.ndarray
-    mass: float  # M, the length of the y-domain
+class FieldF(_Field):
+    """Cell-centered samples of f on a uniform grid of [0,M] with integral 1;
+    M is also the length of the y-domain."""
 
     @staticmethod
     def from_samples(values, mass: float) -> "FieldF":
@@ -102,10 +105,6 @@ class FieldF:
         return FieldF(values=values * (1.0 / current), mass=float(mass))
 
     @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
     def h(self) -> float:
         return self.mass / self.values.size
 
@@ -113,19 +112,8 @@ class FieldF:
     def centers(self) -> np.ndarray:
         return _cell_centers(self.n, self.mass)
 
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
-
     def integral_error(self) -> float:
         return abs(self.h * float(self.values.sum()) - 1.0)
-
-    def with_values(self, values: np.ndarray) -> "FieldF":
-        return FieldF(values=values, mass=self.mass)
 
 
 # --- interpolation helpers ---------------------------------------------------
@@ -149,11 +137,6 @@ def _interp_with_edge_extrapolation(x: np.ndarray, xp: np.ndarray, fp: np.ndarra
     return out
 
 
-def _invert_cumulative(targets: np.ndarray, grid_faces: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Invert a strictly increasing piecewise-linear cumulative at targets."""
-    return np.interp(targets, cumulative, grid_faces)
-
-
 # --- operations --------------------------------------------------------------
 
 
@@ -175,7 +158,7 @@ def u_to_f(uf: FieldU, n_y: int) -> FieldF:
     # exact total mass at the right face after FieldU normalization
     cumulative[-1] = uf.mass
     y_centers = _cell_centers(n_y, uf.mass)
-    x_mapped = _invert_cumulative(y_centers, faces, cumulative)
+    x_mapped = np.interp(y_centers, cumulative, faces)  # invert the increasing cumulative
     u_at = _interp_with_edge_extrapolation(x_mapped, uf.centers, u)
     u_at = np.maximum(u_at, 1e-300)
     return FieldF.from_samples(1.0 / u_at, mass=uf.mass)

@@ -20,6 +20,8 @@ from smolpois.diagnostics import (
     psi_tilde_max,
     sigma,
 )
+from smolpois.harness import RunConfig
+from smolpois.solver import run
 from smolpois.transform import FieldF, pam_profile, u_to_f, FieldU
 
 
@@ -270,9 +272,27 @@ class TestSeriesChecks:
         result = check_moment_ode(recs, StubDesign)
         assert not result.ode_slack.passed
 
-    def test_global_bounds_regime_guard(self, pot_inv2):
-        with pytest.raises(TailDivergenceError):
-            check_global_bounds(pot_inv2, [], 0.0, 1.0, 0.5)
+    def test_global_bounds_regime_guard(self):
+        # the divergent-tail bound chain is recorded and checked only for a
+        # divergent tail: its slacks live on the records, the checks read them
+        chain = ("prandtl", "psi_l1_bound", "f_min_barrier")
+        slacks = ("slack_prandtl", "slack_psi_l1", "slack_barrier")
+        for text, divergent in (("(1+r)^-2", False), ("(1+r)^-1", True)):
+            cfg = RunConfig(
+                coefficient_text=text,
+                initial_kind="cosine",
+                t_max=0.05,
+                n=50,
+                n_y=50,
+                output_interval=0.01,
+            ).validate()
+            summary, series = run(cfg)
+            assert all((name in summary.checks) == divergent for name in chain), text
+            assert all((getattr(rec, s) is not None) == divergent for rec in series for s in slacks), text
+        bounds = check_global_bounds(series)
+        assert bounds.prandtl.min_slack == min(rec.slack_prandtl for rec in series)
+        assert bounds.psi_l1.min_slack == min(rec.slack_psi_l1 for rec in series)
+        assert bounds.barrier.min_slack == min(rec.slack_barrier for rec in series)
 
     def test_global_barrier_is_positive_and_small(self, pot_inv1):
         c7, floor = global_barrier(pot_inv1, 0.2, 1.0, sigma(1.0, 0.5, 5.0))

@@ -204,6 +204,26 @@ class TestEmit:
         assert max(l1s) - min(l1s) <= 1e-10
 
 
+class TestTables:
+    """The config echo and the series.csv header are derived from tables;
+    their keys and their order are part of the output format."""
+
+    def test_config_echo_keys(self):
+        keys = list(RunConfig(coefficient_text="(1+r)^-1").to_dict())
+        assert keys == [
+            "coefficient", "theta", "alpha", "mass", "formulation", "n", "n_y",
+            "t_max", "dt_init", "dt_max", "output_interval", "initial_kind",
+            "amplitude", "pam_q", "pam_delta", "samples_file", "eps_touchdown",
+            "preset",
+        ]
+
+    def test_csv_header(self):
+        assert CSV_HEADER == (
+            "t,dt,f_min,f_max,u_max,mass_err,L1,m_q,sigma,"
+            "slack_corollary,slack_gex5,slack_gex6,slack_moment_ode,slack_prandtl"
+        )
+
+
 class TestJsonWriter:
     def test_sorted_and_stable(self):
         text = dumps_deterministic({"b": 1, "a": [1.5, None, True]})

@@ -18,7 +18,6 @@ from smolpois.regime import (
     compute_gamma,
     default_candidates,
     design_blowup,
-    lambda_value,
     moment_at_start,
     select_delta,
     verify_majorant,
@@ -232,16 +231,16 @@ class TestDesign:
 
     def test_lambda_at_zero(self, design):
         # both m-terms vanish: Lambda(0) = -M^{q+1}/(2(q+1)) = -1/10
-        assert lambda_value(design, 0.0) == pytest.approx(-0.1, rel=1e-12)
+        assert design.lambda_value(0.0) == pytest.approx(-0.1, rel=1e-12)
 
     def test_lambda_monotone(self, design):
         rng = np.random.default_rng(8)
         ms = np.sort(rng.uniform(0.0, 1.0, 30))
-        values = [lambda_value(design, float(m)) for m in ms]
+        values = [design.lambda_value(float(m)) for m in ms]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_lambda_negative_at_start(self, design):
-        assert lambda_value(design, design.m_q0) == design.lambda_m_q0 < 0.0
+        assert design.lambda_value(design.m_q0) == design.lambda_m_q0 < 0.0
 
     def test_search_trace_lambda_nonincreasing(self, design):
         lams = [lam for _, _, lam in design.search_trace]
@@ -449,3 +448,85 @@ class TestBatchedRegimePath:
         design_blowup(c, 1.0, theta, alpha)
         # 12100 with one evaluate call per grid point and per cell
         assert len(calls) <= 2000
+
+
+def _reference_gss_max(phi, lo, hi):
+    """The golden-section loop before its early stop: 140 iterations, which
+    keep evaluating adjacent floats once the bracket has collapsed."""
+    best = -math.inf
+    a, b = lo, hi
+    c = b - regime._INV_GOLDEN * (b - a)
+    d = a + regime._INV_GOLDEN * (b - a)
+    fc, fd = phi(c), phi(d)
+    best = max(best, fc, fd)
+    for _ in range(140):
+        if b - a < 1e-300:
+            break
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + regime._INV_GOLDEN * (b - a)
+            fd = phi(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - regime._INV_GOLDEN * (b - a)
+            fc = phi(c)
+        best = max(best, fc, fd)
+    return best
+
+
+# phi calls per refinement: 65-68 measured on the certify coefficients and
+# 69-70 on the brackets below, against 142 for the reference loop
+GSS_CALL_CAP = 80
+
+
+_GSS_MAX = regime._gss_max
+
+
+def _gss_against_reference(phi, lo, hi):
+    """(value, whether it agrees with the reference, phi calls) of one
+    refinement.  Agreement: the search evaluates every point the reference
+    evaluates except the bracket ends, and the two give the same supremum
+    as ``_sup_estimate`` forms it; the ends are grid points whose values it
+    already maxes over."""
+    calls, reference_calls = [], []
+    value = _GSS_MAX(lambda r: (calls.append(r), phi(r))[1], lo, hi)
+    reference = _reference_gss_max(lambda r: (reference_calls.append(r), phi(r))[1], lo, hi)
+    unseen = set(reference_calls) - set(calls) - {lo, hi}
+    ends = max(phi(lo), phi(hi))
+    return value, not unseen and max(value, ends) == max(reference, ends), len(calls)
+
+
+class TestGoldenSectionStop:
+    @pytest.mark.parametrize("text", CERTIFY)
+    def test_certify_refinements_equal_reference(self, text, monkeypatch):
+        refinements = []
+
+        def checked(phi, lo, hi):
+            value, agrees, calls = _gss_against_reference(phi, lo, hi)
+            refinements.append((agrees, calls))
+            return value
+
+        with monkeypatch.context() as m:
+            m.setattr(regime, "_gss_max", checked)
+            outputs = _regime_outputs(text, (1.0,))
+            m.setattr(regime, "_gss_max", _reference_gss_max)
+            assert _regime_outputs(text, (1.0,)) == outputs
+        assert refinements
+        assert all(agrees for agrees, _ in refinements)
+        assert max(calls for _, calls in refinements) <= GSS_CALL_CAP
+
+    @pytest.mark.parametrize(
+        "phi_of",
+        [
+            lambda lo: (lambda r: -r),                             # maximum at lo
+            lambda lo: (lambda r: r),                              # maximum at hi
+            lambda lo: (lambda r: (hash(r) % 1009) / 1009.0),      # differs at every float
+        ],
+        ids=["max-at-lo", "max-at-hi", "float-noise"],
+    )
+    def test_grid_brackets(self, phi_of):
+        grid = np.geomspace(1e-8, 1e8, 2048)
+        for k in range(1, 2047, 23):
+            lo, hi = float(grid[k - 1]), float(grid[k + 1])
+            _, agrees, calls = _gss_against_reference(phi_of(lo), lo, hi)
+            assert agrees and calls <= GSS_CALL_CAP, (lo, hi)

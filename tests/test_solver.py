@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from smolpois.diagnostics import check_moment_ode, sigma
 from smolpois.regime import BlowupDesign, moment_at_start
 from smolpois.solver import (
     NEWTON_TOL,
+    NearSingularity,
     SolverState,
     _lap_neumann,
     _newton_f,
@@ -44,7 +46,7 @@ class TestPoisson:
     def test_flat_state(self):
         uf = FieldU.from_samples(np.full(200, 1.0), 1.0)
         fv = solve_poisson(uf)
-        assert np.max(np.abs(fv.values)) == 0.0
+        assert np.max(np.abs(fv)) == 0.0
 
     def test_cosine_against_closed_form(self):
         # v'' = -cos(pi x) with Neumann walls and zero mean: v = cos(pi x)/pi^2
@@ -53,7 +55,7 @@ class TestPoisson:
             x = (np.arange(n) + 0.5) / n
             uf = FieldU.from_samples(1.0 + np.cos(np.pi * x), 1.0)
             fv = solve_poisson(uf)
-            errs.append(float(np.max(np.abs(fv.values - np.cos(np.pi * x) / np.pi**2))))
+            errs.append(float(np.max(np.abs(fv - np.cos(np.pi * x) / np.pi**2))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
@@ -321,6 +323,62 @@ class TestRunBlowup:
         summary, _ = run(cfg)
         assert summary.verdict == "blowup"
         assert any("near-singularity" in note for note in summary.notes)
+
+
+class TestRunVerdictPaths:
+    """Verdict paths of the one step loop, for each formulation."""
+
+    def test_u_form_runaway_mid_run(self):
+        # spike data whose resampled peak (~75) starts below the cap of 80
+        cfg = RunConfig(
+            coefficient_text="(1+r)^-2",
+            formulation="u",
+            initial_kind="pam",
+            pam_q=4.0,
+            pam_delta=0.05,
+            t_max=0.05,
+            n=100,
+            n_y=100,
+            dt_max=1e-4,
+            output_interval=1e-2,
+            eps_touchdown=1.0 / 80.0,
+        ).validate()
+        summary, series = run(cfg)
+        assert series[0].u_max < 80.0
+        assert summary.verdict == "blowup"
+        assert summary.blowup_time > 0.0
+        assert series[-1].t == summary.blowup_time == summary.final_time
+        assert series[-1].u_max > 80.0
+
+    def test_f_form_starts_below_touch_down(self):
+        cfg = RunConfig(
+            coefficient_text="(1+r)^-2",
+            formulation="f",
+            initial_kind="pam",
+            pam_q=4.0,
+            pam_delta=0.05,
+            t_max=1.0,
+            n=100,
+            n_y=100,
+            eps_touchdown=0.5,
+        ).validate()
+        summary, series = run(cfg)
+        assert summary.verdict == "blowup"
+        assert summary.blowup_time == 0.0
+        assert summary.final_state.steps == 0
+        assert [rec.t for rec in series] == [0.0]
+        assert any(
+            note.startswith("initial min f = ") and "below the touch-down threshold 0.5" in note
+            for note in summary.notes
+        )
+
+    def test_u_form_underflow_names_max_u(self, pot_inv1, monkeypatch):
+        monkeypatch.setattr(solver, "_try_u_step", lambda *args: None)
+        uf = cosine_u(50)
+        state = SolverState(formulation="u", t=0.25, field=uf, potentials=pot_inv1)
+        message = f"at t=0.25 (max u = {uf.max_value:.3e})"
+        with pytest.raises(NearSingularity, match=re.escape(message) + "$"):
+            step_u(state, 1e-3)
 
 
 class TestCrossFormulation:

@@ -12,8 +12,9 @@ OLD_SRC and NEW_SRC are directories that hold the ``smolpois`` package
 directory with ``--out out``, so that the config echo in ``summary.json``
 is the same on both sides.  Runs are the named presets and the INI files
 given with ``--config``; a path inside such a file should be absolute.
-All four presets run when none of PRESET, ``--config`` and ``--coeff`` is
-given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
+All four presets and the runs of ``tools/golden/*.ini`` (u-form at
+n = 3200, a quadrature-backed f-form, an integrable-tail u-form) run when
+none of PRESET, ``--config`` and ``--coeff`` is given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
@@ -43,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 PRESETS = ("blowup-demo", "crossval", "decr-demo", "global-demo")
+GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden"
 OUTPUTS = ("series.csv", "summary.json")
 
 
@@ -183,6 +185,7 @@ def main(argv=None) -> int:
     runs += [(path.stem, ["--config", str(path.resolve())]) for path in args.config]
     if not runs and not args.coeff:
         runs = [(name, ["--preset", name]) for name in PRESETS]
+        runs += [(path.stem, ["--config", str(path)]) for path in sorted(GOLDEN_CONFIGS.glob("*.ini"))]
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     worst = 0
     with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
