@@ -23,6 +23,12 @@ names the monitored extremum.  ``run`` has one step loop for both
 formulations; it chooses the stepper, the record function, the monitored
 extremum and its blowup test once, before the loop.
 
+Every tridiagonal solve is a direct LAPACK call: the Newton and diffusion
+systems go to ``dgtsv`` through ``solve_banded``, and the Poisson matrix,
+which depends only on n, is LU-factored by ``dgttrf`` once per n and
+solved by ``dgttrs`` on each step.  Both routes run the eliminations and
+pivots of ``scipy.linalg.solve_banded`` and give its results bit for bit.
+
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
 controller targets a 5% relative change of the monitored extremum per
@@ -34,12 +40,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter, gt, lt
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from . import diagnostics as diag
 from .coefficient import Potentials, coefficient_from_text
@@ -96,6 +102,55 @@ def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
             )
 
 
+# --- tridiagonal solves ----------------------------------------------------------
+
+
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system whose rows of ``ab`` are the super-diagonal
+    (``ab[0, 1:]``), the main diagonal and the sub-diagonal (``ab[2, :-1]``),
+    with LAPACK ``dgtsv`` (partial pivoting), the routine behind
+    ``scipy.linalg.solve_banded((1, 1), ...)``.  ``ab`` and ``rhs`` are
+    overwritten.  Raises ``LinAlgError`` on an exactly singular pivot and
+    ``ValueError`` on an illegal argument, as scipy does.
+    """
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
+@lru_cache(maxsize=8)
+def _poisson_factors(n: int) -> tuple:
+    """The gauged Neumann Poisson matrix on n cells, factored once by LAPACK
+    ``dgttrf`` (the eliminations and pivots of ``dgtsv``).
+
+    Rows 1..n-2 are the three-point stencil, row n-1 reflects the ghost
+    v_n = v_{n-1}, and row 0 is the gauge v_0 = 0.  scipy's ``dgttrf`` and
+    ``dgttrs`` wrappers reject n = 2, so that matrix is kept as its band
+    rows for ``solve_banded``.  The arrays are shared by every solve on n
+    cells and are read-only.
+    """
+    h = 1.0 / n
+    h2 = h * h
+    ab = np.zeros((3, n))
+    ab[0, 2:] = 1.0 / h2               # super-diagonal entries for rows 1..n-2
+    ab[1, 0] = 1.0
+    ab[1, 1:n - 1] = -2.0 / h2
+    ab[1, n - 1] = -1.0 / h2
+    ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
+    if n == 2:
+        factors = (ab,)
+    else:
+        *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info != 0:
+            raise SolverFailure(f"dgttrf failed on the Poisson matrix (info = {info})")
+    for array in factors:
+        array.flags.writeable = False
+    return tuple(factors)
+
+
 # --- Poisson ------------------------------------------------------------------
 
 
@@ -104,7 +159,8 @@ def solve_poisson(uf: FieldU) -> np.ndarray:
 
     u is first projected multiplicatively onto mass M (discrete solvability
     needs exact compatibility); the singular Neumann system is gauged by
-    pinning v_0 and shifted to zero mean afterwards.
+    pinning v_0 and shifted to zero mean afterwards.  Raises ``ValueError``
+    on a non-finite right-hand side.
     """
     n = uf.n
     h = uf.h
@@ -114,17 +170,16 @@ def solve_poisson(uf: FieldU) -> np.ndarray:
     if abs(h * float(u.sum()) - uf.mass) > 1e-10 * max(1.0, uf.mass):
         raise SolverFailure("u could not be projected onto its mass")
     rhs = uf.mass - u  # v'' = M - u
-    # rows 1..n-2 are the three-point stencil, row n-1 reflects the ghost
-    # v_n = v_{n-1}, and row 0 is the gauge v_0 = 0
-    h2 = h * h
-    ab = np.zeros((3, n))
-    ab[0, 2:] = 1.0 / h2               # super-diagonal entries for rows 1..n-2
-    ab[1, 0] = 1.0
-    ab[1, 1:n - 1] = -2.0 / h2
-    ab[1, n - 1] = -1.0 / h2
-    ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
-    rhs[0] = 0.0
-    v = solve_banded((1, 1), ab, rhs)
+    rhs[0] = 0.0       # the gauge row
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    factors = _poisson_factors(n)
+    if n == 2:
+        v = solve_banded(factors[0].copy(), rhs)
+    else:
+        v, info = dgttrs(*factors, rhs, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
     return v - v.mean()
 
 
@@ -204,7 +259,7 @@ def _newton_f(pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float)
         ab[1, -1] = 1.0 - dt * M + dt * dpsi[-1] / h2
         ab[2, :-1] = -dt * dpsi[:-1] / h2
         try:
-            dw = solve_banded((1, 1), ab, -residual, check_finite=False)
+            dw = solve_banded(ab, -residual)
         except (np.linalg.LinAlgError, ValueError):
             return None
         w = w + dw
@@ -252,7 +307,7 @@ def _try_u_step(pot: Potentials, uf: FieldU, v: np.ndarray, dt: float) -> Option
     ab[1, 1:] += coupling
     ab[2, :-1] = -coupling
     rhs = u - dt * div_adv
-    u_new = solve_banded((1, 1), ab, rhs, check_finite=False)
+    u_new = solve_banded(ab, rhs)
     if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
         return None
     return u_new
@@ -422,7 +477,8 @@ def run(config):
             raise SolverFailure("initial data does not define an f profile")
         field0, m0 = f0, 1.0 / f0.max_value
         monitor = attrgetter("min_value")
-        crossed = partial(gt, eps_td)           # touch-down: eps_td > min f
+        threshold = eps_td
+        crossed = partial(gt, threshold)        # touch-down: eps_td > min f
         start_note = "initial min f = {:.3e} already below the touch-down threshold {:g}"
         stepper, record = step_f, _record_f
         if coeff.tail_integrable:
@@ -438,8 +494,9 @@ def run(config):
                 raise SolverFailure("initial data does not define a u profile")
         field0, m0 = u0, u0.min_value
         monitor = attrgetter("max_value")
-        crossed = partial(lt, 1.0 / eps_td)     # runaway: 1/eps_td < max u
-        start_note = None
+        threshold = 1.0 / eps_td
+        crossed = partial(lt, threshold)        # runaway: 1/eps_td < max u
+        start_note = "initial max u = {:.3e} already above the runaway cap {:g}"
         stepper, record = step_u, _record_u
         constants = {}
 
@@ -479,8 +536,7 @@ def run(config):
     if crossed(monitor(field0)):
         verdict = "blowup"
         blowup_time = 0.0
-        if start_note is not None:
-            notes.append(start_note.format(monitor(field0), eps_td))
+        notes.append(start_note.format(monitor(field0), threshold))
 
     try:
         while verdict is None:

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from smolpois.solver import (
     step_u,
 )
 from smolpois.transform import FieldF, FieldU, f_to_u, pam_profile, u_to_f
-from smolpois.harness import RunConfig, preset_config
+from smolpois.harness import RunConfig, load_config, preset_config
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,116 @@ class TestPoisson:
         uf = cosine_u(400)
         fv = solve_poisson(uf)
         assert poisson_residual(uf, fv) <= 1e-9
+
+
+def _reference_poisson(uf: FieldU) -> np.ndarray:
+    """The Poisson solve before its factors were cached: the gauged Neumann
+    band assembled on every call and solved by scipy's banded solver."""
+    n = uf.n
+    h = uf.h
+    u = uf.values * (uf.mass / (h * float(uf.values.sum())))
+    rhs = uf.mass - u
+    h2 = h * h
+    ab = np.zeros((3, n))
+    ab[0, 2:] = 1.0 / h2
+    ab[1, 0] = 1.0
+    ab[1, 1:n - 1] = -2.0 / h2
+    ab[1, n - 1] = -1.0 / h2
+    ab[2, :n - 1] = 1.0 / h2
+    rhs[0] = 0.0
+    v = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    return v - v.mean()
+
+
+def _assert_band_solve_matches_scipy(ab: np.ndarray, rhs: np.ndarray) -> None:
+    expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    got = solver.solve_banded(ab.copy(), rhs.copy())
+    assert np.array_equal(got, expected)
+
+
+class TestBandSolve:
+    """The direct LAPACK tridiagonal solves against scipy's banded solver."""
+
+    def test_f_form_jacobian(self, pot_inv1):
+        n = 400
+        f = u_to_f(cosine_u(n), n).values
+        h, dt, M = 1.0 / n, 1e-3, 1.0
+        h2 = h * h
+        dpsi = np.asarray(pot_inv1.psi_prime(f), dtype=float)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = -dt * dpsi[1:] / h2
+        ab[1] = 1.0 - dt * M + 2.0 * dt * dpsi / h2
+        ab[1, 0] = 1.0 - dt * M + dt * dpsi[0] / h2
+        ab[1, -1] = 1.0 - dt * M + dt * dpsi[-1] / h2
+        ab[2, :-1] = -dt * dpsi[:-1] / h2
+        rhs = np.random.default_rng(3).normal(size=n)
+        _assert_band_solve_matches_scipy(ab, rhs)
+
+    def test_u_form_diffusion_matrix(self, pot_inv2):
+        uf = cosine_u(3200, amp=0.9)
+        a_vals = np.asarray(pot_inv2.coefficient(uf.values), dtype=float)
+        a_face = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:])
+        coupling = 1e-4 * a_face / uf.h**2
+        ab = np.zeros((3, uf.n))
+        ab[0, 1:] = -coupling
+        ab[1] = 1.0
+        ab[1, :-1] += coupling
+        ab[1, 1:] += coupling
+        ab[2, :-1] = -coupling
+        _assert_band_solve_matches_scipy(ab, uf.values.copy())
+
+    def test_pivoting_matrix(self):
+        rng = np.random.default_rng(5)
+        ab = rng.normal(size=(3, 500))
+        # not diagonally dominant, so partial pivoting swaps rows
+        assert np.any(np.abs(ab[1, :-1]) < np.abs(ab[2, :-1]))
+        _assert_band_solve_matches_scipy(ab, rng.normal(size=500))
+
+    def test_overwrites_its_inputs(self):
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        rhs = np.array([5.0, 6.0, 5.0])
+        x = solver.solve_banded(ab, rhs)
+        assert np.allclose(x, 1.0)
+        assert np.shares_memory(x, rhs)
+
+    def test_singular_matrix_raises(self):
+        # rows 0 and 1 are equal: the second pivot is exactly zero
+        ab = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            solver.solve_banded(ab, np.ones(3))
+
+    def test_poisson_matches_assembled_solve(self):
+        # sizes interleaved, so that factors cached under the wrong key
+        # would be applied to another grid
+        solver._poisson_factors.cache_clear()
+        rng = np.random.default_rng(7)
+        for n in (400, 2, 3200, 3, 2, 400, 3, 3200):
+            uf = FieldU.from_samples(rng.uniform(0.1, 3.0, n), float(rng.uniform(0.5, 2.0)))
+            assert np.array_equal(solve_poisson(uf), _reference_poisson(uf))
+
+    def test_poisson_rejects_nan(self):
+        values = np.full(64, 1.0)
+        values[10] = np.nan
+        with pytest.raises(ValueError):
+            solve_poisson(FieldU(values=values, mass=1.0))
+
+    def test_u_form_fine_run_regression(self, monkeypatch):
+        # the benchmark's uform-fine run: one diffusion band solve per step
+        # trial, and the Poisson solves never go through solve_banded
+        calls = []
+        band_solve = solver.solve_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return band_solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_banded", counting)
+        ini = Path(__file__).resolve().parents[1] / "tools" / "golden" / "uform-fine.ini"
+        summary, _ = run(load_config(ini))
+        assert summary.verdict == "global-so-far"
+        assert summary.final_state.steps == 646
+        assert summary.final_state.field.max_value == 1.432765562586791
+        assert len(calls) == 646
 
 
 class TestStepF:
@@ -300,9 +411,11 @@ class TestRunBlowup:
             output_interval=1e-3,
             eps_touchdown=2e-2,  # u cap = 50, below the resampled peak ~75
         ).validate()
-        summary, _ = run(cfg)
+        summary, series = run(cfg)
         assert summary.verdict == "blowup"
         assert summary.blowup_time == 0.0
+        note = f"initial max u = {series[0].u_max:.3e} already above the runaway cap 50"
+        assert note in summary.notes
 
     def test_underflow_reports_touch_down(self):
         # threshold pushed out of reach: the stepper grinds into dt underflow

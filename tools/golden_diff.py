@@ -13,8 +13,10 @@ directory with ``--out out``, so that the config echo in ``summary.json``
 is the same on both sides.  Runs are the named presets and the INI files
 given with ``--config``; a path inside such a file should be absolute.
 All four presets and the runs of ``tools/golden/*.ini`` (u-form at
-n = 3200, a quadrature-backed f-form, an integrable-tail u-form) run when
-none of PRESET, ``--config`` and ``--coeff`` is given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
+n = 3200, a quadrature-backed f-form, an integrable-tail u-form, and the
+stall-heavy f-form Newton path of near-flat ``global-demo`` data at
+n = n_y = 1600) run when none of PRESET, ``--config`` and ``--coeff`` is
+given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
