@@ -17,7 +17,6 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -550,6 +549,8 @@ def _cmd_sweep(args) -> int:
     if jobs == 1:
         results = [_sweep_child(child) for child in children]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_child, children))
     manifest = {

@@ -188,20 +188,31 @@ def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[
     are returned as math.inf rather than raised.  For a power product the
     exponents decide divergence exactly.
     """
+    _check_decr_pair(theta, alpha)
+    return _gamma_theta(c, theta), _c_infinity(c, alpha)
+
+
+def _check_decr_pair(theta: float, alpha: float) -> None:
     if theta <= 0.0:
         raise RegimeError("theta must be positive")
     if not (theta / (1.0 + theta) < alpha <= 2.0):
         raise RegimeError(
             f"alpha={alpha!r} outside the admissible range ({theta/(1+theta)!r}, 2]"
         )
-    exact = isinstance(c, PowerProductCoefficient)
-    if exact and c.smallr_exponent + 2.0 + theta < 0.0:
-        gamma_theta = math.inf
-    else:
-        gamma_theta = _sup_on_grid(_weighted_a(c, 2.0 + theta), *_UNIT_INTERVAL)
-    if exact and c.tail_exponent + alpha > 0.0:
-        return gamma_theta, math.inf
-    return gamma_theta, _sup_on_grid(_weighted_a(c, alpha), *_FROM_ONE)
+
+
+def _gamma_theta(c: Coefficient, theta: float) -> float:
+    """sup_{(0,1)} r^{2+theta} a(r), independent of alpha."""
+    if isinstance(c, PowerProductCoefficient) and c.smallr_exponent + 2.0 + theta < 0.0:
+        return math.inf
+    return _sup_on_grid(_weighted_a(c, 2.0 + theta), *_UNIT_INTERVAL)
+
+
+def _c_infinity(c: Coefficient, alpha: float) -> float:
+    """sup_{r>=1} r^alpha a(r), independent of theta."""
+    if isinstance(c, PowerProductCoefficient) and c.tail_exponent + alpha > 0.0:
+        return math.inf
+    return _sup_on_grid(_weighted_a(c, alpha), *_FROM_ONE)
 
 
 def _weighted_a(c: Coefficient, e: float):
@@ -259,9 +270,10 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
             alpha = 2.0  # no admissible choice keeps C_inf finite; report as such
         return theta, alpha
     for candidate in np.arange(2.0, alpha_floor, -0.1):
-        _, ci = compute_decr_constants(c, theta, float(candidate))
-        if math.isfinite(ci):
-            return theta, float(candidate)
+        alpha = float(candidate)
+        _check_decr_pair(theta, alpha)
+        if math.isfinite(_c_infinity(c, alpha)):
+            return theta, alpha
     return theta, 2.0
 
 

@@ -400,7 +400,6 @@ def build_initial_data(config) -> tuple[Optional[FieldU], Optional[FieldF], Opti
     M = config.mass
     design = None
     kind = config.initial_kind
-    coeff = coefficient_from_text(config.coefficient_text)
     if kind == "constant":
         u0 = FieldU.from_samples(np.full(config.n, M), M)
         f0 = FieldF.from_samples(np.full(config.n_y, 1.0 / M), M)
@@ -414,6 +413,7 @@ def build_initial_data(config) -> tuple[Optional[FieldU], Optional[FieldF], Opti
         f0 = u_to_f(u0, config.n_y)
         return u0, f0, None
     if kind == "pam":
+        coeff = coefficient_from_text(config.coefficient_text)
         theta, alpha = default_candidates(coeff, config.theta, config.alpha)
         if config.pam_q == "auto" or config.pam_delta == "auto":
             design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y)

@@ -65,6 +65,15 @@ class TestDecrConstants:
         gt, _ = compute_decr_constants(coefficient_from_text("r^-3"), 0.5, 2.0)
         assert gt == math.inf
 
+    @pytest.mark.parametrize("text", ["1/(1+r^2)", "(2+r)^-2"])
+    def test_default_candidates_computes_only_c_inf(self, text, monkeypatch):
+        # gamma_theta does not depend on alpha, so the candidate search skips it
+        calls = []
+        real = regime._sup_on_grid
+        monkeypatch.setattr(regime, "_sup_on_grid", lambda *args: (calls.append(args[1:]), real(*args))[1])
+        assert default_candidates(coefficient_from_text(text), None, None) == (0.5, 2.0)
+        assert calls == [regime._FROM_ONE]
+
     def test_parameter_range_enforced(self):
         c = coefficient_from_text("(1+r)^-2")
         with pytest.raises(RegimeError):
