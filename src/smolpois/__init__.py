@@ -14,7 +14,7 @@ from importlib import import_module
 # submodule -> the public names it exports, in the order of ``__all__``
 _EXPORTS = {
     "coefficient": ("Coefficient", "Potentials", "coefficient_from_text"),
-    "expr": ("parse_coefficient", "evaluate", "validate_positivity"),
+    "expr": ("parse_coefficient", "evaluate"),
     "regime": (
         "BlowupDesign", "ConcaveMajorant", "RegimeReport", "build_majorant", "classify",
         "compute_decr_constants", "compute_gamma", "design_blowup", "select_delta", "verify_majorant",

@@ -5,21 +5,28 @@ The CLI accepts coefficients as plain text like ``(1+r)^-2`` or
 expression tree over the single free variable ``r`` and evaluates it on
 scalars or numpy arrays.
 
-Grammar (highest precedence first):
+The grammar is a whitelisted subset of Python expressions, with ``^`` for
+``**``: ``ast.parse`` reads the text and a walk admits only decimal number
+literals, ``r``, binary ``+ - * /``, ``^``, unary minus, and positional
+calls of exp, ln, sqrt (arity 1) and pow (arity 2).  Precedence, highest
+first:
 
     ^            right-associative, exponent may carry a unary minus
     unary -
     * /
     + -
 
-Functions: exp, ln, sqrt (arity 1) and pow (arity 2).  Whitespace is
-insignificant.  Evaluation never returns a non-finite value silently:
-division by zero, ln of a non-positive argument and overflow all raise
+Whitespace is insignificant, and a tree may nest at most ``MAX_DEPTH``
+levels.  Evaluation never returns a non-finite value silently: division
+by zero, ln of a non-positive argument and overflow all raise
 ``EvalDomainError``.
 """
 
 from __future__ import annotations
 
+import ast
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -74,156 +81,92 @@ class Call:
 Node = Union[Num, Var, Neg, BinOp, Call]
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- parser ----------------------------------------------------------------
 
-_OPERATOR_CHARS = set("+-*/^(),")
+# Deepest tree that parse_coefficient accepts: evaluate, pretty and the
+# power-product matcher in coefficient.py recurse per level, and this keeps
+# them far below Python's recursion limit.
+MAX_DEPTH = 100
+
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# a stand-alone integer gains a ".": a Python int may not carry leading
+# zeros or more than 4300 digits
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Return (kind, text, position) triples; kinds: num, ident, op."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
+def _python_source(text: str) -> tuple[str, list[int]]:
+    """``text`` as one line of Python, and the offset in ``text`` of each of
+    its characters and of its end.  ``^`` becomes ``**``, whitespace a space
+    (none before the first token, which Python reads as an indent) and a
+    decimal digit an ASCII one; ``**`` and characters outside the grammar,
+    such as ``#``, are errors."""
+    integer_ends = {m.end() for m in _INTEGER.finditer(text)}
+    pieces, origin = [], []
+    for i, c in enumerate(text):
         if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATOR_CHARS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # optional exponent part: 1e-3, 2.5E+4
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
-            try:
-                float(lit)
-            except ValueError:
-                raise ParseError(f"malformed number {lit!r}", i) from None
-            tokens.append(("num", lit, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", n))
-    return tokens
+            if not origin:
+                continue
+            c = " "
+        elif c.isdecimal():
+            c = str(int(c)) + ("." if i + 1 in integer_ends else "")
+        elif c == "^":
+            c = "**"
+        elif not (c.isascii() and (c.isalpha() or c in "_.+-*/(),")) or text[i - 1 : i + 1] == "**":
+            raise ParseError(f"unexpected character {c!r}", i)
+        pieces.append(c)
+        origin += [i] * len(c)
+    return "".join(pieces), origin + [len(text)]
 
 
-# --- recursive-descent parser ----------------------------------------------
+def _from_python(node: ast.expr, text: str, origin: list[int], depth: int = 1) -> Node:
+    """The tree of a Python expression made only of float literals, ``r``,
+    binary ``+ - * / **``, unary minus and calls in ``_FUNCTIONS``."""
+    start, end = origin[node.col_offset], origin[node.end_col_offset]
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", start)
 
+    def walk(child: ast.expr) -> Node:
+        return _from_python(child, text, origin, depth + 1)
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, position = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", position)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expression()
-        kind, text, position = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input {text!r}", position)
-        return node
-
-    def expression(self) -> Node:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            # right-associative, and the exponent may be signed: r^-2, 2^3^2
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        kind, text, position = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "ident":
-            if text == "r":
-                return Var()
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.expression()]
-                while self.peek()[:2] == ("op", ","):
-                    self.advance()
-                    args.append(self.expression())
-                self.expect_op(")")
-                if len(args) != _FUNCTIONS[text]:
-                    raise ParseError(
-                        f"{text} takes {_FUNCTIONS[text]} argument(s), got {len(args)}",
-                        position,
-                    )
-                return Call(text, tuple(args))
-            raise ParseError(f"unknown identifier {text!r}", position)
-        if kind == "op" and text == "(":
-            node = self.expression()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected {text or 'end of input'!r}", position)
+    # 1_000 is a Python float literal but not one of ours
+    if isinstance(node, ast.Constant) and isinstance(node.value, float) and "_" not in text[start:end]:
+        return Num(node.value)
+    if isinstance(node, ast.Name) and node.id == "r":
+        return Var()
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return BinOp(_BINARY[type(node.op)], walk(node.left), walk(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return Neg(walk(node.operand))
+    # a bare function name with no trailing comma: not (exp)(r), not exp(r,)
+    if (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in _FUNCTIONS
+        and node.func.col_offset == node.col_offset
+    ):
+        name, arity = node.func.id, _FUNCTIONS[node.func.id]
+        if len(node.args) != arity:
+            raise ParseError(f"{name} takes {arity} argument(s), got {len(node.args)}", start)
+        if "," not in text[origin[node.args[-1].end_col_offset] : end]:
+            return Call(name, tuple(walk(arg) for arg in node.args))
+    if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+        raise ParseError(f"unknown identifier {node.id!r}", start)
+    raise ParseError(f"unexpected {text[start:end]!r}", start)
 
 
 def parse_coefficient(text: str) -> Node:
     """Parse a coefficient string into an expression tree over ``r``."""
     if not text or not text.strip():
         raise ParseError("empty coefficient expression", 0)
-    return _Parser(text).parse()
+    source, origin = _python_source(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1if r else 2" warns of "1i"
+            body = ast.parse(source, mode="eval").body
+    except SyntaxError as err:
+        raise ParseError(err.msg, origin[min(max((err.offset or 1) - 1, 0), len(source))]) from None
+    except (MemoryError, RecursionError):  # the parser's own stack, far past MAX_DEPTH
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0) from None
+    return _from_python(body, text, origin)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -318,37 +261,3 @@ def pretty(node: Node) -> str:
     if isinstance(node, Call):
         return f"{node.name}({', '.join(pretty(a) for a in node.args)})"
     raise AssertionError(f"unknown node {node!r}")
-
-
-# --- positivity check -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    passed: bool
-    samples_checked: int
-    violations: tuple[tuple[float, str], ...]  # (r, description)
-
-
-def validate_positivity(tree: Node, r_min: float, r_max: float, samples: int) -> PositivityReport:
-    """Sample ``tree`` on log-spaced points of [r_min, r_max] and flag r with
-    value <= 0, a non-finite value, or an evaluation error."""
-    if not (0.0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
-    if samples < 2:
-        raise ValueError("need samples >= 2")
-    rs = np.geomspace(r_min, r_max, samples)
-    violations: list[tuple[float, str]] = []
-    for r in rs:
-        try:
-            value = evaluate(tree, float(r))
-        except EvalDomainError as err:
-            violations.append((float(r), str(err)))
-            continue
-        if value <= 0.0:
-            violations.append((float(r), f"value {value!r} not positive"))
-    return PositivityReport(
-        passed=not violations,
-        samples_checked=samples,
-        violations=tuple(violations),
-    )

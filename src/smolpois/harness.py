@@ -222,16 +222,12 @@ def _coerce(key: str, raw: str):
     raw = raw.strip()
     if kind is str:
         return raw
-    if kind is int:
+    if kind in (int, float):
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "yes", "1", "on"):

@@ -30,7 +30,7 @@ evaluates point by point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -283,55 +283,33 @@ def classify(c: Coefficient, theta: Optional[float] = None, alpha: Optional[floa
     source = c.verdict_source
     if source == NUMERIC:
         notes.append("integrability and supremum verdicts are numeric heuristics")
+    gamma = compute_gamma(c)  # inf when the tail diverges
+    use_theta = use_alpha = gamma_theta = c_inf = None
     if not c.tail_integrable:
-        return RegimeReport(
-            clause="global",
-            tail_integrable=False,
-            gamma=math.inf,
-            source=source,
-            notes=tuple(notes),
-        )
-    gamma = compute_gamma(c)
-    if math.isfinite(gamma):
-        report_theta = report_alpha = gamma_theta = c_inf = None
+        clause = "global"
+    elif math.isfinite(gamma):
+        clause = "blowup-via-(1)"
         if theta is not None or alpha is not None:
-            report_theta, report_alpha = default_candidates(c, theta, alpha)
-            gamma_theta, c_inf = compute_decr_constants(c, report_theta, report_alpha)
-        return RegimeReport(
-            clause="blowup-via-(1)",
-            tail_integrable=True,
-            gamma=gamma,
-            theta=report_theta,
-            alpha=report_alpha,
-            gamma_theta=gamma_theta,
-            c_infinity=c_inf,
-            source=source,
-            notes=tuple(notes),
-        )
-    use_theta, use_alpha = default_candidates(c, theta, alpha)
-    gamma_theta, c_inf = compute_decr_constants(c, use_theta, use_alpha)
-    if math.isfinite(gamma_theta) and math.isfinite(c_inf):
-        if theta is None or alpha is None:
-            notes.append(
-                f"(theta, alpha) = ({use_theta}, {use_alpha}) chosen by default; "
-                "other admissible pairs may exist"
-            )
-        return RegimeReport(
-            clause="blowup-via-(decr)",
-            tail_integrable=True,
-            gamma=math.inf,
-            theta=use_theta,
-            alpha=use_alpha,
-            gamma_theta=gamma_theta,
-            c_infinity=c_inf,
-            source=source,
-            notes=tuple(notes),
-        )
-    notes.append("tail integrable but neither singularity condition verified")
+            use_theta, use_alpha = default_candidates(c, theta, alpha)
+            gamma_theta, c_inf = compute_decr_constants(c, use_theta, use_alpha)
+    else:
+        gamma = math.inf  # reported as inf whatever non-finite value the estimate gave
+        use_theta, use_alpha = default_candidates(c, theta, alpha)
+        gamma_theta, c_inf = compute_decr_constants(c, use_theta, use_alpha)
+        if math.isfinite(gamma_theta) and math.isfinite(c_inf):
+            clause = "blowup-via-(decr)"
+            if theta is None or alpha is None:
+                notes.append(
+                    f"(theta, alpha) = ({use_theta}, {use_alpha}) chosen by default; "
+                    "other admissible pairs may exist"
+                )
+        else:
+            clause = "unclassified"
+            notes.append("tail integrable but neither singularity condition verified")
     return RegimeReport(
-        clause="unclassified",
-        tail_integrable=True,
-        gamma=math.inf,
+        clause=clause,
+        tail_integrable=c.tail_integrable,
+        gamma=gamma,
         theta=use_theta,
         alpha=use_alpha,
         gamma_theta=gamma_theta,
@@ -521,24 +499,8 @@ class BlowupDesign:
             raise RegimeError(f"Lambda(m_q(0))={self.lambda_m_q0} not negative")
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "q": self.q,
-            "eps_m": self.eps_m,
-            "delta": self.delta,
-            "c1": self.c1,
-            "c2": self.c2,
-            "mu_m": self.mu_m,
-            "k0": self.k0,
-            "lyap_f0": self.lyap_f0,
-            "m_q0": self.m_q0,
-            "lambda_m_q0": self.lambda_m_q0,
-            "gamma_theta": self.gamma_theta,
-            "c_infinity": self.c_infinity,
-            "n_y": self.n_y,
-        }
+        """Every constant, in field order; the search trace is left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "search_trace"}
 
 
 def moment_at_start(M: float, q: float, delta: float) -> float:

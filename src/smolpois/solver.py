@@ -394,9 +394,9 @@ def _record_u(ctx: _RunContext, t: float, dt: float, field: FieldU) -> diag.Diag
     )
 
 
-def build_initial_data(config) -> tuple[Optional[FieldU], Optional[FieldF], Optional[BlowupDesign]]:
-    """Construct the initial fields named by the config (and the blowup
-    design when the spike parameters are 'auto')."""
+def build_initial_data(config, coeff, pot) -> tuple[Optional[FieldU], Optional[FieldF], Optional[BlowupDesign]]:
+    """Construct the initial fields named by the config (and, for 'auto'
+    spike parameters, the blowup design from the run's coeff and pot)."""
     M = config.mass
     design = None
     kind = config.initial_kind
@@ -413,10 +413,9 @@ def build_initial_data(config) -> tuple[Optional[FieldU], Optional[FieldF], Opti
         f0 = u_to_f(u0, config.n_y)
         return u0, f0, None
     if kind == "pam":
-        coeff = coefficient_from_text(config.coefficient_text)
         theta, alpha = default_candidates(coeff, config.theta, config.alpha)
         if config.pam_q == "auto" or config.pam_delta == "auto":
-            design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y)
+            design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y, potentials=pot)
             q = design.q if config.pam_q == "auto" else float(config.pam_q)
             delta = design.delta if config.pam_delta == "auto" else float(config.pam_delta)
         else:
@@ -467,7 +466,7 @@ def run(config):
     coeff = coefficient_from_text(config.coefficient_text)
     pot = Potentials(coeff)
     regime_report = classify(coeff, config.theta, config.alpha)
-    u0, f0, design = build_initial_data(config)
+    u0, f0, design = build_initial_data(config, coeff, pot)
     M = config.mass
     eps_td = config.eps_touchdown
     notes = list(regime_report.notes)

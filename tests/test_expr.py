@@ -1,16 +1,33 @@
+import ast
+import configparser
+import inspect
 import math
+import random
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smolpois.coefficient import CoefficientError, coefficient_from_text
 from smolpois.expr import (
+    MAX_DEPTH,
+    BinOp,
+    Call,
     EvalDomainError,
+    Neg,
+    Node,
+    Num,
     ParseError,
+    Var,
     evaluate,
     parse_coefficient,
     pretty,
-    validate_positivity,
 )
+from smolpois.harness import _PRESETS, preset_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestGolden:
@@ -142,22 +159,395 @@ class TestArrayEvaluation:
             assert v == evaluate(tree, float(r))
 
 
-class TestPositivity:
-    def test_manifestly_positive(self):
-        report = validate_positivity(parse_coefficient("(1+r)^-2"), 1e-6, 1e6, 1000)
-        assert report.passed
-        assert report.samples_checked == 1000
+# --- the hand-written tokenizer and parser that ast.parse replaced -----------
+#
+# Kept as the reference: parse_coefficient must give an == tree wherever
+# this accepts a string, and a ParseError wherever it rejects one.
 
-    def test_sign_change_detected(self):
-        report = validate_positivity(parse_coefficient("r - 2"), 1.0, 10.0, 10)
-        assert not report.passed
-        assert all(r <= 2.0 for r, _ in report.violations)
+FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "pow": 2}
+_OPERATOR_CHARS = set("+-*/^(),")
 
-    def test_reciprocal_positive(self):
-        report = validate_positivity(parse_coefficient("1/(1+r)"), 1e-3, 1e3, 100)
-        assert report.passed
 
-    def test_domain_error_reported_with_r(self):
-        report = validate_positivity(parse_coefficient("ln(r)"), 0.1, 10.0, 16)
-        assert not report.passed
-        assert report.violations
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Return (kind, text, position) triples; kinds: num, ident, op."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _OPERATOR_CHARS:
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            # optional exponent part: 1e-3, 2.5E+4
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    while k < n and text[k].isdigit():
+                        k += 1
+                    j = k
+            lit = text[i:j]
+            try:
+                float(lit)
+            except ValueError:
+                raise ParseError(f"malformed number {lit!r}", i) from None
+            tokens.append(("num", lit, i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, text, position = self.peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", position)
+        return self.advance()
+
+    def parse(self) -> Node:
+        node = self.expression()
+        kind, text, position = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {text!r}", position)
+        return node
+
+    def expression(self) -> Node:
+        node = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                node = BinOp(text, node, self.term())
+            else:
+                return node
+
+    def term(self) -> Node:
+        node = self.unary()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.advance()
+                node = BinOp(text, node, self.unary())
+            else:
+                return node
+
+    def unary(self) -> Node:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self) -> Node:
+        base = self.atom()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            # right-associative, and the exponent may be signed: r^-2, 2^3^2
+            return BinOp("^", base, self.unary())
+        return base
+
+    def atom(self) -> Node:
+        kind, text, position = self.advance()
+        if kind == "num":
+            return Num(float(text))
+        if kind == "ident":
+            if text == "r":
+                return Var()
+            if text in FUNCTIONS:
+                self.expect_op("(")
+                args = [self.expression()]
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.expression())
+                self.expect_op(")")
+                if len(args) != FUNCTIONS[text]:
+                    raise ParseError(
+                        f"{text} takes {FUNCTIONS[text]} argument(s), got {len(args)}",
+                        position,
+                    )
+                return Call(text, tuple(args))
+            raise ParseError(f"unknown identifier {text!r}", position)
+        if kind == "op" and text == "(":
+            node = self.expression()
+            self.expect_op(")")
+            return node
+        raise ParseError(f"unexpected {text or 'end of input'!r}", position)
+
+
+def reference_parse(text: str) -> Node:
+    """Parse a coefficient string into an expression tree over ``r``."""
+    if not text or not text.strip():
+        raise ParseError("empty coefficient expression", 0)
+    return _Parser(text).parse()
+
+
+def reference_outcome(text: str):
+    """("tree", tree), ("error", None), or None where the reference
+    parser itself overflows the stack (deep nesting)."""
+    try:
+        return "tree", reference_parse(text)
+    except ParseError:
+        return "error", None
+    except RecursionError:
+        return None
+
+
+def outcome(text: str):
+    try:
+        return "tree", parse_coefficient(text)
+    except ParseError:
+        return "error", None
+
+
+CERTIFY = ("(1+r)^-2", "(1+r)*r^-2.5", "(1+r)^-1", "(2+r)^-2", "exp(-r)", "1/(2+r)", "1/(1+r^2)", "(1+r)^-3")
+# valid spellings that a parser on Python's grammar could get wrong, all in
+# tools/golden/coefficients.txt
+SPELLINGS = (
+    "( 1 + r ) ^ -2",
+    " (1+r)^-2",
+    "\t1+r",
+    "2^3^2",
+    "r^-2^2",
+    "1 + -2^2 + 5",
+    "2*-r",
+    ".5*r",
+    "1.*r",
+    "007*r",
+    "1e400",
+)
+# the other two coefficients of tools/golden/coefficients.txt
+TAILS = ("(1+r)^-1.5", "r^-3*(1+r)^-1")
+# more such spellings; a line break cannot go into that file
+MORE_SPELLINGS = (
+    "(1+\nr)^-2",
+    "\u0663*r",  # ARABIC-INDIC DIGIT THREE is a decimal digit to float()
+    "exp (r)",
+    "1e+05*r",
+    "r^ - 2",
+)
+REJECTED = (
+    "r**2",
+    "0x10",
+    "1_000",
+    "1j",
+    "+r",
+    "r(2)",
+    "r.x",
+    "r[1]",
+    "1//2",
+    "r%2",
+    "pow(r, e=2)",
+    "exp(*r)",
+    "r if r else 1",
+    "1if r else 2",
+    "(1, 2)",
+    "r # c",
+    "exp",
+    "2 r",
+    "1.2.3",
+    "2e",
+    "(1+r",
+    "exp(r,)",
+    "pow(r, 2,)",
+    "(exp)(r)",
+    "exp()",
+    "1 + r )",
+    "r^^2",
+    "r*^2",
+    "not r",
+    "r < 2",
+    "True",
+    "...",
+    "lambda: r",
+    "\u00b2",
+    "\uff52",  # FULLWIDTH LATIN SMALL LETTER R, which Python reads as r
+    "r\x00",
+)
+
+
+def golden_coefficients() -> list[str]:
+    lines = (ROOT / "tools" / "golden" / "coefficients.txt").read_text(encoding="utf-8").split("\n")
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def repo_strings() -> set[str]:
+    """Every string that could be a coefficient in the presets, the golden
+    configs and coefficient list, the README and the test files."""
+    texts = {preset_config(name).coefficient_text for name in _PRESETS}
+    for path in sorted((ROOT / "tools" / "golden").glob("*.ini")):
+        ini = configparser.ConfigParser()
+        ini.read(path)
+        texts.add(ini["coefficient"]["expr"])
+    texts.update(golden_coefficients())
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    texts.update(m.group(2) for m in re.finditer(r"([\"'`])([^\"'`\n]+)\1", readme))
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.add(node.value)
+    return texts
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("text", CERTIFY + TAILS + SPELLINGS + MORE_SPELLINGS)
+    def test_tree_equals_reference(self, text):
+        assert outcome(text) == ("tree", reference_parse(text))
+
+    def test_golden_coefficients_cover_certify_and_spellings(self):
+        assert set(CERTIFY + TAILS + SPELLINGS) <= set(golden_coefficients())
+
+    def test_every_repo_string(self):
+        texts = repo_strings()
+        trees = 0
+        for text in texts:
+            expected = reference_outcome(text)
+            if expected is not None:
+                assert outcome(text) == expected, text
+                trees += expected[0] == "tree"
+        # the presets, README and test coefficients are real parses
+        assert trees >= 60
+
+    @pytest.mark.parametrize("text", REJECTED)
+    def test_rejected_as_reference(self, text):
+        assert reference_outcome(text) == ("error", None)
+        with pytest.raises(ParseError):
+            parse_coefficient(text)
+
+    def test_long_digit_string_is_infinite(self):
+        text = "1" * 5000
+        assert parse_coefficient(text) == reference_parse(text) == Num(math.inf)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_spellings(self, seed):
+        # grammatical strings, half of them with one character inserted,
+        # replaced or deleted
+        rng = random.Random(seed)
+        numbers = ("1", "2", "0.5", ".5", "3.", "1e3", "2E-1", "007", "0", "12", "1.5e+2")
+        noise = list("r1.e+-*/^(), _x\n0j#") + ["**", ""]
+
+        def grammatical(depth):
+            pick = rng.random()
+            if depth > 4 or pick < 0.3:
+                return rng.choice(("r",) + numbers)
+            if pick < 0.6:
+                space = rng.choice(("", " ", "\t", "\n"))
+                return grammatical(depth + 1) + space + rng.choice("+-*/^") + grammatical(depth + 1)
+            if pick < 0.7:
+                return "-" + grammatical(depth + 1)
+            if pick < 0.85:
+                return "(" + grammatical(depth + 1) + ")"
+            name = rng.choice(sorted(FUNCTIONS))
+            return name + "(" + ", ".join(grammatical(depth + 1) for _ in range(FUNCTIONS[name])) + ")"
+
+        trees = 0
+        for _ in range(1500):
+            text = rng.choice(("", " ")) + grammatical(0)
+            if rng.random() < 0.5:
+                i = rng.randrange(len(text) + 1)
+                text = text[:i] + rng.choice(noise) + text[i + rng.randint(0, 1) :]
+            expected = reference_outcome(text)
+            if expected is not None:
+                assert outcome(text) == expected, text
+                trees += expected[0] == "tree"
+        assert trees > 500
+
+
+class TestPositions:
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("r^2 + x", 6),  # after "^" became "**" and "2" became "2."
+            ("  r + x", 6),  # leading whitespace
+            ("(1+\nr) + x", 9),
+            ("007 + x", 6),
+            ("r^3^2 + pow(r)", 8),
+            ("r**2", 2),
+            ("r # c", 2),
+            ("1 + r )", 6),
+        ],
+    )
+    def test_position_in_user_text(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_coefficient(text)
+        assert err.value.position == position
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        ["-" * 2000 + "r", "2^" * 600 + "r", "(" * 300 + "1+r" + ")" * 300 + "^-2", "-" * 50000 + "r"],
+        ids=["minus-2000", "power-600", "parentheses-300", "minus-50000"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_coefficient(text)
+        with pytest.raises(ParseError):
+            coefficient_from_text(text)
+
+    # the deepest tree of each shape that the limit lets through
+    DEEPEST = {
+        "negation": "-" * (MAX_DEPTH - 1) + "r",
+        "power": "1^" * (MAX_DEPTH - 1) + "r",
+        "sum": "+".join(["r"] * MAX_DEPTH),
+        "sqrt": "sqrt(" * (MAX_DEPTH - 1) + "r" + ")" * (MAX_DEPTH - 1),
+        "pow": "pow(" * (MAX_DEPTH - 1) + "r" + ", 1)" * (MAX_DEPTH - 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEPEST))
+    def test_limit_is_exact(self, shape):
+        text = self.DEEPEST[shape]
+        parse_coefficient(text)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_coefficient("-(" + text + ")")
+
+    @pytest.mark.parametrize("shape", sorted(DEEPEST))
+    def test_deepest_tree_fits_the_stack(self, shape):
+        # every recursive walker needs at most a few frames per level, so a
+        # tree that passes the limit leaves most of the default stack free
+        text = self.DEEPEST[shape]
+        tree = parse_coefficient(text)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 5 * MAX_DEPTH)
+        try:
+            assert parse_coefficient(text) == tree
+            assert abs(evaluate(tree, 2.0)) >= 1.0
+            assert parse_coefficient(pretty(tree)) == tree
+            repr(tree)
+            try:
+                coefficient_from_text(text)
+            except CoefficientError:
+                pass  # the odd negation chain is negative
+        finally:
+            sys.setrecursionlimit(limit)
+        assert 5 * MAX_DEPTH <= limit // 2

@@ -18,7 +18,6 @@ EXPORTS = [
     "coefficient_from_text",
     "parse_coefficient",
     "evaluate",
-    "validate_positivity",
     "BlowupDesign",
     "ConcaveMajorant",
     "RegimeReport",
@@ -47,7 +46,7 @@ EXPORTS = [
     "preset_config",
     "simulate",
 ]
-OWNERS = [coefficient] * 3 + [expr] * 3 + [regime] * 10 + [transform] * 5 + [solver] * 5 + [harness] * 7
+OWNERS = [coefficient] * 3 + [expr] * 2 + [regime] * 10 + [transform] * 5 + [solver] * 5 + [harness] * 7
 
 SRC = str(Path(smolpois.__file__).resolve().parents[1])
 

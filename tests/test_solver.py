@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from smolpois import solver
+from smolpois import regime, solver
 from smolpois.coefficient import Potentials, coefficient_from_text
 from smolpois.diagnostics import check_moment_ode, sigma
 from smolpois.regime import BlowupDesign, moment_at_start
@@ -437,6 +437,24 @@ class TestRunBlowup:
         assert summary.verdict == "blowup"
         assert any("near-singularity" in note for note in summary.notes)
 
+    def test_designed_run_parses_once(self, monkeypatch):
+        # the pam design reuses run()'s coefficient and potentials
+        parses, potentials = [], []
+        parse = solver.coefficient_from_text
+
+        class RecordedPotentials(Potentials):
+            def __init__(self, coefficient):
+                potentials.append(self)
+                super().__init__(coefficient)
+
+        monkeypatch.setattr(solver, "coefficient_from_text", lambda text: parses.append(text) or parse(text))
+        monkeypatch.setattr(solver, "Potentials", RecordedPotentials)
+        monkeypatch.setattr(regime, "Potentials", RecordedPotentials)
+        summary, _ = run(preset_config("blowup-demo").with_overrides(t_max=0.01))
+        assert summary.design is not None
+        assert parses == ["(1+r)^-2"]
+        assert len(potentials) == 1
+
 
 class TestRunVerdictPaths:
     """Verdict paths of the one step loop, for each formulation."""
@@ -564,7 +582,8 @@ class TestNewtonStall:
         cfg = preset_config("global-demo").with_overrides(
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
         )
-        return build_initial_data(cfg)[1]
+        coeff = coefficient_from_text(cfg.coefficient_text)
+        return build_initial_data(cfg, coeff, Potentials(coeff))[1]
 
     def test_stalled_solve_rejected_at_once(self, f0):
         pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))

@@ -12,11 +12,14 @@ OLD_SRC and NEW_SRC are directories that hold the ``smolpois`` package
 directory with ``--out out``, so that the config echo in ``summary.json``
 is the same on both sides.  Runs are the named presets and the INI files
 given with ``--config``; a path inside such a file should be absolute.
-All four presets and the runs of ``tools/golden/*.ini`` (u-form at
-n = 3200, a quadrature-backed f-form, an integrable-tail u-form, and the
-stall-heavy f-form Newton path of near-flat ``global-demo`` data at
-n = n_y = 1600) run when none of PRESET, ``--config`` and ``--coeff`` is
-given.  ``--grid`` and ``--t-max`` are passed through to every simulation.
+When none of PRESET, ``--config`` and ``--coeff`` is given, it runs all
+four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, a
+quadrature-backed f-form, an integrable-tail u-form, and the stall-heavy
+f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600)
+and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
+``certify`` benchmark coefficients and parser-sensitive spellings), so a
+bare ``python tools/golden_diff.py OLD/src src`` covers the regime layer
+too.  ``--grid`` and ``--t-max`` are passed through to every simulation.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
@@ -47,6 +50,7 @@ from pathlib import Path
 
 PRESETS = ("blowup-demo", "crossval", "decr-demo", "global-demo")
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden"
+GOLDEN_COEFFICIENTS = GOLDEN_CONFIGS / "coefficients.txt"
 OUTPUTS = ("series.csv", "summary.json")
 
 
@@ -91,6 +95,13 @@ def compare_command(label: str, old_src: Path, new_src: Path, run_args: list[str
     lines += [f"{part}: old {a!r}, new {b!r}" for part, a, b in zip(("exit code", "error"), old[1:], new[1:]) if a != b]
     print("\n".join(f"  {line}" for line in lines))
     return 1
+
+
+def golden_coefficients() -> list[str]:
+    """The lines of ``coefficients.txt`` that are not empty or comments,
+    each exactly as written apart from its line break."""
+    lines = GOLDEN_COEFFICIENTS.read_text(encoding="utf-8").split("\n")
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def _rows(data: bytes) -> tuple[list[str], list[list[str]]]:
@@ -188,6 +199,7 @@ def main(argv=None) -> int:
     if not runs and not args.coeff:
         runs = [(name, ["--preset", name]) for name in PRESETS]
         runs += [(path.stem, ["--config", str(path)]) for path in sorted(GOLDEN_CONFIGS.glob("*.ini"))]
+        args.coeff = golden_coefficients()
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     worst = 0
     with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
@@ -196,7 +208,7 @@ def main(argv=None) -> int:
             worst = max(worst, status)
     for text in args.coeff:
         for command in ("classify", "design"):
-            status = compare_command(f"{command} {text}", old_src, new_src, [command, "--coeff", text])
+            status = compare_command(f"{command} {text!r}", old_src, new_src, [command, f"--coeff={text}"])
             worst = max(worst, status)
     return worst
 
