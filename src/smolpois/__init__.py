@@ -6,7 +6,8 @@ global-existence / finite-time-blowup regimes, constructs explicit blowup
 certificates, and checks the supporting inequalities along trajectories.
 
 Submodules load on first use (PEP 562), so the regime layer runs without
-importing scipy, which only ``solver`` and ``harness`` need.
+importing scipy.  ``solver`` and ``harness`` need only scipy's LAPACK
+extension, which ``solver`` loads without the ``scipy.linalg`` package.
 """
 
 from importlib import import_module

@@ -349,11 +349,14 @@ def _match_factors(node: expr.Node) -> Optional[tuple[float, float, float]]:
 
 def coefficient_from_text(text: str) -> Coefficient:
     """Parse a coefficient string, promoting recognized power products
-    (c * r^p * (1+r)^beta) to their closed-form implementation."""
+    (c * r^p * (1+r)^beta) to their closed-form implementation; their
+    constant factor c must be finite and positive."""
     tree = expr.parse_coefficient(text)
     matched = _match_factors(tree)
     if matched is not None:
         c, p, beta = matched
+        if not math.isfinite(c):
+            raise CoefficientError(f"coefficient {text!r} has a constant factor that is not finite")
         if c > 0.0:
             return PowerProductCoefficient(c, p, beta, text=text)
         raise CoefficientError(f"coefficient {text!r} is not positive")

@@ -28,6 +28,12 @@ systems go to ``dgtsv`` through ``solve_banded``, and the Poisson matrix,
 which depends only on n, is LU-factored by ``dgttrf`` once per n and
 solved by ``dgttrs`` on each step.  Both routes run the eliminations and
 pivots of ``scipy.linalg.solve_banded`` and give its results bit for bit.
+The three routines come from scipy's LAPACK extension ``_flapack``, which
+``_load_flapack`` loads from scipy's ``linalg`` directory when this module
+is imported, without running the ``scipy.linalg`` package ``__init__``
+(and the numpy.f2py and numpy.testing imports that it pulls in).  It is
+registered as ``scipy.linalg._flapack``, so a later ``import scipy.linalg``
+reuses it, and the routines are the objects ``scipy.linalg.lapack`` exports.
 
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
@@ -38,19 +44,52 @@ step by halving/doubling between 1e-12 and dt_max.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from operator import attrgetter, gt, lt
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from . import diagnostics as diag
 from .coefficient import Potentials, coefficient_from_text
 from .regime import BlowupDesign, classify, default_candidates, design_blowup
 from .transform import TOUCHDOWN_FLOOR, FieldF, FieldU, f_to_u, pam_profile, u_to_f
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``.
+
+    ``find_spec("scipy")`` locates scipy without running any of its code;
+    the extension is loaded from its ``linalg`` directory and registered in
+    ``sys.modules`` under its own name.  Its initialisation runs once per
+    process, so after an earlier ``import scipy.linalg`` the loader returns
+    the module already registered.  Raises ``ImportError`` naming the
+    directory searched when no ``_flapack`` file is there.
+    """
+    name = "scipy.linalg._flapack"
+    spec = find_spec("scipy")
+    if spec is None:
+        raise ImportError("smolpois.solver needs scipy, which is not installed", name="scipy")
+    directory = Path(spec.submodule_search_locations[0], "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            loader = ExtensionFileLoader(name, str(path))
+            module = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}", name=name)
+
+
+_flapack = _load_flapack()
+dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 
 DT_FLOOR = 1e-12
 DT_UNDERFLOW = 1e-14

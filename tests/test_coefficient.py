@@ -66,6 +66,12 @@ class TestRecognition:
         with pytest.raises(CoefficientError):
             coefficient_from_text("r - 2")
 
+    @pytest.mark.parametrize("text", ["1e400", "1e400*(1+r)^-2", "r*1e400/(1+r)^2", "1e400*0*r"])
+    def test_nonfinite_constant_rejected(self, text):
+        with pytest.raises(CoefficientError) as err:
+            coefficient_from_text(text)
+        assert str(err.value) == f"coefficient {text!r} has a constant factor that is not finite"
+
 
 class TestEval:
     def test_values(self):
@@ -117,6 +123,7 @@ class TestPositivitySampling:
             ("1 - r", "coefficient not positive: value -0.24519708473503177 at r=1.245e+00"),
             ("sqrt(r-1)+1", "coefficient fails at r=1.000e-06: sqrt of a negative value"),
             ("exp(r)", "coefficient fails at r=8.962e+02: non-finite value in exp"),
+            ("1e400*exp(-r)", "coefficient fails at r=1.000e-06: non-finite value in multiplication"),
         ],
     )
     def test_error_names_first_failing_sample(self, text, message):

@@ -346,7 +346,7 @@ SPELLINGS = (
     "007*r",
     "1e400",
 )
-# the other two coefficients of tools/golden/coefficients.txt
+# two more coefficients of tools/golden/coefficients.txt
 TAILS = ("(1+r)^-1.5", "r^-3*(1+r)^-1")
 # more such spellings; a line break cannot go into that file
 MORE_SPELLINGS = (

@@ -264,6 +264,21 @@ class TestCli:
     def test_bad_coefficient_exit_one(self):
         assert main(["classify", "--coeff", "(1+r"]) == 1
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("design", "(1+r)^-1", "blowup design needs a integrable at infinity"),
+        ("design", "1/(2+r)", "blowup design needs a integrable at infinity"),
+        ("design", "exp(-r)", "coefficient not positive at r=np.float64(745.5835819317275)"),
+        ("classify", "2*-r", "coefficient '2*-r' is not positive"),
+        ("classify", "1e400", "coefficient '1e400' has a constant factor that is not finite"),
+        ("classify", "1e400*(1+r)^-2",
+         "coefficient '1e400*(1+r)^-2' has a constant factor that is not finite"),
+    ])
+    def test_coefficient_error_is_one_line(self, capsys, command, text, message):
+        assert main([command, "--coeff", text]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         code = main([
             "simulate", "--preset", "global-demo", "--t-max", "0.1",

@@ -1,5 +1,6 @@
 """The package's lazy exports: same names and objects as an eager import,
-and no scipy until a module that needs it is loaded."""
+no scipy until a module that needs it is loaded, and then only scipy's
+LAPACK extension."""
 
 import json
 import os
@@ -72,8 +73,51 @@ class TestScipyDeferred:
         code = "from smolpois import coefficient, regime, expr, quadrature, transform, diagnostics\n"
         assert fresh(code + LOADED_SCIPY) == []
 
-    def test_solver_loads_scipy_linalg(self):
-        assert "scipy.linalg" in fresh("from smolpois import solver\n" + LOADED_SCIPY)
+    def test_solver_loads_only_the_lapack_extension(self):
+        code = (
+            "import json, sys\n"
+            "from smolpois import harness, solver\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([scipy, 'numpy.f2py' in sys.modules, 'numpy.testing' in sys.modules]))"
+        )
+        assert fresh(code) == [["scipy.linalg._flapack"], False, False]
+
+    @pytest.mark.parametrize("first, then", [
+        ("from smolpois import solver", "import scipy.linalg.lapack as lapack"),
+        ("import scipy.linalg.lapack as lapack", "from smolpois import solver"),
+    ])
+    def test_routines_are_scipys(self, first, then):
+        # one extension, initialised once, whichever module is imported first
+        code = (
+            f"import json, sys\n{first}\n{then}\n"
+            "same = [getattr(solver, f) is getattr(lapack, f) for f in ('dgtsv', 'dgttrf', 'dgttrs')]\n"
+            "same.append(solver._flapack is lapack._flapack is sys.modules['scipy.linalg._flapack'])\n"
+            "print(json.dumps(same))"
+        )
+        assert fresh(code) == [True] * 4
+
+    def test_missing_extension_names_the_directory(self, tmp_path):
+        # a scipy package without the extension, found first on the path
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import smolpois.solver"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            f"ImportError: scipy's LAPACK extension _flapack not found in {linalg}"
+        )
+
+    def test_missing_scipy_is_an_import_error(self):
+        # find_spec reports a module that sys.modules maps to None as absent
+        code = "import sys\nsys.modules['scipy'] = None\nimport smolpois.solver"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == "ImportError: smolpois.solver needs scipy, which is not installed"
 
     def test_submodule_attribute_after_bare_import(self):
         code = (
