@@ -20,7 +20,6 @@ numeric integrability verdicts (so labelled in reports).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -28,7 +27,6 @@ import numpy as np
 
 from . import expr
 from .quadrature import (
-    DEFAULT_ATOL,
     QuadratureError,
     dyadic_decay_probe,
     integrate,
@@ -118,6 +116,10 @@ class Coefficient:
     def tail_integral(self, r: float) -> float:
         """A(r) = -int_r^inf a(s) ds, or -inf as the divergence flag."""
         raise NotImplementedError
+
+    def integral_zero_to_one(self) -> float:
+        """int_0^1 a(s) ds for a integrable at zero, by quadrature."""
+        return integrate(self.__call__, 1e-300, 1.0)
 
     def primitive(self, r):
         """Closed-form antiderivative of a, or None."""
@@ -210,6 +212,13 @@ class PowerProductCoefficient(Coefficient):
             return -integrate_tail(self.__call__, r)
         return np.array([-integrate_tail(self.__call__, x) for x in np.ravel(r).tolist()]).reshape(np.shape(r))
 
+    def integral_zero_to_one(self) -> float:
+        if self._terms is not None and all(e > -1.0 for _, e in self._terms):
+            return float(self.primitive(1.0))  # primitive vanishes at 0 termwise
+        if self.p == 0.0:
+            return float(self.primitive(1.0)) - float(self.primitive(1e-300))
+        return super().integral_zero_to_one()
+
 
 class ExpressionCoefficient(Coefficient):
     """Coefficient backed by a parsed expression; all verdicts numeric."""
@@ -245,11 +254,11 @@ class ExpressionCoefficient(Coefficient):
 
     @cached_property
     def tail_integrable(self) -> bool:
-        return dyadic_decay_probe(self.__call__, 1.0, direction="up").integrable
+        return dyadic_decay_probe(self.__call__, 1.0, direction="up")
 
     @cached_property
     def integrable_at_zero(self) -> bool:
-        return dyadic_decay_probe(self.__call__, 1.0, direction="down").integrable
+        return dyadic_decay_probe(self.__call__, 1.0, direction="down")
 
     def tail_integral(self, r: float) -> float:
         if not self.tail_integrable:
@@ -350,30 +359,22 @@ def _match_factors(node: expr.Node) -> Optional[tuple[float, float, float]]:
 def coefficient_from_text(text: str) -> Coefficient:
     """Parse a coefficient string, promoting recognized power products
     (c * r^p * (1+r)^beta) to their closed-form implementation; their
-    constant factor c must be finite and positive."""
+    constant factor c must be finite and positive, and p and beta finite."""
     tree = expr.parse_coefficient(text)
     matched = _match_factors(tree)
     if matched is not None:
         c, p, beta = matched
         if not math.isfinite(c):
             raise CoefficientError(f"coefficient {text!r} has a constant factor that is not finite")
-        if c > 0.0:
-            return PowerProductCoefficient(c, p, beta, text=text)
-        raise CoefficientError(f"coefficient {text!r} is not positive")
+        if c <= 0.0:
+            raise CoefficientError(f"coefficient {text!r} is not positive")
+        if not (math.isfinite(p) and math.isfinite(beta)):
+            raise CoefficientError(f"coefficient {text!r} has an exponent that is not finite")
+        return PowerProductCoefficient(c, p, beta, text=text)
     return ExpressionCoefficient(tree, text)
 
 
 # --- potentials --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LimitsRecord:
-    psi0: float                 # psi(0) = -||a||_L1(1,inf), or -inf
-    psi1_at_zero: float         # psi1(0) = -int_1^inf a(s)/s ds, or -inf
-    psi_sup: float              # lim_{r->inf} psi(r) = int_0^1 a, or +inf
-    tail_integrable: bool
-    integrable_at_zero: bool
-    source: str                 # closed-form | numeric
 
 
 class Potentials:
@@ -383,86 +384,50 @@ class Potentials:
     provides antiderivatives, adaptive quadrature (abs tol 1e-10) otherwise.
     """
 
-    def __init__(self, coefficient: Coefficient, atol: float = DEFAULT_ATOL):
+    def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
-        self.atol = atol
 
     # -- limits --
 
     @cached_property
-    def limits(self) -> LimitsRecord:
-        coeff = self.coefficient
-        psi0 = coeff.tail_integral(1.0) if coeff.tail_integrable else -math.inf
-        psi1_0 = self._psi1_at_zero()
-        psi_sup = self._integral_zero_to_one() if coeff.integrable_at_zero else math.inf
-        return LimitsRecord(
-            psi0=psi0,
-            psi1_at_zero=psi1_0,
-            psi_sup=psi_sup,
-            tail_integrable=coeff.tail_integrable,
-            integrable_at_zero=coeff.integrable_at_zero,
-            source=coeff.verdict_source,
-        )
+    def psi0(self) -> float:
+        """psi(0) = -||a||_L1(1,inf), or -inf when the tail diverges."""
+        return self.coefficient.tail_integral(1.0)
 
-    def _psi1_at_zero(self) -> float:
-        """psi1(0) = -int_1^inf a(s)/s ds, finite iff a(s)/s is integrable."""
+    @cached_property
+    def psi_sup(self) -> float:
+        """lim_{r->inf} psi(r) = int_0^1 a, or +inf when a is not integrable at zero."""
         coeff = self.coefficient
-        g = lambda s: coeff(s) / s
-        if isinstance(coeff, PowerProductCoefficient):
-            if coeff.tail_exponent - 1.0 >= -1.0:
-                return -math.inf
-            prim1 = coeff.primitive_over_s(1.0)
-            if prim1 is not None:
-                # the closed primitive of a/s vanishes at infinity here,
-                # so -int_1^inf a/s = G(1) - G(inf) = G(1)
-                return float(prim1)
-            return -integrate_tail(g, 1.0, atol=self.atol)
-        if dyadic_decay_probe(g, 1.0, direction="up").integrable:
-            return -integrate_tail(g, 1.0, atol=self.atol)
-        return -math.inf
-
-    def _integral_zero_to_one(self) -> float:
-        prim = self.coefficient.primitive(1.0)
-        if prim is not None and isinstance(self.coefficient, PowerProductCoefficient):
-            terms = self.coefficient._terms
-            if terms is not None and all(e > -1.0 for _, e in terms):
-                return float(prim)  # primitive vanishes at 0 termwise
-            if self.coefficient.p == 0.0:
-                return float(prim) - float(self.coefficient.primitive(1e-300))
-        return integrate(self.coefficient.__call__, 1e-300, 1.0, atol=self.atol)
+        return coeff.integral_zero_to_one() if coeff.integrable_at_zero else math.inf
 
     # -- pointwise potentials --
 
     def psi(self, r):
         """psi(r) = int_{1/r}^1 a(s) ds with psi(1) = 0."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0):
-            raise CoefficientError("psi needs r > 0")
-        prim = self.coefficient.primitive(1.0)
-        if prim is not None:
-            value = prim - self.coefficient.primitive(1.0 / r_arr)
-            return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
-        if np.ndim(r) == 0:
-            return integrate(self.coefficient.__call__, 1.0 / float(r), 1.0, atol=self.atol)
-        return self._segmented(self.coefficient.__call__, r_arr)
+        return self._potential("psi", r, self.coefficient.__call__, self.coefficient.primitive)
 
     def psi1(self, r):
         """psi1(r) = int_{1/r}^1 a(s)/s ds with psi1(1) = 0."""
+        g = lambda s: self.coefficient(s) / s
+        return self._potential("psi1", r, g, self.coefficient.primitive_over_s)
+
+    def _potential(self, name: str, r, g, primitive):
+        """int_{1/r}^1 g(s) ds from the closed ``primitive`` of g when there
+        is one, by quadrature otherwise."""
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
-            raise CoefficientError("psi1 needs r > 0")
-        prim = self.coefficient.primitive_over_s(1.0)
+            raise CoefficientError(f"{name} needs r > 0")
+        prim = primitive(1.0)
         if prim is not None:
-            value = prim - self.coefficient.primitive_over_s(1.0 / r_arr)
+            value = prim - primitive(1.0 / r_arr)
             return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
-        g = lambda s: self.coefficient(s) / s
         if np.ndim(r) == 0:
-            return integrate(g, 1.0 / float(r), 1.0, atol=self.atol)
+            return integrate(g, 1.0 / float(r), 1.0)
         return self._segmented(g, r_arr)
 
     def psi_tilde(self, r):
         """psi~(r) = psi(r) - psi(0) = int_{1/r}^inf a(s) ds >= 0."""
-        psi0 = self.limits.psi0
+        psi0 = self.psi0
         if not math.isfinite(psi0):
             raise TailDivergenceError("psi~ needs a integrable at infinity")
         return self.psi(r) - psi0
@@ -484,16 +449,10 @@ class Potentials:
         split = int(np.searchsorted(points, 1.0))
         cumulative = []
         for sweep in (points[:split][::-1], points[split:]):
-            cells = integrate_cells(g, np.concatenate(([1.0], sweep)), atol=self.atol)
+            cells = integrate_cells(g, np.concatenate(([1.0], sweep)))
             cumulative.append(np.add.accumulate(np.concatenate(([0.0], cells)))[1:])
         cumulative = np.concatenate((cumulative[0][::-1], cumulative[1]))
         return -cumulative[inverse].reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
-
-    # -- tail integral passthrough --
-
-    def tail_integral(self, r: float) -> float:
-        """A(r) = -int_r^inf a(s) ds; -inf when the tail diverges."""
-        return self.coefficient.tail_integral(r)
 
     # -- inverse --
 
@@ -503,10 +462,9 @@ class Potentials:
         Residual tolerance 1e-10 * max(1, |h|); raises ``PsiRangeError``
         outside (psi(0), sup psi).
         """
-        limits = self.limits
-        if h <= limits.psi0 or h >= limits.psi_sup:
+        if h <= self.psi0 or h >= self.psi_sup:
             raise PsiRangeError(
-                f"h={h!r} outside the open range ({limits.psi0!r}, {limits.psi_sup!r}) of psi"
+                f"h={h!r} outside the open range ({self.psi0!r}, {self.psi_sup!r}) of psi"
             )
         tol = 1e-10 * max(1.0, abs(h))
         lo = hi = 1.0

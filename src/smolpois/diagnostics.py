@@ -34,14 +34,12 @@ def grad_norm_sq(h_vals: np.ndarray, dy: float) -> float:
     return dy * float(np.dot(d, d))
 
 
-def lyapunov_L1(p: Potentials, f: FieldF, M: Optional[float] = None) -> float:
+def lyapunov_L1(p: Potentials, f: FieldF, M: float) -> float:
     """Lyapunov energy (1/2)||d_y psi(f)||^2 + int (psi(f) - M psi1(f)) dy.
 
     Non-increasing along f-form trajectories; also evaluated on arbitrary
     profiles when building blowup certificates.
     """
-    if M is None:
-        M = f.mass
     psi_f = np.asarray(p.psi(f.values), dtype=float)
     psi1_f = np.asarray(p.psi1(f.values), dtype=float)
     grad = grad_norm_sq(psi_f, f.h)
@@ -76,7 +74,7 @@ def sigma(M: float, m0: float, t: float) -> float:
 
 def mu_mass(p: Potentials, M: float) -> float:
     """Constant mu_M in the uniform bound on psi~(f); needs an integrable tail."""
-    psi0 = p.limits.psi0
+    psi0 = p.psi0
     if not math.isfinite(psi0):
         raise TailDivergenceError("mu_M needs a integrable at infinity")
     pt2m = p.psi_tilde(2.0 / M)
@@ -121,11 +119,9 @@ def energy_norm_terms(
     return grad_sq, h_l1, slack_gex5, slack_gex6
 
 
-def energy_norm_slacks(p: Potentials, f: FieldF, M: Optional[float] = None) -> tuple[float, float]:
+def energy_norm_slacks(p: Potentials, f: FieldF, M: float) -> tuple[float, float]:
     """Signed slacks of the two energy/norm inequalities of
     ``energy_norm_terms`` for h = psi(f)."""
-    if M is None:
-        M = f.mass
     h = np.asarray(p.psi(f.values), dtype=float)
     return energy_norm_terms(h, f.h, M, abs(p.psi(1.0 / M)))[2:]
 

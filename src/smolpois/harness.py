@@ -163,7 +163,8 @@ class RunSummary:
     final_state: object = None         # not serialized
     crossval_gap: Optional[float] = None
 
-    def to_dict(self, include_wall_clock: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The summary.json payload; the wall-clock time is left out (null)."""
         if self.verdict == "blowup" and self.blowup_time is None:
             raise ValueError("blowup verdict without a blowup time estimate")
         checks = {
@@ -184,7 +185,7 @@ class RunSummary:
             "checks": checks,
             "config": self.config_echo,
             "crossval_gap": self.crossval_gap,
-            "wall_clock_s": self.wall_clock_s if include_wall_clock else None,
+            "wall_clock_s": None,
             "notes": list(self.notes),
         }
 

@@ -23,7 +23,6 @@ a numeric heuristic and callers label it as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,6 +52,9 @@ _WG = np.array([
 DEFAULT_ATOL = 1e-10
 _MAX_PANELS = 4000
 _CELL_BLOCK = 64          # cells per integrand call in integrate_cells
+_PROBE_BLOCKS = 40        # dyadic blocks of dyadic_decay_probe
+_PROBE_RATIO_MAX = 0.99   # largest settled block ratio it calls integrable
+_PROBE_ATOL = 1e-12       # block tolerance; the ratio after a block this small is 0
 
 
 class QuadratureError(ArithmeticError):
@@ -167,39 +169,23 @@ def integrate_tail(f: Callable, r: float, atol: float = DEFAULT_ATOL) -> float:
     return integrate(mapped, 1e-300, 1.0, atol=atol)
 
 
-@dataclass(frozen=True)
-class DecayProbe:
-    integrable: bool
-    ratios: tuple[float, ...]
-    blocks: tuple[float, ...]
-
-
-def dyadic_decay_probe(
-    f: Callable,
-    r: float,
-    n_blocks: int = 40,
-    ratio_max: float = 0.99,
-    direction: str = "up",
-    atol: float = 1e-12,
-) -> DecayProbe:
+def dyadic_decay_probe(f: Callable, r: float, direction: str = "up") -> bool:
     """Decide integrability of ``f`` toward infinity (``direction='up'``,
     blocks [r 2^k, r 2^{k+1}]) or toward zero (``'down'``, blocks
     [r 2^{-k-1}, r 2^{-k}]) by testing geometric decay of block integrals.
 
     Declares integrable when the later block ratios all stay below
-    ``ratio_max``; everything else is divergent.  Purely numeric: slowly
-    converging integrals (e.g. 1/(s ln^2 s)) are declared divergent.
+    ``_PROBE_RATIO_MAX``; everything else is divergent.  Purely numeric:
+    slowly converging integrals (e.g. 1/(s ln^2 s)) are declared divergent.
     """
     step = 1 if direction == "up" else -1
-    edges = [r * 2.0 ** (step * k) for k in range(n_blocks + 1)]
-    blocks = np.abs(integrate_cells(f, edges, atol=atol)).tolist()
+    edges = [r * 2.0 ** (step * k) for k in range(_PROBE_BLOCKS + 1)]
+    blocks = np.abs(integrate_cells(f, edges, atol=_PROBE_ATOL)).tolist()
     ratios = []
     for prev, cur in zip(blocks, blocks[1:]):
-        if prev <= atol:
+        if prev <= _PROBE_ATOL:
             ratios.append(0.0)
         else:
             ratios.append(cur / prev)
     # ignore the first quarter: transients before the asymptotic regime
-    settled = ratios[n_blocks // 4:]
-    integrable = all(rho <= ratio_max for rho in settled)
-    return DecayProbe(integrable=integrable, ratios=tuple(ratios), blocks=tuple(blocks))
+    return all(rho <= _PROBE_RATIO_MAX for rho in ratios[_PROBE_BLOCKS // 4:])

@@ -237,24 +237,9 @@ class RegimeReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        def enc(x):
-            if x is None:
-                return None
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-
-        return {
-            "clause": self.clause,
-            "tail_integrable": self.tail_integrable,
-            "gamma": enc(self.gamma),
-            "theta": enc(self.theta),
-            "alpha": enc(self.alpha),
-            "gamma_theta": enc(self.gamma_theta),
-            "c_infinity": enc(self.c_infinity),
-            "source": self.source,
-            "notes": list(self.notes),
-        }
+        """Every field, in field order; ``harness.dumps_deterministic``
+        writes an infinite value as "inf" or "-inf"."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[float]) -> tuple[float, float]:
@@ -328,7 +313,7 @@ class ConcaveMajorant:
 
     Slopes b_i = int_{2^i}^inf a on the dyadic blocks (2^i, 2^{i+1}];
     B(r) = b_0 r + gamma on [0, 2]; the evaluator extends the last branch
-    beyond 2^{i_max + 1} (flagged truncation).
+    beyond 2^{i_max + 1}.
     """
 
     gamma: float
@@ -352,9 +337,6 @@ class ConcaveMajorant:
             raise ValueError("majorant defined on r >= 0")
         i = self.branch_index(r)
         return self.slopes[i] * r + self.offsets[i] + self.gamma
-
-    def is_truncated_at(self, r: float) -> bool:
-        return r > 2.0 ** (self.i_max + 1)
 
 
 def build_majorant(c: Coefficient, i_max: int = 40) -> ConcaveMajorant:
@@ -384,13 +366,13 @@ class MajorantReport:
     sublinear_value: float           # B(2^{i_max}) / 2^{i_max}
     sublinear_bound: float           # b_{i_max-1} + (gamma + 2^{i_max-1} b_0) / 2^{i_max}
     continuity_gap: float            # largest relative jump of B at r = 2^i, i = 1..i_max
-    failures: tuple[tuple[float, float], ...]  # (r, slack) with slack < 0
 
 
-def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional[np.ndarray] = None) -> MajorantReport:
-    """Check domination B(r) >= -r A(r) >= 0 on log-spaced samples, strict
-    slope decrease (concavity), continuity at every breakpoint, and the
-    sublinear-growth surrogate at the last breakpoint.
+def verify_majorant(c: Coefficient, majorant: ConcaveMajorant) -> MajorantReport:
+    """Check domination B(r) >= -r A(r) >= 0 on 200 log-spaced samples of
+    [1e-6, 2^{i_max}], strict slope decrease (concavity), continuity at
+    every breakpoint, and the sublinear-growth surrogate at the last
+    breakpoint.
 
     Continuity is what pins the offsets: at r = 2^i, i = 1..i_max, the
     branches i-1 and i must meet, b_{i-1} r + off_{i-1} = b_i r + off_i, to
@@ -404,19 +386,13 @@ def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional
            <= b_{i_max-1} + (gamma + 2^{i_max-1} b_0)/r.
     """
     i_max = majorant.i_max
-    if samples is None:
-        samples = np.geomspace(1e-6, 2.0**i_max, 200)
-    failures = []
     min_slack = math.inf
     nonneg = True
-    for r in samples:
+    for r in np.geomspace(1e-6, 2.0**i_max, 200):
         target = -float(r) * c.tail_integral(float(r))
         if target < 0.0:
             nonneg = False
-        slack = majorant(float(r)) - target
-        min_slack = min(min_slack, slack)
-        if slack < 0.0:
-            failures.append((float(r), slack))
+        min_slack = min(min_slack, majorant(float(r)) - target)
     slopes = majorant.slopes
     decreasing = all(b1 > b2 for b1, b2 in zip(slopes, slopes[1:]))
     offsets = majorant.offsets
@@ -432,7 +408,7 @@ def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional
     sub_value = majorant(r_last) / r_last
     sub_bound = slopes[i_max - 1] + (majorant.gamma + 2.0 ** (i_max - 1) * slopes[0]) / r_last
     passed = (
-        (not failures) and nonneg and decreasing and gap <= CONTINUITY_RTOL and sub_value <= sub_bound
+        min_slack >= 0.0 and nonneg and decreasing and gap <= CONTINUITY_RTOL and sub_value <= sub_bound
     )
     return MajorantReport(
         passed=passed,
@@ -442,7 +418,6 @@ def verify_majorant(c: Coefficient, majorant: ConcaveMajorant, samples: Optional
         sublinear_value=sub_value,
         sublinear_bound=sub_bound,
         continuity_gap=gap,
-        failures=tuple(failures),
     )
 
 
@@ -526,6 +501,9 @@ def _choose_eps(p: Potentials, M: float, q: float) -> float:
     raise RegimeError("no dyadic eps_M satisfied the tail-smallness condition")
 
 
+DELTA_FLOOR = 1e-8  # the halving search gives up below this spike width
+
+
 def select_delta(
     p: Potentials,
     M: float,
@@ -535,7 +513,6 @@ def select_delta(
     mu_m: float,
     c2: float,
     n_y: int = 400,
-    delta_floor: float = 1e-8,
 ):
     """Halving search for the spike width delta.
 
@@ -550,9 +527,9 @@ def select_delta(
     k = 1
     while True:
         delta = cap * 2.0**-k / 2.0
-        if delta < delta_floor:
+        if delta < DELTA_FLOOR:
             raise DesignFailure(
-                f"no certificate delta above {delta_floor:g}; Lambda stayed nonnegative",
+                f"no certificate delta above {DELTA_FLOOR:g}; Lambda stayed nonnegative",
                 tuple(trace),
             )
         f0 = pam_profile(M, q, delta, n_y)
@@ -598,7 +575,7 @@ def design_blowup(
     q = _choose_q(theta, alpha)
     eps_m = _choose_eps(p, M, q)
     mu_m = mu_mass(p, M)
-    psi0 = p.limits.psi0
+    psi0 = p.psi0
     c1 = (2.0 + (q + 2.0) * M ** (q + 1.0)) / ((q + 1.0) * (q + 2.0))
     c2 = q * (q - 1.0) * (gamma_theta - psi0 + eps_m) / eps_m
     delta, k0, lyap, mq0, lam, trace = select_delta(p, M, q, theta, eps_m, mu_m, c2, n_y=n_y)

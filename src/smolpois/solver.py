@@ -107,7 +107,6 @@ class NearSingularity(SolverFailure):
 
 @dataclass(frozen=True)
 class SolverState:
-    formulation: str                 # "f" | "u"
     t: float
     field: object                    # FieldF or FieldU
     potentials: Potentials
@@ -413,7 +412,7 @@ def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.Diag
                 rec.slack_moment_ode = diag.moment_interval_slack(ctx.design, t0, mq0, t, rec.m_q)
         ctx.prev_mq = (t, rec.m_q)
     if ctx.tail_integrable:
-        rec.psi_tilde_max = float(np.max(psi_f)) - pot.limits.psi0
+        rec.psi_tilde_max = float(np.max(psi_f)) - pot.psi0
         rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.lyap_f0, M, ctx.mu_m) - rec.psi_tilde_max
     else:
         x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, rec.sigma_t, ctx.psi_inv_m)
@@ -548,7 +547,6 @@ def run(config):
         **constants,
     )
     state = SolverState(
-        formulation=formulation,
         t=0.0,
         field=field0,
         potentials=pot,

@@ -183,7 +183,7 @@ def test_criterion_7_majorant_suite():
         abs(b - 1.0 / (1.0 + 2.0**i)) <= 1e-10 for i, b in enumerate(majorant.slopes)
     )
     b3_ok = abs(majorant(3.0) - 11.0 / 6.0) <= 1e-10
-    report = verify_majorant(coeff, majorant, samples=np.geomspace(1e-6, 2.0**40, 200))
+    report = verify_majorant(coeff, majorant)
     domination_ok = report.domination_min_slack >= 0.0 and report.nonnegative_ok
     decreasing_ok = report.slopes_decreasing
     # The pinned slopes and B(2) = 2 b_0 + gamma = 3/2 fix B at every dyadic

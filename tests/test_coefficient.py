@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,24 @@ from smolpois.coefficient import (
 from smolpois import expr
 from smolpois.quadrature import integrate, integrate_tail
 
+GOLDEN_COEFFICIENTS = Path(__file__).resolve().parents[1] / "tools" / "golden" / "coefficients.txt"
+
+
+def _parses(text):
+    try:
+        coefficient_from_text(text)
+    except (CoefficientError, expr.ParseError):
+        return False
+    return True
+
+
+# the coefficient lines of the golden list that give a coefficient
+PARSED_GOLDEN = [
+    line
+    for line in GOLDEN_COEFFICIENTS.read_text(encoding="utf-8").split("\n")
+    if line and not line.startswith("#") and _parses(line)
+]
+
 
 @pytest.fixture(scope="module")
 def pot_inv1():
@@ -29,6 +48,18 @@ def pot_inv2():
 @pytest.fixture(scope="module")
 def pot_decr():
     return Potentials(coefficient_from_text("(1+r)*r^-2.5"))
+
+
+# power products with a constant factor or an exponent that is not finite,
+# and the part the error names
+NONFINITE = {
+    "1e400": "a constant factor",
+    "1e400*(1+r)^-2": "a constant factor",
+    "r*1e400/(1+r)^2": "a constant factor",
+    "1e400*0*r": "a constant factor",
+    "r^1e400": "an exponent",
+    "(1+r)^1e400": "an exponent",
+}
 
 
 class TestRecognition:
@@ -66,11 +97,11 @@ class TestRecognition:
         with pytest.raises(CoefficientError):
             coefficient_from_text("r - 2")
 
-    @pytest.mark.parametrize("text", ["1e400", "1e400*(1+r)^-2", "r*1e400/(1+r)^2", "1e400*0*r"])
+    @pytest.mark.parametrize("text", list(NONFINITE))
     def test_nonfinite_constant_rejected(self, text):
         with pytest.raises(CoefficientError) as err:
             coefficient_from_text(text)
-        assert str(err.value) == f"coefficient {text!r} has a constant factor that is not finite"
+        assert str(err.value) == f"coefficient {text!r} has {NONFINITE[text]} that is not finite"
 
 
 class TestEval:
@@ -240,33 +271,48 @@ class TestPsi:
 
 class TestLimits:
     def test_integrable_tail(self, pot_inv2):
-        limits = pot_inv2.limits
-        assert limits.tail_integrable
-        assert limits.psi0 == pytest.approx(-0.5, abs=1e-14)
-        # psi1(0) = ln(1/2) + 1/2 by partial fractions
-        assert limits.psi1_at_zero == pytest.approx(math.log(0.5) + 0.5, rel=1e-12)
-        assert limits.source == "closed-form"
-
-    def test_psi1_zero_quadrature_oracle(self, pot_inv2):
-        oracle = -integrate_tail(lambda s: (1.0 + s) ** -2.0 / s, 1.0)
-        assert pot_inv2.limits.psi1_at_zero == pytest.approx(oracle, abs=1e-9)
+        assert pot_inv2.coefficient.tail_integrable
+        assert pot_inv2.psi0 == pytest.approx(-0.5, abs=1e-14)
+        assert pot_inv2.coefficient.verdict_source == "closed-form"
 
     def test_divergent_tail(self, pot_inv1):
-        limits = pot_inv1.limits
-        assert not limits.tail_integrable
-        assert limits.psi0 == -math.inf
-        # int_1^inf ds/(s(1+s)) = ln 2 converges even though the tail diverges
-        assert limits.psi1_at_zero == pytest.approx(-math.log(2.0), rel=1e-12)
+        assert not pot_inv1.coefficient.tail_integrable
+        assert pot_inv1.psi0 == -math.inf
 
     def test_psi_sup(self, pot_inv1, pot_decr):
         # int_0^1 (1+s)^-1 ds = ln 2; the decr coefficient diverges at 0
-        assert pot_inv1.limits.psi_sup == pytest.approx(math.log(2.0), rel=1e-12)
-        assert pot_decr.limits.psi_sup == math.inf
+        assert pot_inv1.psi_sup == pytest.approx(math.log(2.0), rel=1e-12)
+        assert pot_decr.psi_sup == math.inf
 
     def test_numeric_verdict_labelled(self):
-        pot = Potentials(coefficient_from_text("(1+r)/(2+r)"))
-        assert pot.limits.source == "numeric"
-        assert not pot.limits.tail_integrable
+        c = coefficient_from_text("(1+r)/(2+r)")
+        assert c.verdict_source == "numeric"
+        assert not c.tail_integrable
+
+    @pytest.mark.parametrize("text", PARSED_GOLDEN)
+    def test_limits_equal_reference(self, text):
+        c = coefficient_from_text(text)
+        pot = Potentials(c)
+        assert pot.psi0 == _reference_psi0(c)
+        assert pot.psi_sup == _reference_psi_sup(c)
+
+
+def _reference_psi0(c):
+    """psi(0) as Potentials computed it together with psi1(0)."""
+    return c.tail_integral(1.0) if c.tail_integrable else -math.inf
+
+
+def _reference_psi_sup(c):
+    """sup psi as Potentials computed it together with psi1(0)."""
+    if not c.integrable_at_zero:
+        return math.inf
+    prim = c.primitive(1.0)
+    if prim is not None and isinstance(c, PowerProductCoefficient):
+        if c._terms is not None and all(e > -1.0 for _, e in c._terms):
+            return float(prim)
+        if c.p == 0.0:
+            return float(prim) - float(c.primitive(1e-300))
+    return integrate(c.__call__, 1e-300, 1.0)
 
 
 class TestPsiInverse:

@@ -185,14 +185,14 @@ class TestBandSolve:
 class TestStepF:
     def test_steady_state_unchanged(self, pot_inv1):
         f0 = FieldF.from_samples(np.full(200, 1.0), 1.0)
-        state = SolverState(formulation="f", t=0.0, field=f0, potentials=pot_inv1)
+        state = SolverState(t=0.0, field=f0, potentials=pot_inv1)
         out = step_f(state, 0.01)
         assert np.array_equal(out.field.values, f0.values)
         assert out.t == 0.01
 
     def test_integral_preserved_per_step(self, pot_inv1):
         f0 = u_to_f(cosine_u(200), 200)
-        state = SolverState(formulation="f", t=0.0, field=f0, potentials=pot_inv1)
+        state = SolverState(t=0.0, field=f0, potentials=pot_inv1)
         for _ in range(25):
             state = step_f(state, 0.004)
         assert state.field.integral_error() <= 1e-12
@@ -201,7 +201,7 @@ class TestStepF:
         # spatially flat f solves the same ODE as Sigma; one implicit step
         # tracks it to O(dt^2)
         f0 = FieldF(values=np.full(100, 2.0), mass=1.0)
-        state = SolverState(formulation="f", t=0.0, field=f0, potentials=pot_inv1)
+        state = SolverState(t=0.0, field=f0, potentials=pot_inv1)
         errors = []
         for dt in (0.02, 0.01, 0.005):
             out = step_f(state, dt)
@@ -212,7 +212,7 @@ class TestStepF:
 
     def test_positivity_maintained(self, pot_inv2):
         f0 = pam_profile(1.0, 4.0, 0.05, 200)
-        state = SolverState(formulation="f", t=0.0, field=f0, potentials=pot_inv2)
+        state = SolverState(t=0.0, field=f0, potentials=pot_inv2)
         out = step_f(state, 1e-7)
         assert out.field.min_value > 0.0
 
@@ -220,26 +220,20 @@ class TestStepF:
 class TestStepU:
     def test_steady_state(self, pot_inv1):
         uf = FieldU.from_samples(np.full(150, 1.0), 1.0)
-        state = SolverState(
-            formulation="u", t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf)
-        )
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
         out = step_u(state, 0.01)
         assert np.max(np.abs(out.field.values - 1.0)) <= 1e-13
 
     def test_mass_conserved(self, pot_inv1):
         uf = cosine_u(200)
-        state = SolverState(
-            formulation="u", t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf)
-        )
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
         for _ in range(50):
             state = step_u(state, 5e-4)
         assert state.field.mass_error() <= 1e-12
 
     def test_positivity(self, pot_inv1):
         uf = cosine_u(200, amp=0.95)
-        state = SolverState(
-            formulation="u", t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf)
-        )
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
         for _ in range(20):
             state = step_u(state, 1e-3)
         assert state.field.min_value > 0.0
@@ -249,16 +243,12 @@ class TestStepU:
         # and the transformed-profile solver agrees on the trajectory
         uf = cosine_u(200, amp=0.01)
         amp0 = uf.max_value - 1.0
-        state = SolverState(
-            formulation="u", t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf)
-        )
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
         while state.t < 0.2:
             state = step_u(state, 2e-3)
         assert state.field.max_value - 1.0 < 0.5 * amp0
 
-        fstate = SolverState(
-            formulation="f", t=0.0, field=u_to_f(uf, 200), potentials=pot_inv1
-        )
+        fstate = SolverState(t=0.0, field=u_to_f(uf, 200), potentials=pot_inv1)
         while fstate.t < 0.2:
             fstate = step_f(fstate, 2e-3)
         u_from_f = f_to_u(fstate.field, 200)
@@ -506,7 +496,7 @@ class TestRunVerdictPaths:
     def test_u_form_underflow_names_max_u(self, pot_inv1, monkeypatch):
         monkeypatch.setattr(solver, "_try_u_step", lambda *args: None)
         uf = cosine_u(50)
-        state = SolverState(formulation="u", t=0.25, field=uf, potentials=pot_inv1)
+        state = SolverState(t=0.25, field=uf, potentials=pot_inv1)
         message = f"at t=0.25 (max u = {uf.max_value:.3e})"
         with pytest.raises(NearSingularity, match=re.escape(message) + "$"):
             step_u(state, 1e-3)

@@ -17,9 +17,11 @@ four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, a
 quadrature-backed f-form, an integrable-tail u-form, and the stall-heavy
 f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
-``certify`` benchmark coefficients and parser-sensitive spellings), so a
-bare ``python tools/golden_diff.py OLD/src src`` covers the regime layer
-too.  ``--grid`` and ``--t-max`` are passed through to every simulation.
+``certify`` benchmark coefficients and parser-sensitive spellings), and
+also ``python -m smolpois validate``, so a bare ``python
+tools/golden_diff.py OLD/src src`` covers the regime layer and the
+validation battery (majorant check, psi inverse, energy/norm slacks) too.
+``--grid`` and ``--t-max`` are passed through to every simulation.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
@@ -29,8 +31,9 @@ that differs.
 Each ``--coeff TEXT`` adds two runs, ``python -m smolpois classify --coeff
 TEXT`` and ``design --coeff TEXT`` (these take the numeric regime path
 for a coefficient that is not a power product, which no preset does).
-They are IDENTICAL when stdout, the exit code and the last line of stderr
-(the error message, if any; tracebacks name the tree's paths) match.
+They, and the ``validate`` run, are IDENTICAL when stdout, the exit code
+and the last line of stderr (the error message, if any; tracebacks name
+the tree's paths) match.
 
 The exit code is 0 when every run is identical, 1 when any differs and 2
 when a simulation wrote no outputs.  Standard library only.
@@ -196,10 +199,12 @@ def main(argv=None) -> int:
         overrides += ["--t-max", repr(args.t_max)]
     runs = [(name, ["--preset", name]) for name in args.presets]
     runs += [(path.stem, ["--config", str(path.resolve())]) for path in args.config]
+    commands = []
     if not runs and not args.coeff:
         runs = [(name, ["--preset", name]) for name in PRESETS]
         runs += [(path.stem, ["--config", str(path)]) for path in sorted(GOLDEN_CONFIGS.glob("*.ini"))]
         args.coeff = golden_coefficients()
+        commands.append(("validate", ["validate"]))
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
     worst = 0
     with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
@@ -208,8 +213,9 @@ def main(argv=None) -> int:
             worst = max(worst, status)
     for text in args.coeff:
         for command in ("classify", "design"):
-            status = compare_command(f"{command} {text!r}", old_src, new_src, [command, f"--coeff={text}"])
-            worst = max(worst, status)
+            commands.append((f"{command} {text!r}", [command, f"--coeff={text}"]))
+    for label, command_args in commands:
+        worst = max(worst, compare_command(label, old_src, new_src, command_args))
     return worst
 
 
