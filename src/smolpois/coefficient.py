@@ -113,6 +113,12 @@ class Coefficient:
     def integrable_at_zero(self) -> bool:
         raise NotImplementedError
 
+    @cached_property
+    def weighted_suprema(self) -> dict:
+        """sup r^e a(r) over an interval, keyed by (e, interval), as the
+        regime layer has computed them for this coefficient."""
+        return {}
+
     def tail_integral(self, r: float) -> float:
         """A(r) = -int_r^inf a(s) ds, or -inf as the divergence flag."""
         raise NotImplementedError

@@ -20,15 +20,29 @@ Whitespace is insignificant, and a tree may nest at most ``MAX_DEPTH``
 levels.  Evaluation never returns a non-finite value silently: division
 by zero, ln of a non-positive argument and overflow all raise
 ``EvalDomainError``.
+
+``evaluate`` runs a plan that each tree compiles once, on its first
+evaluation: nested closures that apply the numpy operations of the checked
+walk ``_eval`` to the same operands, with each constant subtree folded by
+that walk.  The plan checks no domain.  It runs with numpy's floating-point
+flags raising, and a flag (division by zero, an invalid operation such as
+ln or sqrt of a negative value, or an overflow) hands the evaluation to
+``_eval``, which names the error, or returns its value when the flag was
+spurious.  Operations on an infinity raise no flag, so ``_eval`` also takes
+every evaluation of a tree whose folded constants include one (as in
+``1e400*exp(-r)``), and each evaluation whose r or result is not finite.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -50,30 +64,53 @@ class EvalDomainError(ArithmeticError):
 # --- expression tree -------------------------------------------------------
 
 
+class _Node:
+    """Base of the tree nodes: the plan that ``evaluate`` runs, compiled on
+    first use and cached on the node, outside the dataclass fields (so
+    ``==``, ``hash`` and ``repr`` do not see it)."""
+
+    @cached_property
+    def _plan(self) -> Optional[Callable]:
+        """r -> value by the numpy operations of ``_eval``, with no domain
+        checks; None when every evaluation must take ``_eval``."""
+        try:
+            plan = _compile(self)
+            if plan is None:
+                value = _constant(self)
+                plan = lambda r: value
+        except _NeedsCheckedWalk:
+            return None
+        return plan
+
+    def __getstate__(self):
+        # a closure does not pickle; an unpickled tree compiles its own plan
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Node"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple["Node", ...]
 
@@ -182,16 +219,35 @@ def evaluate(tree: Node, r):
     """Evaluate ``tree`` at ``r`` (scalar or ndarray of positive reals).
 
     Raises ``EvalDomainError`` on any domain violation or overflow; an
-    infinity is never returned silently.
+    infinity is never returned silently.  Returns a float for a scalar r and
+    a new array otherwise.
     """
     r_arr = np.asarray(r, dtype=float)
-    with np.errstate(all="ignore"):
-        out = _eval(tree, r_arr)
-    out = np.broadcast_to(np.asarray(out, dtype=float), r_arr.shape)
-    _check_finite(out, "expression result")
-    if np.isscalar(r) or np.ndim(r) == 0:
+    try:
+        out = _run_plan(tree._plan, r_arr)
+    except FloatingPointError:
+        out = None
+    if out is None:
+        with np.errstate(all="ignore"):
+            out = _eval(tree, r_arr)
+        _check_finite(out, "expression result")
+    if r_arr.ndim == 0:
         return float(out)
-    return np.array(out, dtype=float)
+    if out is r_arr or np.ndim(out) == 0:  # the tree r, or a constant
+        out = np.array(np.broadcast_to(out, r_arr.shape))
+    return out
+
+
+@np.errstate(all="raise", under="ignore")
+def _run_plan(plan: Optional[Callable], r_arr: np.ndarray):
+    """The plan's value at r, or None when ``_eval`` must decide it; a flag
+    raises ``FloatingPointError``."""
+    if plan is None:
+        return None
+    out = plan(r_arr)
+    # the sum is not finite when r or the result holds a non-finite value,
+    # which the plan may have met without a flag (its overflow is a flag)
+    return out if np.isfinite(out + r_arr).all() else None
 
 
 def _eval(node: Node, r):
@@ -243,6 +299,65 @@ def _pow(base, exponent):
     if np.any((base_arr < 0.0) & (exp_arr != np.round(exp_arr))):
         raise EvalDomainError("negative base with non-integer exponent")
     return _check_finite(np.power(base_arr, exp_arr), "power")
+
+
+class _NeedsCheckedWalk(Exception):
+    """A constant subtree fails or is not finite: no plan can stand in for
+    ``_eval``, which meets that constant on every evaluation."""
+
+
+def _power(base, exponent):
+    """``_pow`` without its checks."""
+    return np.power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
+
+
+_PLAN_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _power}
+_PLAN_FUNCTIONS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": _power}
+
+
+def _constant(node: Node):
+    """The value of a subtree without r, folded by ``_eval``."""
+    try:
+        with np.errstate(all="ignore"):
+            value = _eval(node, None)
+    except EvalDomainError:
+        raise _NeedsCheckedWalk from None
+    if not math.isfinite(value):  # a bare or negated non-finite literal
+        raise _NeedsCheckedWalk
+    return value
+
+
+def _compile(node: Node) -> Optional[Callable]:
+    """Closure r -> value of ``node`` applying the numpy operations of
+    ``_eval`` to the same operands, or None when ``node`` holds no r."""
+    if isinstance(node, Num):
+        return None
+    if isinstance(node, Var):
+        return _identity
+    if isinstance(node, Neg):
+        children, op = (node.operand,), operator.neg
+    elif isinstance(node, BinOp):
+        children, op = (node.left, node.right), _PLAN_OPERATORS[node.op]
+    else:
+        children, op = node.args, _PLAN_FUNCTIONS[node.name]
+    plans = [_compile(child) for child in children]
+    if not any(plans):
+        return None
+    # a constant operand enters as its folded value, a Python or numpy float
+    operands = [plan or _constant(child) for plan, child in zip(plans, children)]
+    if len(operands) == 1:
+        (f,) = operands
+        return lambda r: op(f(r))
+    f, g = operands
+    if plans[0] and plans[1]:
+        return lambda r: op(f(r), g(r))
+    if plans[0]:
+        return lambda r: op(f(r), g)
+    return lambda r: op(f, g(r))
+
+
+def _identity(r):
+    return r
 
 
 # --- pretty printing --------------------------------------------------------

@@ -7,7 +7,8 @@ reported on stderr only (the summary file stores null).
 
 Subcommands: classify, design, simulate, sweep, validate.  Exit status 0
 means the work completed (whatever the scientific verdict), 1 is a
-usage/config error, 2 a solver failure (inconclusive).
+usage/config error or a failed ``validate`` check, 2 a solver failure
+(inconclusive).
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ class RunConfig:
     preset: Optional[str] = None
 
     def validate(self) -> "RunConfig":
+        self._validate_settings()
+        try:
+            parse_coefficient(self.coefficient_text)
+        except ParseError as err:
+            raise ConfigError(f"coefficient.expr: {err}") from None
+        return self
+
+    def _validate_settings(self) -> "RunConfig":
+        """Every check but the parse of the coefficient."""
         if self.mass <= 0.0:
             raise ConfigError("mass must be positive")
         if self.formulation not in ("f", "u", "both"):
@@ -121,10 +131,9 @@ class RunConfig:
                     float(value)
                 except (TypeError, ValueError):
                     raise ConfigError(f"{name} must be a number or 'auto'") from None
-        try:
-            parse_coefficient(self.coefficient_text)
-        except ParseError as err:
-            raise ConfigError(f"coefficient.expr: {err}") from None
+        if self.initial_kind == "pam" and (self.pam_q == "auto") != (self.pam_delta == "auto"):
+            # the certificate is designed for its own (q, delta), not for a half-given one
+            raise ConfigError("initial.kind = pam needs both initial.q and initial.delta, or neither")
         return self
 
     def resolved_dt_max(self) -> float:
@@ -138,7 +147,12 @@ class RunConfig:
         return self.t_max / 100.0
 
     def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs).validate()
+        """This config with ``kwargs`` replaced, validated; the coefficient
+        is parsed again only when its text changed."""
+        changed = replace(self, **kwargs)
+        if changed.coefficient_text == self.coefficient_text:
+            return changed._validate_settings()
+        return changed.validate()
 
     def to_dict(self) -> dict:
         """The config echo of summary.json, in field order."""
@@ -571,7 +585,7 @@ def _cmd_validate(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(dumps_deterministic(payload), encoding="utf-8")
-    return 0
+    return 0 if payload["passed"] else 1
 
 
 def validation_suite() -> list[tuple[str, bool, str]]:

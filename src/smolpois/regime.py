@@ -205,14 +205,22 @@ def _gamma_theta(c: Coefficient, theta: float) -> float:
     """sup_{(0,1)} r^{2+theta} a(r), independent of alpha."""
     if isinstance(c, PowerProductCoefficient) and c.smallr_exponent + 2.0 + theta < 0.0:
         return math.inf
-    return _sup_on_grid(_weighted_a(c, 2.0 + theta), *_UNIT_INTERVAL)
+    return _weighted_sup(c, 2.0 + theta, _UNIT_INTERVAL)
 
 
 def _c_infinity(c: Coefficient, alpha: float) -> float:
     """sup_{r>=1} r^alpha a(r), independent of theta."""
     if isinstance(c, PowerProductCoefficient) and c.tail_exponent + alpha > 0.0:
         return math.inf
-    return _sup_on_grid(_weighted_a(c, alpha), *_FROM_ONE)
+    return _weighted_sup(c, alpha, _FROM_ONE)
+
+
+def _weighted_sup(c: Coefficient, e: float, interval: tuple) -> float:
+    """sup of r^e a(r) over ``interval``, estimated once per coefficient."""
+    memo = c.weighted_suprema
+    if (e, interval) not in memo:
+        memo[e, interval] = _sup_on_grid(_weighted_a(c, e), *interval)
+    return memo[e, interval]
 
 
 def _weighted_a(c: Coefficient, e: float):

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .coefficient import Potentials, coefficient_from_text
+from .coefficient import Coefficient, Potentials, coefficient_from_text
 from .regime import BlowupDesign, classify, default_candidates, design_blowup
 from .transform import TOUCHDOWN_FLOOR, FieldF, FieldU, f_to_u, pam_profile, u_to_f
 
@@ -485,8 +485,9 @@ def _read_samples(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def run(config):
-    """Advance one formulation to t_max or a verdict.
+def run(config, coeff: Optional[Coefficient] = None):
+    """Advance one formulation to t_max or a verdict; ``coeff``, when given,
+    is ``config.coefficient_text`` already parsed.
 
     Everything that depends on the formulation is chosen once, before the
     step loop: the initial field, the monitored extremum (min f or max u)
@@ -501,7 +502,8 @@ def run(config):
     formulation = config.formulation
     if formulation not in ("f", "u"):
         raise SolverFailure(f"run() advances one formulation, got {formulation!r}")
-    coeff = coefficient_from_text(config.coefficient_text)
+    if coeff is None:
+        coeff = coefficient_from_text(config.coefficient_text)
     pot = Potentials(coeff)
     regime_report = classify(coeff, config.theta, config.alpha)
     u0, f0, design = build_initial_data(config, coeff, pot)
@@ -658,10 +660,9 @@ def run_crossval(config):
     Returns (relative L1 gap of the two u profiles at t_max, f summary,
     u summary, f series, u series).
     """
-    cfg_f = config.with_overrides(formulation="f")
-    cfg_u = config.with_overrides(formulation="u")
-    summary_f, series_f = run(cfg_f)
-    summary_u, series_u = run(cfg_u)
+    coeff = coefficient_from_text(config.coefficient_text)
+    summary_f, series_f = run(config.with_overrides(formulation="f"), coeff)
+    summary_u, series_u = run(config.with_overrides(formulation="u"), coeff)
     state_f = summary_f.final_state
     state_u = summary_u.final_state
     u_from_f = f_to_u(state_f.field, config.n)

@@ -2,14 +2,17 @@ import ast
 import configparser
 import inspect
 import math
+import pickle
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smolpois import expr
 from smolpois.coefficient import CoefficientError, coefficient_from_text
 from smolpois.expr import (
     MAX_DEPTH,
@@ -21,6 +24,8 @@ from smolpois.expr import (
     Num,
     ParseError,
     Var,
+    _check_finite,
+    _eval,
     evaluate,
     parse_coefficient,
     pretty,
@@ -551,3 +556,171 @@ class TestNesting:
         finally:
             sys.setrecursionlimit(limit)
         assert 5 * MAX_DEPTH <= limit // 2
+
+
+# --- the compiled plan against the checked walk ----------------------------
+#
+# evaluate runs a plan with floating-point flags raising and hands flagged
+# evaluations to the checked walk _eval.  checked_evaluate is evaluate with
+# the walk alone, as it was before plans: every value must be bit-equal to
+# its value and every error its error.
+
+
+def checked_evaluate(tree: Node, r):
+    r_arr = np.asarray(r, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _eval(tree, r_arr)
+    out = np.broadcast_to(np.asarray(out, dtype=float), r_arr.shape)
+    _check_finite(out, "expression result")
+    if np.isscalar(r) or np.ndim(r) == 0:
+        return float(out)
+    return np.array(out, dtype=float)
+
+
+def result(evaluator, tree: Node, r):
+    """The type, shape and bytes of the value, or the type and message of
+    the error."""
+    try:
+        value = evaluator(tree, r)
+    except Exception as err:
+        return "error", type(err).__name__, str(err)
+    return "value", type(value).__name__, np.shape(value), np.asarray(value).tobytes()
+
+
+# r from 1e-300 to 1e300, and points where the error cases below bite
+R_POINTS = np.concatenate((np.geomspace(1e-300, 1e300, 121), [0.5, 1.0, 2.0, 3.0, 700.0, 1000.0, 1e154, 1e308]))
+# the whole range as one array, as 15-point panels (a Kronrod panel's
+# size), as a 2-D array and as a 0-d array
+R_ARRAYS = [R_POINTS, R_POINTS[:120].reshape(8, 15), np.asarray(2.0)] + [
+    R_POINTS[i : i + 15] for i in range(0, R_POINTS.size, 15)
+]
+
+
+def assert_parity(tree: Node, points=R_POINTS) -> Counter:
+    """Compare evaluate with checked_evaluate at every scalar point and on
+    every array; count the outcomes."""
+    outcomes = Counter()
+    for r in [float(x) for x in points] + R_ARRAYS:
+        got = result(evaluate, tree, r)
+        assert got == result(checked_evaluate, tree, r), (pretty(tree), r)
+        outcomes[got[0] if got[0] == "value" else got[2]] += 1
+    return outcomes
+
+
+class TestPlanParity:
+    def test_repo_coefficients(self):
+        # every coefficient of the presets, golden files, README and tests
+        trees = []
+        for text in sorted(repo_strings()):
+            try:
+                trees.append(parse_coefficient(text))
+            except ParseError:
+                pass
+        assert len(trees) >= 60
+        for tree in trees:
+            assert_parity(tree)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_trees(self, seed):
+        rng = random.Random(seed)
+        leaves = (0.0, 0.5, 1.0, 2.0, 3.0, 7.25, 1e-300, 1e300, math.inf)
+
+        def tree(depth):
+            pick = rng.random()
+            if depth >= 5 or pick < 0.25:
+                return Var() if rng.random() < 0.5 else Num(rng.choice(leaves))
+            if pick < 0.65:
+                return BinOp(rng.choice("+-*/^"), tree(depth + 1), tree(depth + 1))
+            if pick < 0.75:
+                return Neg(tree(depth + 1))
+            name = rng.choice(sorted(FUNCTIONS))
+            return Call(name, tuple(tree(depth + 1) for _ in range(FUNCTIONS[name])))
+
+        outcomes = Counter()
+        planned = 0
+        for _ in range(150):
+            t = tree(0)
+            outcomes += assert_parity(t, R_POINTS[::4])
+            planned += t._plan is not None
+        # both paths and every kind of domain error are exercised
+        assert outcomes["value"] > 1000 and planned > 100
+        for message in ("division by zero", "ln of a non-positive value", "sqrt of a negative value",
+                        "non-finite value in exp", "non-finite value in power"):
+            assert outcomes[message] > 0, message
+
+    @pytest.mark.parametrize(
+        "text, r, message",
+        [
+            ("1/(r-1)", 1.0, "division by zero"),
+            ("1/(1/(r-r))", 2.0, "division by zero"),
+            ("ln(r-1)", 0.5, "ln of a non-positive value"),
+            ("ln(r-1)", 1.0, "ln of a non-positive value"),
+            ("sqrt(r-1)", 0.5, "sqrt of a negative value"),
+            ("(r-1)^-2", 1.0, "zero raised to a negative power"),
+            ("pow(r-1, -0.5)", 1.0, "zero raised to a negative power"),
+            ("(r-2)^0.5", 1.0, "negative base with non-integer exponent"),
+            ("pow(r-2, 1.5)", 1.0, "negative base with non-integer exponent"),
+            # overflow in each operation, in the result and in an
+            # intermediate value only
+            ("r+r", 1e308, "non-finite value in addition"),
+            ("1/(r+r)", 1e308, "non-finite value in addition"),
+            ("-r-r", 1e308, "non-finite value in subtraction"),
+            ("1/(-r-r)", 1e308, "non-finite value in subtraction"),
+            ("r*r", 1e200, "non-finite value in multiplication"),
+            ("1/(r*r)", 1e200, "non-finite value in multiplication"),
+            ("r/0.5", 1e308, "non-finite value in division"),
+            ("1/(r/0.5)", 1e308, "non-finite value in division"),
+            ("r^2", 1e200, "non-finite value in power"),
+            ("1/r^2", 1e200, "non-finite value in power"),
+            ("pow(r, 3)", 1e200, "non-finite value in power"),
+            ("1/pow(r, 3)", 1e200, "non-finite value in power"),
+            ("exp(r)", 1000.0, "non-finite value in exp"),
+            ("1/exp(r)", 1000.0, "non-finite value in exp"),
+            # non-finite literals, which operations pass on without a flag
+            ("1e400*exp(-r)", 1.0, "non-finite value in multiplication"),
+            ("exp(-1e400*r)", 1.0, "non-finite value in multiplication"),
+            ("1/(1e400*r)", 1.0, "non-finite value in multiplication"),
+            ("exp(1e400)*r", 1.0, "non-finite value in exp"),
+            # a non-finite r
+            ("exp(-(r+1))", math.inf, "non-finite value in addition"),
+            ("exp(-(r+1))", math.nan, "non-finite value in addition"),
+        ],
+    )
+    def test_domain_errors(self, text, r, message):
+        tree = parse_coefficient(text)
+        expected = ("error", "EvalDomainError", message)
+        for r_in in (r, np.array([2.0, r, 3.0])):
+            assert result(evaluate, tree, r_in) == result(checked_evaluate, tree, r_in) == expected
+
+    def test_plan_runs_without_the_checked_walk(self, monkeypatch):
+        tree = parse_coefficient("1/(1+r^2) + sqrt(r)*exp(-r) - ln(r)/pow(2+r, 3) + (-r)^2")
+        rs = np.geomspace(1e-3, 1e3, 15)
+        expected = [result(checked_evaluate, tree, r) for r in (rs, 2.0)]
+        evaluate(tree, 1.0)  # compiles the plan
+
+        def walk(*args):
+            raise AssertionError("the checked walk ran")
+
+        monkeypatch.setattr(expr, "_eval", walk)
+        assert [result(evaluate, tree, r) for r in (rs, 2.0)] == expected
+
+    @pytest.mark.parametrize("text", ["r", "2.5", "r+1", "exp(-1e400)*r"])
+    def test_float_or_fresh_array(self, text):
+        tree = parse_coefficient(text)
+        r = np.array([1.0, 2.0])
+        out = evaluate(tree, r)
+        assert type(out) is np.ndarray and out.dtype == float and out.shape == r.shape
+        assert not np.shares_memory(out, r)
+        for scalar in (2.0, np.float64(2.0), np.asarray(2.0), 2):
+            assert type(evaluate(tree, scalar)) is float
+
+    def test_plan_leaves_equality_hash_repr_and_pickling(self):
+        text = "1/(1+r^2)"
+        tree = parse_coefficient(text)
+        before = repr(tree), hash(tree)
+        value = evaluate(tree, 2.0)
+        assert "_plan" in vars(tree)
+        assert (repr(tree), hash(tree)) == before and tree == parse_coefficient(text)
+        clone = pickle.loads(pickle.dumps(tree))
+        assert clone == tree and "_plan" not in vars(clone)
+        assert evaluate(clone, 2.0) == value

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smolpois import expr, harness
 from smolpois.diagnostics import DiagnosticsRecord
 from smolpois.harness import (
     CSV_HEADER,
@@ -89,6 +90,54 @@ delta = auto
         bad = BASIC.replace("(1+r)^-1", "(1+r")
         with pytest.raises(ConfigError, match="coefficient.expr"):
             load_config(write_config(tmp_path, bad))
+
+
+PAM = """
+[coefficient]
+expr = (1+r)^-2
+
+[initial]
+kind = pam
+"""
+
+
+class TestPamPair:
+    @pytest.mark.parametrize("given", ["q = 5", "delta = 0.001"])
+    def test_half_set_pair_rejected(self, tmp_path, given):
+        # the certificate would be designed for a profile other than the one simulated
+        with pytest.raises(ConfigError, match=r"both initial\.q and initial\.delta"):
+            load_config(write_config(tmp_path, PAM + given + "\n"))
+
+    @pytest.mark.parametrize("given", [{"pam_q": 5.0}, {"pam_delta": 0.001}])
+    def test_half_set_override_rejected(self, given):
+        with pytest.raises(ConfigError, match=r"both initial\.q and initial\.delta"):
+            preset_config("blowup-demo").with_overrides(**given)
+
+    def test_whole_or_no_pair_accepted(self, tmp_path):
+        assert load_config(write_config(tmp_path, PAM + "q = 5\ndelta = 0.001\n")).pam_q == 5.0
+        assert load_config(write_config(tmp_path, PAM)).pam_delta == "auto"
+
+
+class TestParseOnce:
+    def test_crossval_parses_the_coefficient_twice_at_most(self, tmp_path, monkeypatch, capsys):
+        # once when the preset is validated and once for both formulations
+        calls = []
+        real = expr.parse_coefficient
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(expr, "parse_coefficient", counted)
+        monkeypatch.setattr(harness, "parse_coefficient", counted)
+        assert main(["simulate", "--preset", "crossval", "--out", str(tmp_path)]) == 0
+        assert 1 <= len(calls) <= 2
+
+    def test_changed_text_is_parsed(self):
+        cfg = preset_config("global-demo")
+        with pytest.raises(ConfigError, match="coefficient.expr"):
+            cfg.with_overrides(coefficient_text="1 + x")
+        assert cfg.with_overrides(coefficient_text="(1+r)^-2").coefficient_text == "(1+r)^-2"
 
 
 class TestPresets:
@@ -290,6 +339,12 @@ class TestCli:
         assert payload["verdict"] == "global-so-far"
         assert (tmp_path / "demo" / "series.csv").exists()
         assert (tmp_path / "demo" / "summary.json").exists()
+
+    def test_validate_exits_one_on_a_failure(self, monkeypatch, capsys):
+        checks = [("first", True, "fine"), ("second", False, "broken")]
+        monkeypatch.setattr(harness, "validation_suite", lambda: checks)
+        assert main(["validate"]) == 1
+        assert "[FAIL] second: broken" in capsys.readouterr().out
 
     def test_validate_runs(self, capsys):
         assert main(["validate"]) == 0

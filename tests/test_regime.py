@@ -75,6 +75,23 @@ class TestDecrConstants:
         assert default_candidates(coefficient_from_text(text), None, None) == (0.5, 2.0)
         assert calls == [regime._FROM_ONE]
 
+    @pytest.mark.parametrize("text", ["1/(1+r^2)", "(2+r)^-2"])
+    def test_design_reuses_the_candidate_suprema(self, text, monkeypatch):
+        # one grid supremum per distinct (exponent, interval): C_inf at the
+        # accepted alpha = 2 for the candidates, then gamma_theta at 2 + theta
+        # for the design, which takes C_inf from the candidates
+        calls = []
+        real = regime._sup_on_grid
+        monkeypatch.setattr(regime, "_sup_on_grid", lambda *args: (calls.append(args[1:]), real(*args))[1])
+        c = coefficient_from_text(text)
+        theta, alpha = default_candidates(c, None, None)
+        design = design_blowup(c, 1.0, theta, alpha)
+        design_blowup(c, 1.1, theta, alpha)
+        assert calls == [regime._FROM_ONE, regime._UNIT_INTERVAL]
+        fresh = coefficient_from_text(text)
+        assert design.c_infinity == real(regime._weighted_a(fresh, alpha), *regime._FROM_ONE)
+        assert design.gamma_theta == real(regime._weighted_a(fresh, 2.0 + theta), *regime._UNIT_INTERVAL)
+
     def test_parameter_range_enforced(self):
         c = coefficient_from_text("(1+r)^-2")
         with pytest.raises(RegimeError):
