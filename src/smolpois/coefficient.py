@@ -84,8 +84,18 @@ class Coefficient:
         """a(r) for r > 0 (scalar or array); guaranteed finite and positive.
 
         On an array, the error names the first offending point and is the
-        one that evaluating point by point, in order, would raise.
+        one that evaluating point by point, in order, would raise.  A float
+        takes the same checks, in the same order, without numpy reductions.
         """
+        if isinstance(r, float):
+            if r <= 0.0:
+                raise CoefficientError("coefficient evaluated at r <= 0")
+            value = self(r)
+            if not math.isfinite(value):
+                raise expr.EvalDomainError(f"coefficient not finite at r={r!r}")
+            if value <= 0.0:
+                raise CoefficientError(f"coefficient not positive at r={r!r}")
+            return value
         r_arr = np.asarray(r)
         if np.any(r_arr <= 0.0):
             raise CoefficientError("coefficient evaluated at r <= 0")

@@ -9,11 +9,19 @@ bounded interval (0, 1] by the substitution s = r/t,
 which turns algebraic tails into mild endpoint singularities the panel
 subdivision grades into automatically.
 
-Many adjacent cells (a cumulative sweep over a grid) go through
-``integrate_cells``: it evaluates the integrand on the Kronrod nodes of 64
-cells per call and accepts a cell whose single panel meets the tolerance,
-the acceptance rule of QUADPACK (Piessens et al., 1983).  The rest go to
-``integrate``, so each cell's value is bit-identical to its own call.
+Panels are evaluated in batches: ``integrate`` evaluates both halves of a
+bisection in one integrand call, and many adjacent cells (a cumulative
+sweep over a grid) go through ``integrate_cells``, which evaluates the
+integrand on the Kronrod nodes of 64 cells per call and accepts a cell
+whose single panel meets the tolerance, the acceptance rule of QUADPACK
+(Piessens et al., 1983).  The rest go to ``integrate``.  The batching
+contract: each panel is one row of the node array, reduced by
+``np.vecdot``, which runs the 1-D ``np.dot`` kernel on each row (a matrix
+product may sum in another order).  A block of cells or a pair of halves
+whose evaluation raises an ``ArithmeticError`` or is not finite falls
+back to per-cell ``integrate`` or per-panel ``_panel`` calls, in order.
+So every value, and every error raised, is bit-identical to the
+one-panel-per-call evaluation.
 
 Integrability of a tail is *decided* separately (``dyadic_decay_probe``)
 by checking geometric decay of the integral over 40 dyadic blocks
@@ -80,11 +88,49 @@ def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
+def _kronrod_rows(f: Callable, mid: np.ndarray, half: np.ndarray):
+    """The 15- and 7-point weighted sums of ``f`` on the panels with centres
+    ``mid`` and half-widths ``half``, one row per panel, as ``_panel`` forms
+    them before the factor ``half``; one call of ``f``.  None when ``f``
+    raises an ``ArithmeticError`` or is not finite on some panel."""
+    x = mid[:, None] + half[:, None] * _XK
+    try:
+        with np.errstate(all="ignore"):
+            y = np.asarray(f(x), dtype=float)
+    except ArithmeticError:
+        return None
+    if not np.all(np.isfinite(y)):
+        return None
+    return np.vecdot(y, _WK), np.vecdot(y[:, 1::2], _WG)
+
+
+def _bisect(f: Callable, pa: float, mid: float, pb: float) -> list[tuple]:
+    """The panels (error, a, b, value) of [pa, mid] and [mid, pb], with the
+    values ``_panel`` gives, from one call of ``f``; when that call fails,
+    from the two ``_panel`` calls in order, which raise the error of the
+    first failing half."""
+    bounds = ((pa, mid), (mid, pb))
+    halves = [0.5 * (qb - qa) for qa, qb in bounds]
+    sums = _kronrod_rows(f, np.array([0.5 * (qa + qb) for qa, qb in bounds]), np.array(halves))
+    if sums is None:
+        pairs = [_panel(f, qa, qb) for qa, qb in bounds]
+    else:
+        pairs = []
+        for half, k, g in zip(halves, *(s.tolist() for s in sums)):
+            k15 = half * k
+            pairs.append((k15, abs(k15 - half * g)))
+    return [(err, qa, qb, val) for (qa, qb), (val, err) in zip(bounds, pairs)]
+
+
 def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> float:
     """Integrate a vectorized ``f`` over the finite interval [a, b].
 
     The target is absolute error ``atol`` relaxed to relative once the
-    integral magnitude exceeds one.
+    integral magnitude exceeds one.  Each bisection evaluates both halves
+    of the worst panel in one call of ``f`` on a (2, 15) node array (see
+    ``_bisect``); the stop test sums the panels in list order and the worst
+    panel is the first of largest error, so values do not depend on the
+    batching.
     """
     if a == b:
         return 0.0
@@ -106,9 +152,7 @@ def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> fl
             # interval below spacing of floats: accept what we have
             panels.append((0.0, pa, pb, _panel(f, pa, pb)[0]))
             continue
-        for qa, qb in ((pa, mid), (mid, pb)):
-            val, err = _panel(f, qa, qb)
-            panels.append((err, qa, qb, val))
+        panels.extend(_bisect(f, pa, mid, pb))
     total = sum(p[3] for p in panels)
     total_err = sum(p[0] for p in panels)
     raise QuadratureError("panel budget exhausted", sign * total, total_err)
@@ -118,10 +162,12 @@ def integrate_cells(f: Callable, edges, atol: float = DEFAULT_ATOL) -> np.ndarra
     """``integrate(f, edges[k], edges[k+1], atol)`` for every k, in one array.
 
     Each cell gets one 7/15 Kronrod panel, with ``f`` evaluated on the nodes
-    of ``_CELL_BLOCK`` cells per call.  A cell whose panel meets the
-    acceptance test of ``integrate`` on its first pass takes that panel's
-    value; a zero-width cell, a cell that misses it, and every cell of a
-    block whose evaluation raises or is not finite go to ``integrate``
+    of ``_CELL_BLOCK`` cells per call and each cell's sums reduced by
+    ``np.vecdot``, so that a block's arithmetic is numpy's and each row's is
+    ``_panel``'s.  A cell whose panel meets the acceptance test of
+    ``integrate`` on its first pass takes that panel's value; a zero-width
+    cell, a cell that misses it, and every cell of a block whose evaluation
+    raises an ``ArithmeticError`` or is not finite go to ``integrate``
     itself, in order.  Every value, and every error raised, is the one the
     per-cell ``integrate`` calls give.
     """
@@ -132,21 +178,16 @@ def integrate_cells(f: Callable, edges, atol: float = DEFAULT_ATOL) -> np.ndarra
         left, right = edges[start:stop], edges[start + 1:stop + 1]
         lo, hi = np.minimum(left, right), np.maximum(left, right)
         half = 0.5 * (hi - lo)
-        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
-        try:
-            with np.errstate(all="ignore"):
-                y = np.asarray(f(x), dtype=float)
-            finite = np.all(np.isfinite(y))
-        except ArithmeticError:  # a domain error: the per-cell calls raise it again, in order
-            finite = False
-        for k in range(right.size):
-            if finite and lo[k] < hi[k]:
-                k15 = half[k] * float(np.dot(_WK, y[k]))
-                g7 = half[k] * float(np.dot(_WG, y[k, 1::2]))
-                total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
-                if abs(k15 - g7) <= atol * max(1.0, abs(total)):
-                    out[start + k] = (-1.0 if right[k] < left[k] else 1.0) * total
-                    continue
+        sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
+        if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
+            refine = range(right.size)
+        else:
+            k15, g7 = half * sums[0], half * sums[1]
+            total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
+            accept = (lo < hi) & (np.abs(k15 - g7) <= atol * np.maximum(1.0, np.abs(total)))
+            out[start:stop] = np.where(right < left, -total, total)
+            refine = np.flatnonzero(~accept).tolist()
+        for k in refine:
             out[start + k] = integrate(f, float(left[k]), float(right[k]), atol=atol)
     return out
 

@@ -140,6 +140,83 @@ class TestEval:
         assert c.eval_a(grid).tolist() == [c.eval_a(r) for r in grid]
 
 
+def _reference_eval_a(c, r):
+    """Coefficient.eval_a before its float path: numpy reductions on every r."""
+    r_arr = np.asarray(r)
+    if np.any(r_arr <= 0.0):
+        raise CoefficientError("coefficient evaluated at r <= 0")
+    try:
+        value = c(r)
+    except expr.EvalDomainError:
+        if r_arr.ndim == 0:
+            raise
+        return np.array([_reference_eval_a(c, x) for x in r_arr.ravel()]).reshape(r_arr.shape)
+    v = np.asarray(value)
+    bad = ~np.isfinite(v) | (v <= 0.0)
+    if np.any(bad):
+        first = np.flatnonzero(bad)[0]
+        at = r if r_arr.ndim == 0 else r_arr.flat[first]
+        if not np.isfinite(v.flat[first]):
+            raise expr.EvalDomainError(f"coefficient not finite at r={at!r}")
+        raise CoefficientError(f"coefficient not positive at r={at!r}")
+    return value
+
+
+def _outcome(call, *args):
+    """(type, bytes) of the value returned, or (type, message) of the error raised."""
+    try:
+        value = call(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return type(value), np.asarray(value).tobytes()
+
+
+class TestEvalScalar:
+    """eval_a on a float runs the checks of the array path, in its order,
+    with its messages, and returns the same object type."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "text, r",
+        [
+            ("(1+r)^-2", 3.0),            # valid: np.float64 from the power product
+            ("1/(1+r^2)", 3.0),           # valid: float from the expression
+            ("1/(1+r^2)", np.float64(3.0)),
+            ("1/(1+r^2)", 2),             # an int takes the array path
+            ("(1+r)^-2", 0.0),            # r <= 0
+            ("1/(1+r^2)", -1.0),
+            ("1/(1+r^2)", math.nan),      # not finite at r = nan
+            ("r^-40", 1e-8),              # the power product overflows: not finite
+            ("exp(r/10000)", 1e8),        # the expression raises on overflow
+            ("exp(-r)", 1000.0),          # underflows to zero: not positive
+            ("r-1e-7", 1e-8),             # negative below the positivity samples
+            ("r-1e-7", np.float64(1e-8)),
+        ],
+    )
+    def test_equals_reference(self, text, r):
+        c = coefficient_from_text(text)
+        assert _outcome(c.eval_a, r) == _outcome(_reference_eval_a, c, r)
+
+    def test_value_types(self):
+        assert type(coefficient_from_text("(1+r)^-2").eval_a(3.0)) is np.float64
+        assert type(coefficient_from_text("1/(1+r^2)").eval_a(3.0)) is float
+
+    @pytest.mark.parametrize(
+        "text, r, error, message",
+        [
+            ("(1+r)^-2", 0.0, CoefficientError, "coefficient evaluated at r <= 0"),
+            ("r^-40", 1e-8, expr.EvalDomainError, "coefficient not finite at r=1e-08"),
+            ("exp(-r)", 1000.0, CoefficientError, "coefficient not positive at r=1000.0"),
+            ("r-1e-7", 1e-8, CoefficientError, "coefficient not positive at r=1e-08"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_error_messages(self, text, r, error, message):
+        with pytest.raises(error) as err:
+            coefficient_from_text(text).eval_a(r)
+        assert type(err.value) is error and str(err.value) == message
+
+
 class TestPositivitySampling:
     def test_one_evaluate_call(self, monkeypatch):
         calls = []

@@ -8,6 +8,8 @@ from smolpois import quadrature
 from smolpois.expr import EvalDomainError, evaluate, parse_coefficient
 from smolpois.coefficient import ExpressionCoefficient
 from smolpois.quadrature import (
+    _WG,
+    _WK,
     QuadratureError,
     dyadic_decay_probe,
     integrate,
@@ -159,3 +161,136 @@ class TestIntegrateCells:
         with pytest.raises(error) as batched:
             integrate_cells(f, edges)
         assert str(batched.value) == str(per_cell.value)
+
+
+class TestVecdotKernel:
+    """np.vecdot reduces each row with the kernel of the 1-D np.dot, so the
+    batched panels equal the per-panel ones bit for bit; a numpy that
+    changes this fails here instead of moving printed values."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_equal_np_dot(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            rows = int(rng.integers(1, 65))
+            y = rng.standard_normal((rows, 15)) * 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
+            want_k = np.array([np.dot(_WK, row) for row in y])
+            want_g = np.array([np.dot(_WG, row[1::2]) for row in y])
+            assert np.vecdot(y, _WK).tobytes() == want_k.tobytes()
+            assert np.vecdot(y[:, 1::2], _WG).tobytes() == want_g.tobytes()
+
+
+def _reference_integrate(f, a, b, atol=quadrature.DEFAULT_ATOL):
+    """integrate before its bisections were batched: two _panel calls, and
+    so two calls of f, per bisection."""
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    value, err = quadrature._panel(f, a, b)
+    panels = [(err, a, b, value)]
+    for _ in range(quadrature._MAX_PANELS):
+        total = sum(p[3] for p in panels)
+        total_err = sum(p[0] for p in panels)
+        if total_err <= atol * max(1.0, abs(total)):
+            return sign * total
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        _, pa, pb, _ = panels.pop(worst)
+        mid = 0.5 * (pa + pb)
+        if mid <= pa or mid >= pb:
+            panels.append((0.0, pa, pb, quadrature._panel(f, pa, pb)[0]))
+            continue
+        for qa, qb in ((pa, mid), (mid, pb)):
+            val, err = quadrature._panel(f, qa, qb)
+            panels.append((err, qa, qb, val))
+    total = sum(p[3] for p in panels)
+    total_err = sum(p[0] for p in panels)
+    raise QuadratureError("panel budget exhausted", sign * total, total_err)
+
+
+def _counted(f):
+    calls = []
+    return calls, lambda x: (calls.append(1), f(x))[1]
+
+
+_ULP = 2.0**-52
+# On [0, 1] the first panel is finite; the first bisection puts the middle
+# node of [0, 0.5] at 0.25 and that of [0.5, 1] at 0.75.
+_RAISES_AT = {c: partial(evaluate, parse_coefficient(f"1/(r-{c})")) for c in (0.25, 0.75)}
+_STEP = lambda x: np.where(x > 1.0, 1.0, 0.0)
+
+
+class TestBatchedBisection:
+    """integrate, with both halves of a bisection in one call of f, equals
+    the per-panel reference bit for bit, type included."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "f, a, b, atol",
+        [
+            (np.sin, 0.0, 10.0, quadrature.DEFAULT_ATOL),                     # smooth
+            (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, quadrature.DEFAULT_ATOL),  # peaked at an end
+            (lambda x: 1.0 / (1.0 + x * x), 1e3, 1e-4, quadrature.DEFAULT_ATOL),  # reversed bounds
+            (np.sin, np.float64(10.0), np.float64(0.0), quadrature.DEFAULT_ATOL),  # numpy scalars
+            (_STEP, 1.0, 1.0 + 4 * _ULP, 1e-40),   # bisected below the spacing of floats
+            (_STEP, 1.0 + 4 * _ULP, 1.0, 1e-40),
+        ],
+    )
+    def test_equals_reference(self, f, a, b, atol):
+        ref_calls, ref_f = _counted(f)
+        calls, counted_f = _counted(f)
+        want = _reference_integrate(ref_f, a, b, atol=atol)
+        self.assert_same(integrate(counted_f, a, b, atol=atol), want)
+        # one call for the first panel, then one per bisection instead of two
+        assert len(calls) < len(ref_calls) or len(ref_calls) == 1
+
+    @pytest.mark.parametrize(
+        "f, r",
+        [
+            (lambda s: (1.0 + s) ** -2.0, 1.0),
+            (lambda s: s**-1.5, 1.0),
+            (lambda s: np.exp(-s), 2.0),
+            (ExpressionCoefficient(parse_coefficient("1/(1+r^2)"), "1/(1+r^2)"), 1.0),
+            (ExpressionCoefficient(parse_coefficient("1/(1+r^2)"), "1/(1+r^2)"), 1e-6),
+            (ExpressionCoefficient(parse_coefficient("1/(1+r^2)"), "1/(1+r^2)"), 1e6),
+        ],
+    )
+    def test_tail_equals_reference(self, monkeypatch, f, r):
+        got = integrate_tail(f, r)
+        monkeypatch.setattr(quadrature, "integrate", _reference_integrate)
+        self.assert_same(got, integrate_tail(f, r))
+
+    def test_divergent_tail_error_equals_reference(self, monkeypatch):
+        with pytest.raises(QuadratureError) as got:
+            integrate_tail(lambda s: 1.0 / s, 1.0)
+        monkeypatch.setattr(quadrature, "integrate", _reference_integrate)
+        with pytest.raises(QuadratureError) as ref:
+            integrate_tail(lambda s: 1.0 / s, 1.0)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "f, error",
+        [
+            (lambda s: 1.0 / (s - 0.25), QuadratureError),            # left half not finite
+            (lambda s: 1.0 / (s - 0.75), QuadratureError),            # right half not finite
+            (_RAISES_AT[0.25], EvalDomainError),                      # left half raises
+            (_RAISES_AT[0.75], EvalDomainError),                      # right half raises
+            # both halves fail, differently: the left half's error wins (the
+            # factor 2 keeps the first panel from cancelling to zero error)
+            (lambda s: 1.0 / (s - 0.25) + 2.0 * _RAISES_AT[0.75](s), QuadratureError),
+            (lambda s: 2.0 * _RAISES_AT[0.25](s) + 1.0 / (s - 0.75), EvalDomainError),
+        ],
+    )
+    def test_failing_half_raises_like_reference(self, f, error):
+        with pytest.raises(error) as ref:
+            _reference_integrate(f, 0.0, 1.0)
+        with pytest.raises(error) as got:
+            integrate(f, 0.0, 1.0)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
