@@ -182,6 +182,8 @@ class PowerProductCoefficient(Coefficient):
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
+        if self.p == 0.0:  # r^0 = 1 at every r, and c * 1.0 * x == c * x
+            return self.c * np.power(1.0 + np.asarray(r, dtype=float), self.beta)
         return self.c * np.power(r, self.p) * np.power(1.0 + np.asarray(r, dtype=float), self.beta)
 
     @cached_property
@@ -402,6 +404,7 @@ class Potentials:
 
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
+        self._primitive_at_one = {}  # potential name -> its primitive at 1 (None: none)
 
     # -- limits --
 
@@ -433,7 +436,10 @@ class Potentials:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
             raise CoefficientError(f"{name} needs r > 0")
-        prim = primitive(1.0)
+        try:
+            prim = self._primitive_at_one[name]
+        except KeyError:
+            prim = self._primitive_at_one[name] = primitive(1.0)
         if prim is not None:
             value = prim - primitive(1.0 / r_arr)
             return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics as diag
-from .coefficient import CoefficientError, Potentials, TailDivergenceError, coefficient_from_text
+from .coefficient import CoefficientError, Potentials, PsiRangeError, TailDivergenceError, coefficient_from_text
 from .expr import ParseError, evaluate, parse_coefficient
 from .regime import (
     BlowupDesign,
@@ -745,7 +745,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ParseError, RegimeError, CoefficientError, TailDivergenceError) as err:
+    except (ConfigError, ParseError, RegimeError, CoefficientError, TailDivergenceError, PsiRangeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except (SolverFailure, DesignFailure) as err:

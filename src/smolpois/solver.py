@@ -35,6 +35,19 @@ is imported, without running the ``scipy.linalg`` package ``__init__``
 registered as ``scipy.linalg._flapack``, so a later ``import scipy.linalg``
 reuses it, and the routines are the objects ``scipy.linalg.lapack`` exports.
 
+Nothing of the f-form Newton solve that does not depend on dt is computed
+twice for one iterate.  ``FIterate`` holds that data at an iterate w:
+psi(w), g(w) = lap psi(w) + M w - 1, max |psi(w)|, max w, and psi'(w),
+evaluated when first asked for.  The residual of a trial at w is
+(w - f_old) - dt g(w), with the bits of evaluating it whole.  Every trial of
+a step, the dt-halving retries included, starts from the record of f_old,
+and the record of the accepted iterate is carried to the next step in
+``SolverState.start``, where the per-record diagnostics also take psi(f)
+from it.  A carried record is used only while it belongs to the state: its
+w must be the very array ``state.field.values`` (an identity test, not an
+equality test), and its potentials and mass those of the state; a state
+built by hand or by ``replace(field=...)`` gets its record recomputed.
+
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
 controller targets a 5% relative change of the monitored extremum per
@@ -47,7 +60,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from operator import attrgetter, gt, lt
@@ -113,6 +126,7 @@ class SolverState:
     v: Optional[np.ndarray] = None   # potential on the u grid (u-form)
     dt: float = 0.0
     steps: int = 0
+    start: Optional[FIterate] = None  # Newton data at field.values (f-form)
 
 
 def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
@@ -240,16 +254,68 @@ def _lap_neumann(vals: np.ndarray, h: float) -> np.ndarray:
     """Second difference in flux form with reflecting ghosts: the cell sum of
     the result telescopes to exactly zero in floating point, which keeps the
     discrete integral of f bit-tight through the implicit solve."""
-    flux = np.diff(vals) / h
+    flux = vals[1:] - vals[:-1]
+    flux /= h
     out = np.empty_like(vals)
     out[0] = flux[0] / h
     out[-1] = -flux[-1] / h
-    out[1:-1] = np.diff(flux) / h
+    inner = out[1:-1]
+    np.subtract(flux[1:], flux[:-1], out=inner)
+    inner /= h
     return out
 
 
-def _newton_f(pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float) -> Optional[np.ndarray]:
-    """One backward-Euler solve; None when Newton fails or positivity breaks.
+class FIterate:
+    """The dt-free data of the f-form Newton solve at an iterate w.
+
+    ``psi`` is psi(w); ``g`` is (lap psi(w) + M w) - 1, so that a trial's
+    residual is (w - f_old) - dt g; ``psi_max`` and ``w_max`` are max |psi(w)|
+    and max w; ``dpsi``, psi'(w), is evaluated when first asked for.  ``w``
+    is kept by reference and must not be changed in place.
+    """
+
+    def __init__(self, pot: Potentials, w: np.ndarray, M: float, h: float):
+        self.pot = pot
+        self.w = w
+        self.M = M
+        self.psi = psi = np.asarray(pot.psi(w), dtype=float)
+        g = _lap_neumann(psi, h)
+        g += M * w
+        g -= 1.0
+        self.g = g
+        self.psi_max = float(np.abs(psi).max())
+        self.w_max = float(w.max())
+
+    @cached_property
+    def dpsi(self) -> np.ndarray:
+        return np.asarray(self.pot.psi_prime(self.w), dtype=float)
+
+
+def _carried_start(state: SolverState) -> Optional[FIterate]:
+    """The record ``state`` carries, if it was computed at this state's
+    field values (the same array object), potentials and mass."""
+    start, f = state.start, state.field
+    if start is not None and start.w is f.values and start.pot is state.potentials and start.M == f.mass:
+        return start
+    return None
+
+
+def _newton_f(
+    pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float, start: Optional[FIterate] = None
+) -> Optional[np.ndarray]:
+    """One backward-Euler solve from ``f_old``; None when Newton fails or
+    positivity breaks.  ``start``, the record of f_old, is computed when it
+    is not given."""
+    if start is None:
+        start = FIterate(pot, f_old, M, h)
+    found = _solve_f(start, f_old, M, h, dt)
+    return None if found is None else found.w
+
+
+def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) -> Optional[FIterate]:
+    """The record of the iterate that one backward-Euler solve from f_old
+    accepts, the first iterate being ``start`` (the record of f_old); None
+    when Newton fails or positivity breaks.
 
     Convergence target is NEWTON_TOL plus the rounding floor of the stiff
     Laplacian term (eps * |psi| / h^2 scales far above eps for fine grids).
@@ -259,63 +325,76 @@ def _newton_f(pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float)
     otherwise, so that the caller halves dt without grinding through the
     remaining iterations.
     """
-    w = f_old.copy()
+    pot = start.pot
     h2 = h * h
-    n = w.size
     eps = np.finfo(float).eps
+    diag_shift = 1.0 - dt * M
     # rows of the banded Jacobian: super-diagonal, main, sub-diagonal; the
-    # unused corners ab[0, 0] and ab[2, -1] stay zero
-    ab = np.zeros((3, n))
-    best_w = None
+    # corners ab[0, 0] and ab[2, -1] are never read
+    ab = np.empty((3, f_old.size))
+    main = ab[1]
+    best = None
     best_res = math.inf
+    w = start.w
     for iteration in range(30):
-        psi_w = np.asarray(pot.psi(w), dtype=float)
-        residual = w - f_old - dt * (_lap_neumann(psi_w, h) + M * w - 1.0)
-        res_norm = float(np.max(np.abs(residual)))
-        w_max = float(np.max(w))
-        noise_floor = 16.0 * eps * (
-            dt * (float(np.max(np.abs(psi_w))) / h2 + M * w_max + 1.0)
-            + w_max
-        )
+        it = FIterate(pot, w, M, h) if iteration else start
+        residual = w - f_old
+        residual -= dt * it.g
+        res_norm = float(np.abs(residual).max())
+        w_max = it.w_max
+        noise_floor = 16.0 * eps * (dt * (it.psi_max / h2 + M * w_max + 1.0) + w_max)
         tol = NEWTON_TOL * max(1.0, w_max) + noise_floor
         if res_norm <= tol:
-            return w
+            return it
         if res_norm < best_res:
             if res_norm > 0.5 * best_res and iteration > 3:
                 # stalled: at the rounding floor of the residual evaluation,
                 # or above it where further iterates cannot get below it
-                return w if res_norm <= 64.0 * tol else None
+                return it if res_norm <= 64.0 * tol else None
             best_res = res_norm
-            best_w = w
+            best = it
         elif iteration > 3:
-            return best_w if best_res <= 64.0 * tol else None
-        dpsi = np.asarray(pot.psi_prime(w), dtype=float)
-        # J = I - dt (T diag(psi') / h^2 + M I), T the Neumann Laplacian stencil
-        ab[0, 1:] = -dt * dpsi[1:] / h2
-        ab[1] = 1.0 - dt * M + 2.0 * dt * dpsi / h2
-        ab[1, 0] = 1.0 - dt * M + dt * dpsi[0] / h2
-        ab[1, -1] = 1.0 - dt * M + dt * dpsi[-1] / h2
-        ab[2, :-1] = -dt * dpsi[:-1] / h2
+            return best if best_res <= 64.0 * tol else None
+        dpsi = it.dpsi
+        # J = I - dt (T diag(psi') / h^2 + M I), T the Neumann Laplacian
+        # stencil; the off-diagonals are -(dt psi' / h^2), the main row keeps
+        # its own products (2 * off differs from them under underflow)
+        off = dt * dpsi
+        off /= h2
+        np.negative(off[1:], out=ab[0, 1:])
+        np.negative(off[:-1], out=ab[2, :-1])
+        np.multiply(2.0 * dt, dpsi, out=main)
+        main /= h2
+        main += diag_shift
+        main[0] = diag_shift + off[0]
+        main[-1] = diag_shift + off[-1]
+        np.negative(residual, out=residual)
         try:
-            dw = solve_banded(ab, -residual)
+            dw = solve_banded(ab, residual)
         except (np.linalg.LinAlgError, ValueError):
             return None
         w = w + dw
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             return None
     return None
 
 
 def step_f(state: SolverState, dt: float) -> SolverState:
     """Advance the f-form by one accepted implicit step, halving dt on
-    Newton failure or loss of positivity."""
+    Newton failure or loss of positivity.  Every trial starts from the
+    record of the state's field, and the new state carries the record of
+    the accepted iterate."""
     f: FieldF = state.field
-    return _advance(
-        state,
-        dt,
-        lambda trial: _newton_f(state.potentials, f.values, f.mass, f.h, trial),
-        lambda: f"min f = {f.min_value:.3e}",
-    )
+    start = _carried_start(state) or FIterate(state.potentials, f.values, f.mass, f.h)
+    accepted = None
+
+    def attempt(trial):
+        nonlocal accepted
+        accepted = _solve_f(start, f.values, f.mass, f.h, trial)
+        return None if accepted is None else accepted.w
+
+    new = _advance(state, dt, attempt, lambda: f"min f = {f.min_value:.3e}")
+    return replace(new, start=accepted)
 
 
 # --- u-form step ---------------------------------------------------------------
@@ -332,18 +411,21 @@ def _try_u_step(pot: Potentials, uf: FieldU, v: np.ndarray, dt: float) -> Option
     velocity = np.diff(v) / h            # d_x v on interior faces
     upwind = np.where(velocity > 0.0, u[:-1], u[1:])
     flux_adv = upwind * velocity                 # advective flux u * d_x v
+    face_div = flux_adv / h
     div_adv = np.zeros(n)
-    div_adv[:-1] += flux_adv / h
-    div_adv[1:] -= flux_adv / h
+    div_adv[:-1] += face_div
+    div_adv[1:] -= face_div
     # implicit diffusion: (I - dt/h^2 D) u_new = u_old - dt * div_adv
     h2 = h * h
     coupling = dt * a_face / h2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -coupling
-    ab[1] = 1.0
-    ab[1, :-1] += coupling
-    ab[1, 1:] += coupling
-    ab[2, :-1] = -coupling
+    # the corners ab[0, 0] and ab[2, -1] are never read
+    ab = np.empty((3, n))
+    np.negative(coupling, out=ab[0, 1:])
+    main = ab[1]
+    main.fill(1.0)
+    main[:-1] += coupling
+    main[1:] += coupling
+    np.negative(coupling, out=ab[2, :-1])
     rhs = u - dt * div_adv
     u_new = solve_banded(ab, rhs)
     if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
@@ -384,12 +466,15 @@ class _RunContext:
     prev_mq: Optional[tuple[float, float]] = None  # (t, m_q)
 
 
-def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.DiagnosticsRecord:
-    """The one functional pass over an f profile: psi(f) and psi1(f) are
-    evaluated once, and every functional and slack of the record is derived
-    from them and from the run's constants."""
+def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
+    """The one functional pass over the f profile of ``state``: psi(f) and
+    psi1(f) are evaluated once (psi(f) is taken from the state's Newton
+    record when it carries one of this profile), and every functional and
+    slack of the record is derived from them and from the run's constants."""
     pot, M = ctx.pot, ctx.M
-    psi_f = np.asarray(pot.psi(field.values), dtype=float)
+    t, dt, field = state.t, state.dt, state.field
+    start = _carried_start(state)
+    psi_f = start.psi if start is not None else np.asarray(pot.psi(field.values), dtype=float)
     psi1_f = np.asarray(pot.psi1(field.values), dtype=float)
     grad_sq, psi_l1, slack5, slack6 = diag.energy_norm_terms(psi_f, field.h, M, ctx.psi_inv_m)
     rec = diag.DiagnosticsRecord(
@@ -422,13 +507,14 @@ def _record_f(ctx: _RunContext, t: float, dt: float, field: FieldF) -> diag.Diag
     return rec
 
 
-def _record_u(ctx: _RunContext, t: float, dt: float, field: FieldU) -> diag.DiagnosticsRecord:
+def _record_u(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
+    field = state.field
     return diag.DiagnosticsRecord(
-        t=t,
-        dt=dt,
+        t=state.t,
+        dt=state.dt,
         u_max=field.max_value,
         mass_err=field.mass_error(),
-        sigma_t=diag.sigma(ctx.M, ctx.m0, t),
+        sigma_t=diag.sigma(ctx.M, ctx.m0, state.t),
     )
 
 
@@ -554,7 +640,7 @@ def run(config, coeff: Optional[Coefficient] = None):
         potentials=pot,
         dt=config.dt_init,
     )
-    series = [record(ctx, 0.0, config.dt_init, field0)]
+    series = [record(ctx, state)]
     out_every = config.resolved_output_interval()
     dt_max = config.resolved_dt_max()
     next_record = out_every
@@ -571,22 +657,22 @@ def run(config, coeff: Optional[Coefficient] = None):
             )
     dt = min(config.dt_init, dt_max)
 
-    if crossed(monitor(field0)):
+    prev_monitor = monitor(field0)
+    if crossed(prev_monitor):
         verdict = "blowup"
         blowup_time = 0.0
-        notes.append(start_note.format(monitor(field0), threshold))
+        notes.append(start_note.format(prev_monitor, threshold))
 
     try:
         while verdict is None:
             if state.t >= config.t_max:
                 verdict = "global-so-far"
                 break
-            prev_monitor = monitor(state.field)
             dt = min(dt, config.t_max - state.t)
             state = stepper(state, dt)
             new_monitor = monitor(state.field)
             if state.t >= next_record or state.t >= config.t_max:
-                series.append(record(ctx, state.t, state.dt, state.field))
+                series.append(record(ctx, state))
                 while next_record <= state.t:
                     next_record += out_every
             if crossed(new_monitor):
@@ -601,6 +687,7 @@ def run(config, coeff: Optional[Coefficient] = None):
                 dt = min(used * 2.0, dt_max)
             else:
                 dt = min(used, dt_max)
+            prev_monitor = new_monitor
     except NearSingularity as err:
         verdict = "blowup"
         blowup_time = state.t
@@ -611,7 +698,7 @@ def run(config, coeff: Optional[Coefficient] = None):
 
     # the state a verdict was reached at always ends the series
     if series[-1].t < state.t:
-        series.append(record(ctx, state.t, state.dt, state.field))
+        series.append(record(ctx, state))
 
     checks = _assemble_checks(ctx, series, formulation)
     wall = time.perf_counter() - t_start

@@ -139,6 +139,23 @@ class TestEval:
         grid = np.geomspace(1e-8, 1e8, 2048)
         assert c.eval_a(grid).tolist() == [c.eval_a(r) for r in grid]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("text", ["(1+r)^-1", "3*(1+r)^-2", "(1+r)^2.5", "1"])
+    def test_p_zero_skips_only_a_unit_factor(self, text):
+        # a(r) = c (1+r)^beta without the factor r^0 = 1: the same bits and types
+        c = coefficient_from_text(text)
+        assert c.p == 0.0
+
+        def with_unit_factor(r):
+            r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
+            return c.c * np.power(r, 0.0) * np.power(1.0 + np.asarray(r, dtype=float), c.beta)
+
+        grid = np.concatenate((np.geomspace(5e-324, 1e308, 1500), [0.0, -0.5, np.inf, np.nan]))
+        for r in (grid, grid.tolist(), np.float64(0.25), 0.25, 3, np.asarray(2.0)):
+            got, want = c(r), with_unit_factor(r)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want, equal_nan=True)
+
 
 def _reference_eval_a(c, r):
     """Coefficient.eval_a before its float path: numpy reductions on every r."""
@@ -311,6 +328,25 @@ class TestPsi:
         for r in (0.05, 0.8, 1.0, 3.0, 50.0):
             assert generic.psi(r) == pytest.approx(pot_inv2.psi(r), abs=1e-9)
             assert generic.psi1(r) == pytest.approx(pot_inv2.psi1(r), abs=1e-9)
+
+    def test_primitive_at_one_evaluated_once(self):
+        c = coefficient_from_text("(1+r)^-2")
+        pot = Potentials(c)
+        rs = np.geomspace(0.02, 50.0, 40)
+        for evaluate, name in ((pot.psi, "primitive"), (pot.psi1, "primitive_over_s")):
+            primitive = getattr(c, name)
+            scalars = []
+
+            def recording(r, primitive=primitive, scalars=scalars):
+                if np.ndim(r) == 0:
+                    scalars.append(r)
+                return primitive(r)
+
+            setattr(c, name, recording)
+            for _ in range(3):
+                assert np.array_equal(evaluate(rs), primitive(1.0) - primitive(1.0 / rs))
+                assert evaluate(2.0) == float(primitive(1.0) - primitive(0.5))
+            assert scalars == [1.0, 0.5, 0.5, 0.5]
 
     def test_array_matches_scalar(self, pot_decr):
         rs = np.geomspace(0.02, 50.0, 40)

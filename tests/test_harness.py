@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_psi_range_error_is_one_line(self, tmp_path, capsys):
+        # at M = 100 the global-bound chain asks for psi^-1 of a value far
+        # below psi(1e-280); the run ends in one error line, not a traceback
+        body = BASIC.replace("mass = 1.0", "mass = 100").replace("t_max = 0.2", "t_max = 0.01")
+        cfg_path = write_config(tmp_path, body + "\n[grid]\nn = 100\nn_y = 100\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: failed to bracket h=-4000\d\.\d+ from below\n", captured.err)
 
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         code = main([

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -555,13 +556,26 @@ def _grinding_newton_f(pot, f_old, M, h, dt):
 
 
 class CountingPotentials(Potentials):
+    """Counts psi evaluations and keeps the arguments of psi and psi', so
+    that a test can ask how often one array was evaluated."""
+
     def __init__(self, coefficient):
         super().__init__(coefficient)
         self.psi_calls = 0
+        self.args = {"psi": [], "psi_prime": []}
 
     def psi(self, f):
         self.psi_calls += 1
+        self.args["psi"].append(f)
         return super().psi(f)
+
+    def psi_prime(self, f):
+        self.args["psi_prime"].append(f)
+        return super().psi_prime(f)
+
+    def calls_at(self, values) -> tuple[int, int]:
+        """(psi, psi') evaluations at the array ``values`` itself."""
+        return tuple(sum(arg is values for arg in self.args[name]) for name in ("psi", "psi_prime"))
 
 
 class TestNewtonStall:
@@ -594,14 +608,17 @@ class TestNewtonStall:
     def test_near_steady_run_regression(self, monkeypatch):
         # the benchmark's global-fine run at its nominal inputs: every
         # accepted step as before, only the rejected trials get cheaper
-        calls = []
-        band_solve = solver.solve_banded
+        calls = {"band": 0, "psi": 0, "psi_prime": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return band_solve(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(solver, "solve_banded", counting)
+        monkeypatch.setattr(solver, "solve_banded", counted("band", solver.solve_banded))
+        monkeypatch.setattr(Potentials, "psi", counted("psi", Potentials.psi))
+        monkeypatch.setattr(Potentials, "psi_prime", counted("psi_prime", Potentials.psi_prime))
         cfg = preset_config("global-demo").with_overrides(
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600, t_max=0.2
         )
@@ -609,4 +626,95 @@ class TestNewtonStall:
         assert summary.verdict == "global-so-far"
         assert summary.final_state.steps == 108
         assert abs(summary.final_state.field.min_value - 0.9995435001852524) <= 1e-12
-        assert len(calls) <= 1000
+        # before the dt-free Newton data was reused: 794 band solves (bound
+        # 1000), 1044 psi and 814 psi' evaluations
+        assert calls["band"] <= 794
+        assert calls["psi"] <= 838
+        assert calls["psi_prime"] <= 643
+
+
+class TestNewtonReuse:
+    """The dt-free Newton data of an iterate is computed once and reused
+    across dt-halving retries and steps without changing a bit."""
+
+    @pytest.fixture(scope="class")
+    def f0(self):
+        # near-flat data at n = 1600: at dt = 0.004096 every step is rejected
+        # once and retried at dt / 2; at dt = 0.001 it is accepted at once
+        cfg = preset_config("global-demo").with_overrides(
+            initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
+        )
+        coeff = coefficient_from_text(cfg.coefficient_text)
+        return build_initial_data(cfg, coeff, Potentials(coeff))[1]
+
+    def test_carried_start_changes_no_bit(self, f0, monkeypatch):
+        solve = solver._solve_f
+        exits = []
+
+        def recording(start, f_old, M, h, dt):
+            found = solve(start, f_old, M, h, dt)
+            exits.append(found)
+            return found
+
+        monkeypatch.setattr(solver, "_solve_f", recording)
+        pot = Potentials(coefficient_from_text("(1+r)^-1"))
+        kinds = set()
+        for dt in (0.004096, 0.001):
+            state = SolverState(t=0.0, field=f0, potentials=pot)
+            for _ in range(5):
+                fresh = step_f(replace(state, start=None), dt)
+                exits.clear()
+                carried = step_f(state, dt)
+                assert carried.t == fresh.t and carried.dt == fresh.dt
+                assert np.array_equal(carried.field.values, fresh.field.values)
+                for name in ("psi", "g", "psi_max", "w_max"):
+                    assert np.array_equal(getattr(carried.start, name), getattr(fresh.start, name))
+                assert carried.start.w is carried.field.values
+                found = exits[-1]
+                kinds.add("retried" if len(exits) > 1 else "first trial")
+                if "dpsi" in vars(found):  # a Newton step was taken from it: best_w
+                    kinds.add("stall exit at best_w")
+                state = carried
+        assert kinds == {"retried", "first trial", "stall exit at best_w"}
+
+    def test_lap_neumann_is_the_diff_form(self):
+        rng = np.random.default_rng(7)
+        for vals, h in ((rng.standard_normal(50), 0.3), (np.geomspace(1e-300, 1e300, 64), 1e-3), (rng.random(2), 7.0)):
+            flux = np.diff(vals) / h
+            want = np.empty_like(vals)
+            want[0] = flux[0] / h
+            want[-1] = -flux[-1] / h
+            want[1:-1] = np.diff(flux) / h
+            assert np.array_equal(_lap_neumann(vals, h), want)
+
+    def test_halving_evaluates_f_old_once(self, f0):
+        pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
+        state = SolverState(t=0.0, field=f0, potentials=pot)
+        dt = 0.004096 * 8
+        new = step_f(state, dt)
+        assert new.dt <= dt / 16  # four or more trials rejected
+        assert pot.calls_at(f0.values) == (1, 1)
+        # the next step starts from the record the first one carries
+        newer = step_f(new, dt)
+        assert newer.dt <= dt / 16
+        assert pot.calls_at(new.field.values) == (1, 1)  # both while it was an iterate
+
+    def test_start_of_another_field_recomputed(self, f0):
+        pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
+        state0 = SolverState(t=0.0, field=f0, potentials=pot)
+        state1 = step_f(state0, 0.001)
+        want = step_f(state0, 0.001)
+        # the carried record belongs to state1's field, not to f0
+        got = step_f(replace(state1, field=f0, t=0.0), 0.001)
+        assert np.array_equal(got.field.values, want.field.values)
+        # equal values in another array: the record is recomputed for it
+        copy = state1.field.with_values(state1.field.values.copy())
+        got = step_f(replace(state1, field=copy), 0.001)
+        assert pot.calls_at(copy.values)[0] == 1
+        assert np.array_equal(got.field.values, step_f(replace(state1, start=None), 0.001).field.values)
+        # other potentials: the record is recomputed with them
+        other = CountingPotentials(coefficient_from_text("(1+r)^-2"))
+        got = step_f(replace(state1, potentials=other), 0.001)
+        assert other.calls_at(state1.field.values)[0] == 1
+        want = step_f(SolverState(t=state1.t, field=state1.field, potentials=other), 0.001)
+        assert np.array_equal(got.field.values, want.field.values)

@@ -15,7 +15,8 @@ given with ``--config``; a path inside such a file should be absolute.
 When none of PRESET, ``--config`` and ``--coeff`` is given, it runs all
 four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, a
 quadrature-backed f-form, an integrable-tail u-form, and the stall-heavy
-f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600)
+f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600,
+and the dt-underflow f-form path, the longest chain of dt-halving retries)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
 ``certify`` benchmark coefficients and parser-sensitive spellings), and
 also ``python -m smolpois validate``, so a bare ``python
