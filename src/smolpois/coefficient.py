@@ -37,6 +37,10 @@ from .quadrature import (
 CLOSED_FORM = "closed-form"
 NUMERIC = "numeric"
 
+# the last point the from-below bracket search of ``psi_inverse`` reaches:
+# 8^-310 = 2^-930, the smallest power of 1/8 not below 1e-280
+_BRACKET_FLOOR = math.ldexp(1.0, -930)
+
 
 class CoefficientError(ValueError):
     pass
@@ -478,11 +482,22 @@ class Potentials:
 
     # -- inverse --
 
+    @cached_property
+    def _psi_at_bracket_floor(self) -> float:
+        """psi(_BRACKET_FLOOR) when psi has a closed form (-inf where that
+        overflows); nan, which no h is below, when psi needs quadrature: one
+        integral out to 2^930 costs more than the searches it would cut short."""
+        if self.coefficient.primitive(1.0) is None:
+            return math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.psi(_BRACKET_FLOOR)
+
     def psi_inverse(self, h: float) -> float:
         """Solve psi(r) = h on the strictly increasing psi.
 
         Residual tolerance 1e-10 * max(1, |h|); raises ``PsiRangeError``
-        outside (psi(0), sup psi).
+        outside (psi(0), sup psi), and without searching for an h < 0 below
+        the closed-form psi(2^-930), the last point of the search from below.
         """
         if h <= self.psi0 or h >= self.psi_sup:
             raise PsiRangeError(
@@ -496,6 +511,9 @@ class Potentials:
                 if hi > 1e280:
                     raise PsiRangeError(f"failed to bracket h={h!r} from above")
         else:
+            if self._psi_at_bracket_floor > h:
+                # psi increases, so the search would find every point above h
+                raise PsiRangeError(f"failed to bracket h={h!r} from below")
             while self.psi(lo) > h:
                 lo /= 8.0
                 if lo < 1e-280:

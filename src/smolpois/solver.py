@@ -15,7 +15,11 @@ u-form (original system): d_t u = d_x(a(u) d_x u - u d_x v) coupled to
 the Neumann Poisson problem v'' = M - u with zero mean.  Conservative
 finite volumes: implicit diffusion with harmonic-mean face coefficients
 frozen at the current state, explicit upwind drift, zero total flux at
-the walls, mass conserved by the flux form.
+the walls, mass conserved by the flux form.  In one dimension the drift
+needs no Poisson solve: d_x v(x) = M x - U(x), U the cumulative mass, so
+the face velocity is -h times the tail sum of the projected mass deficit
+M - u (``_face_velocity``), the gauged discrete system that
+``solve_poisson`` solves, in exact arithmetic.
 
 Both steppers share one halve-and-retry loop (``_advance``): a rejected
 trial halves dt, and dt underflow raises ``NearSingularity``, whose message
@@ -24,9 +28,10 @@ formulations; it chooses the stepper, the record function, the monitored
 extremum and its blowup test once, before the loop.
 
 Every tridiagonal solve is a direct LAPACK call: the Newton and diffusion
-systems go to ``dgtsv`` through ``solve_banded``, and the Poisson matrix,
-which depends only on n, is LU-factored by ``dgttrf`` once per n and
-solved by ``dgttrs`` on each step.  Both routes run the eliminations and
+systems go to ``dgtsv`` through ``solve_banded``, and ``solve_poisson``
+(kept as the public reference for the u-form drift, no longer called per
+step) LU-factors its matrix, which depends only on n, by ``dgttrf`` once
+per n and solves it by ``dgttrs``.  Both routes run the eliminations and
 pivots of ``scipy.linalg.solve_banded`` and give its results bit for bit.
 The three routines come from scipy's LAPACK extension ``_flapack``, which
 ``_load_flapack`` loads from scipy's ``linalg`` directory when this module
@@ -123,7 +128,6 @@ class SolverState:
     t: float
     field: object                    # FieldF or FieldU
     potentials: Potentials
-    v: Optional[np.ndarray] = None   # potential on the u grid (u-form)
     dt: float = 0.0
     steps: int = 0
     start: Optional[FIterate] = None  # Newton data at field.values (f-form)
@@ -206,25 +210,36 @@ def _poisson_factors(n: int) -> tuple:
 # --- Poisson ------------------------------------------------------------------
 
 
-def solve_poisson(uf: FieldU) -> np.ndarray:
-    """Solve v'' = M - u with homogeneous Neumann walls and zero mean.
+def _mass_deficit(uf: FieldU) -> np.ndarray:
+    """g = M - u, with u first projected multiplicatively onto mass M
+    (discrete solvability of the Neumann problem needs exact compatibility).
 
-    u is first projected multiplicatively onto mass M (discrete solvability
-    needs exact compatibility); the singular Neumann system is gauged by
-    pinning v_0 and shifted to zero mean afterwards.  Raises ``ValueError``
-    on a non-finite right-hand side.
+    Raises ``SolverFailure`` when the projection misses the mass, and
+    ``ValueError`` when g is not finite in a cell other than cell 0, whose
+    entry neither the gauged Poisson system nor the face velocity uses.
     """
-    n = uf.n
     h = uf.h
     u = uf.values
     total = h * float(u.sum())
     u = u * (uf.mass / total)
     if abs(h * float(u.sum()) - uf.mass) > 1e-10 * max(1.0, uf.mass):
         raise SolverFailure("u could not be projected onto its mass")
-    rhs = uf.mass - u  # v'' = M - u
-    rhs[0] = 0.0       # the gauge row
-    if not np.all(np.isfinite(rhs)):
+    g = uf.mass - u  # v'' = M - u
+    if not np.isfinite(g[1:]).all():
         raise ValueError("array must not contain infs or NaNs")
+    return g
+
+
+def solve_poisson(uf: FieldU) -> np.ndarray:
+    """Solve v'' = M - u with homogeneous Neumann walls and zero mean.
+
+    u is first projected multiplicatively onto mass M (``_mass_deficit``);
+    the singular Neumann system is gauged by pinning v_0 and shifted to zero
+    mean afterwards.  Raises ``ValueError`` on a non-finite right-hand side.
+    """
+    n = uf.n
+    rhs = _mass_deficit(uf)
+    rhs[0] = 0.0       # the gauge row
     factors = _poisson_factors(n)
     if n == 2:
         v = solve_banded(factors[0].copy(), rhs)
@@ -400,52 +415,74 @@ def step_f(state: SolverState, dt: float) -> SolverState:
 # --- u-form step ---------------------------------------------------------------
 
 
-def _try_u_step(pot: Potentials, uf: FieldU, v: np.ndarray, dt: float) -> Optional[np.ndarray]:
+def _face_velocity(uf: FieldU) -> np.ndarray:
+    """d_x v on the n - 1 interior faces, with v the solution of
+    ``solve_poisson``: velocity_i = -h sum_{j > i} g_j, g the projected mass
+    deficit of ``_mass_deficit`` (and its errors).
+
+    This is the gauged Neumann system solved in exact arithmetic: the ghost
+    row gives v_{n-1} - v_{n-2} = -h^2 g_{n-1}, each stencil row i adds
+    -h^2 g_i to the difference on its left face, and the gauge row leaves
+    g_0 unused.
+    """
+    g = _mass_deficit(uf)
+    tail = np.cumsum(g[:0:-1])[::-1]     # sum_{j > i} g_j for i = 0..n-2
+    tail *= -uf.h
+    return tail
+
+
+def _try_u_step(pot: Potentials, uf: FieldU, dt: float) -> Optional[np.ndarray]:
     u = uf.values
     n = u.size
     h = uf.h
-    coeff = pot.coefficient
-    a_vals = np.asarray(coeff(u), dtype=float)
-    # harmonic-mean diffusivity on interior faces, frozen at the current state
-    a_face = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:])
-    velocity = np.diff(v) / h            # d_x v on interior faces
-    upwind = np.where(velocity > 0.0, u[:-1], u[1:])
-    flux_adv = upwind * velocity                 # advective flux u * d_x v
-    face_div = flux_adv / h
-    div_adv = np.zeros(n)
-    div_adv[:-1] += face_div
-    div_adv[1:] -= face_div
-    # implicit diffusion: (I - dt/h^2 D) u_new = u_old - dt * div_adv
-    h2 = h * h
-    coupling = dt * a_face / h2
-    # the corners ab[0, 0] and ab[2, -1] are never read
+    velocity = _face_velocity(uf)
+    a_vals = np.asarray(pot.coefficient(u), dtype=float)
+    # harmonic-mean diffusivity on interior faces, frozen at the current
+    # state, scaled in place to the coupling dt * a_face / h^2
+    coupling = np.multiply(a_vals[:-1], 2.0)
+    coupling *= a_vals[1:]
+    coupling /= a_vals[:-1] + a_vals[1:]
+    coupling *= dt
+    coupling /= h * h
+    # explicit upwind drift: the advective face flux u * d_x v, over h
+    face_div = np.where(velocity > 0.0, u[:-1], u[1:])
+    face_div *= velocity
+    face_div /= h
+    # right-hand side u_old - dt * div_adv, built in one buffer
+    rhs = np.empty(n)
+    rhs[:-1] = face_div
+    rhs[-1] = 0.0
+    rhs[1:] -= face_div
+    rhs *= dt
+    np.subtract(u, rhs, out=rhs)
+    # implicit diffusion: (I - dt/h^2 D) u_new = rhs; the corners ab[0, 0]
+    # and ab[2, -1] are never read
     ab = np.empty((3, n))
     np.negative(coupling, out=ab[0, 1:])
     main = ab[1]
     main.fill(1.0)
     main[:-1] += coupling
     main[1:] += coupling
-    np.negative(coupling, out=ab[2, :-1])
-    rhs = u - dt * div_adv
+    ab[2, :-1] = ab[0, 1:]
     u_new = solve_banded(ab, rhs)
-    if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
+    # rejects NaN (the comparisons are false), +-inf and values <= 0
+    if not (u_new.min() > 0.0 and u_new.max() < math.inf):
         return None
     return u_new
 
 
 def step_u(state: SolverState, dt: float) -> SolverState:
     """Advance the original system by one accepted finite-volume step,
-    halving dt on loss of positivity, and re-solve the Poisson problem."""
-    if state.v is None:
-        state = replace(state, v=solve_poisson(state.field))
-    u, v = state.field, state.v
-    new = _advance(
+    halving dt on loss of positivity.  The drift velocity of each trial is
+    taken from the cumulative mass deficit (``_face_velocity``), not from a
+    Poisson solve."""
+    u = state.field
+    return _advance(
         state,
         dt,
-        lambda trial: _try_u_step(state.potentials, u, v, trial),
+        lambda trial: _try_u_step(state.potentials, u, trial),
         lambda: f"max u = {u.max_value:.3e}",
     )
-    return replace(new, v=solve_poisson(new.field))
 
 
 # --- run loop -------------------------------------------------------------------
@@ -459,9 +496,8 @@ class _RunContext:
     q: Optional[float]
     tail_integrable: bool
     psi_inv_m: Optional[float] = None              # |psi(1/M)|
-    lyap_f0: Optional[float] = None
     mu_m: Optional[float] = None
-    l1_0: Optional[float] = None
+    l1_0: Optional[float] = None                   # L1(f0), set by the first record
     design: Optional[BlowupDesign] = None
     prev_mq: Optional[tuple[float, float]] = None  # (t, m_q)
 
@@ -470,13 +506,18 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
     """The one functional pass over the f profile of ``state``: psi(f) and
     psi1(f) are evaluated once (psi(f) is taken from the state's Newton
     record when it carries one of this profile), and every functional and
-    slack of the record is derived from them and from the run's constants."""
+    slack of the record is derived from them and from the run's constants.
+    The first record is of f0, and its L1 becomes the run's L1(f0)."""
     pot, M = ctx.pot, ctx.M
     t, dt, field = state.t, state.dt, state.field
     start = _carried_start(state)
     psi_f = start.psi if start is not None else np.asarray(pot.psi(field.values), dtype=float)
     psi1_f = np.asarray(pot.psi1(field.values), dtype=float)
     grad_sq, psi_l1, slack5, slack6 = diag.energy_norm_terms(psi_f, field.h, M, ctx.psi_inv_m)
+    # the expression of diag.lyapunov_L1, on the same arrays
+    l1 = 0.5 * grad_sq + field.h * float(np.sum(psi_f - M * psi1_f))
+    if ctx.l1_0 is None:
+        ctx.l1_0 = l1
     rec = diag.DiagnosticsRecord(
         t=t,
         dt=dt,
@@ -484,7 +525,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
         f_max=field.max_value,
         u_max=1.0 / field.min_value,
         mass_err=field.integral_error(),
-        l1=0.5 * grad_sq + field.h * float(np.sum(psi_f - M * psi1_f)),
+        l1=l1,
         sigma_t=diag.sigma(M, ctx.m0, t),
         slack_gex5=slack5,
         slack_gex6=slack6,
@@ -498,7 +539,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
         ctx.prev_mq = (t, rec.m_q)
     if ctx.tail_integrable:
         rec.psi_tilde_max = float(np.max(psi_f)) - pot.psi0
-        rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.lyap_f0, M, ctx.mu_m) - rec.psi_tilde_max
+        rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.l1_0, M, ctx.mu_m) - rec.psi_tilde_max
     else:
         x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, rec.sigma_t, ctx.psi_inv_m)
         rec.slack_prandtl = x - 0.25 * grad_sq
@@ -606,11 +647,12 @@ def run(config, coeff: Optional[Coefficient] = None):
         crossed = partial(gt, threshold)        # touch-down: eps_td > min f
         start_note = "initial min f = {:.3e} already below the touch-down threshold {:g}"
         stepper, record = step_f, _record_f
+        # psi(f0) is evaluated once: the t = 0 record and the first step
+        # take it from this Newton record
+        start = FIterate(pot, f0.values, f0.mass, f0.h)
+        constants = dict(psi_inv_m=abs(pot.psi(1.0 / M)))
         if coeff.tail_integrable:
-            constants = dict(mu_m=diag.mu_mass(pot, M), lyap_f0=diag.lyapunov_L1(pot, f0, M))
-        else:
-            constants = dict(l1_0=diag.lyapunov_L1(pot, f0, M))
-        constants["psi_inv_m"] = abs(pot.psi(1.0 / M))
+            constants["mu_m"] = diag.mu_mass(pot, M)
     else:
         if u0 is None:
             if f0 is not None and f0.min_value > TOUCHDOWN_FLOOR:
@@ -623,7 +665,7 @@ def run(config, coeff: Optional[Coefficient] = None):
         crossed = partial(lt, threshold)        # runaway: 1/eps_td < max u
         start_note = "initial max u = {:.3e} already above the runaway cap {:g}"
         stepper, record = step_u, _record_u
-        constants = {}
+        start, constants = None, {}
 
     ctx = _RunContext(
         pot=pot,
@@ -639,6 +681,7 @@ def run(config, coeff: Optional[Coefficient] = None):
         field=field0,
         potentials=pot,
         dt=config.dt_init,
+        start=start,
     )
     series = [record(ctx, state)]
     out_every = config.resolved_output_interval()

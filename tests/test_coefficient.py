@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from smolpois.coefficient import (
     TailDivergenceError,
     coefficient_from_text,
 )
-from smolpois import expr
+from smolpois import coefficient, expr
 from smolpois.quadrature import integrate, integrate_tail
 
 GOLDEN_COEFFICIENTS = Path(__file__).resolve().parents[1] / "tools" / "golden" / "coefficients.txt"
@@ -454,6 +455,86 @@ class TestPsiInverse:
             pot_inv2.psi_inverse(0.75)
         with pytest.raises(PsiRangeError):
             pot_inv2.psi_inverse(-0.75)
+
+
+class RecordingPotentials(Potentials):
+    """Keeps every argument psi is evaluated at."""
+
+    def __init__(self, coefficient):
+        super().__init__(coefficient)
+        self.psi_args = []
+
+    def psi(self, r):
+        self.psi_args.append(r)
+        return super().psi(r)
+
+
+def _scan_psi_inverse(pot, h):
+    """psi_inverse for h < 0 as it was before the search consulted psi at
+    its last point: the reference for the psi sequence and bits."""
+    tol = 1e-10 * max(1.0, abs(h))
+    lo = hi = 1.0
+    while pot.psi(lo) > h:
+        lo /= 8.0
+        if lo < 1e-280:
+            raise PsiRangeError(f"failed to bracket h={h!r} from below")
+    r = math.sqrt(lo * hi)
+    for _ in range(200):
+        val = pot.psi(r)
+        slope = pot.psi_prime(r)
+        if abs(val - h) <= tol and abs(val - h) <= 1e-9 * r * slope:
+            return r
+        if val > h:
+            hi = r
+        else:
+            lo = r
+        step = r - (val - h) / slope if slope > 0.0 else None
+        r = step if step is not None and lo < step < hi else math.sqrt(lo * hi)
+        if hi - lo <= 1e-12 * max(r, 1e-300):
+            return r
+    raise AssertionError("reference did not converge")
+
+
+class TestPsiInverseBracket:
+    """An h < 0 below psi at the last point of the search from below fails
+    without the search; every other call keeps its psi sequence."""
+
+    # -C7 of the M = 100 cosine run of (1+r)^-1, far below psi(2^-930)
+    H_FAR = -40003.93
+
+    def test_floor_is_the_last_point_searched(self):
+        lo = 1.0
+        while lo / 8.0 >= 1e-280:
+            lo /= 8.0
+        assert coefficient._BRACKET_FLOOR == lo
+
+    def test_unbracketable_h_fails_in_one_call(self):
+        ref = RecordingPotentials(coefficient_from_text("(1+r)^-1"))
+        with pytest.raises(PsiRangeError):
+            _scan_psi_inverse(ref, self.H_FAR)
+        assert len(ref.psi_args) == 311
+        pot = RecordingPotentials(coefficient_from_text("(1+r)^-1"))
+        message = f"failed to bracket h={self.H_FAR!r} from below"
+        for calls in (1, 0):  # psi at the floor is kept
+            with pytest.raises(PsiRangeError, match=re.escape(message) + "$"):
+                pot.psi_inverse(self.H_FAR)
+            assert pot.psi_args == [coefficient._BRACKET_FLOOR] * calls
+            pot.psi_args.clear()
+
+    @pytest.mark.parametrize("text", ["(1+r)^-1", "r", "1/(2+r)", "1/(1+r)+r"])
+    def test_bracketed_calls_keep_their_psi_sequence(self, text):
+        # closed forms, one that overflows at the floor, and quadrature-backed
+        # psi (which is never evaluated at the floor)
+        pot = RecordingPotentials(coefficient_from_text(text))
+        ref = RecordingPotentials(coefficient_from_text(text))
+        pot.psi_inverse(-0.5)
+        pot.psi_args.clear()
+        for h in (-0.5, -3.0, -40.0):
+            want = _scan_psi_inverse(ref, h)
+            assert pot.psi_inverse(h) == want
+            assert pot.psi_args == ref.psi_args
+            pot.psi_args.clear()
+            ref.psi_args.clear()
 
 
 class TestCoefficientInvariant:

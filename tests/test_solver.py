@@ -9,7 +9,7 @@ import scipy.linalg
 
 from smolpois import regime, solver
 from smolpois.coefficient import Potentials, coefficient_from_text
-from smolpois.diagnostics import check_moment_ode, sigma
+from smolpois.diagnostics import check_moment_ode, lyapunov_L1, sigma
 from smolpois.regime import BlowupDesign, moment_at_start
 from smolpois.solver import (
     NEWTON_TOL,
@@ -166,21 +166,133 @@ class TestBandSolve:
 
     def test_u_form_fine_run_regression(self, monkeypatch):
         # the benchmark's uform-fine run: one diffusion band solve per step
-        # trial, and the Poisson solves never go through solve_banded
-        calls = []
-        band_solve = solver.solve_banded
+        # trial, and no Poisson solve: the drift comes from the mass deficit
+        calls = {"band": 0, "poisson": 0}
+        band_solve, poisson = solver.solve_banded, solver.solve_poisson
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return band_solve(*args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(solver, "solve_banded", counting)
+        monkeypatch.setattr(solver, "solve_banded", counting("band", band_solve))
+        monkeypatch.setattr(solver, "solve_poisson", counting("poisson", poisson))
         ini = Path(__file__).resolve().parents[1] / "tools" / "golden" / "uform-fine.ini"
         summary, _ = run(load_config(ini))
         assert summary.verdict == "global-so-far"
         assert summary.final_state.steps == 646
-        assert summary.final_state.field.max_value == 1.432765562586791
-        assert len(calls) == 646
+        # 1.432765562586791 while the velocity was differenced from a
+        # Poisson solve per step: the two agree to rounding (9.1e-15 relative)
+        assert summary.final_state.field.max_value == 1.432765562586778
+        assert calls == {"band": 646, "poisson": 0}
+
+
+def _tail_sum_velocity(uf: FieldU) -> np.ndarray:
+    """-h sum_{j > i} g_i on each interior face, every tail summed exactly
+    rounded by math.fsum from the projected mass deficit g."""
+    u = uf.values * (uf.mass / (uf.h * float(uf.values.sum())))
+    g = uf.mass - u
+    return np.array([-uf.h * math.fsum(g[i + 1:]) for i in range(uf.n - 1)])
+
+
+def _unfused_u_step(pot, uf: FieldU, velocity: np.ndarray, dt: float):
+    """The u-form step before its buffers were fused, given the face
+    velocity: the reference for the bits of ``_try_u_step``."""
+    u = uf.values
+    n, h = u.size, uf.h
+    a_vals = np.asarray(pot.coefficient(u), dtype=float)
+    a_face = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:])
+    upwind = np.where(velocity > 0.0, u[:-1], u[1:])
+    face_div = upwind * velocity / h
+    div_adv = np.zeros(n)
+    div_adv[:-1] += face_div
+    div_adv[1:] -= face_div
+    coupling = dt * a_face / (h * h)
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -coupling
+    ab[1] = 1.0
+    ab[1, :-1] += coupling
+    ab[1, 1:] += coupling
+    ab[2, :-1] = -coupling
+    u_new = scipy.linalg.solve_banded((1, 1), ab, u - dt * div_adv)
+    if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
+        return None
+    return u_new
+
+
+def _outcome(fn):
+    """The type and message of what ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as err:
+        return type(err), str(err)
+    return None
+
+
+class TestFaceVelocity:
+    """The u-form drift velocity from the cumulative mass deficit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 3200])
+    def test_matches_exact_tail_sums(self, n):
+        rng = np.random.default_rng(n)
+        for uf in (cosine_u(n, amp=0.9), FieldU.from_samples(rng.uniform(0.1, 3.0, n), 1.7)):
+            want = _tail_sum_velocity(uf)
+            got = solver._face_velocity(uf)
+            assert got.shape == (n - 1,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_differenced_poisson_solve(self):
+        rng = np.random.default_rng(11)
+        for uf in (cosine_u(3200, amp=0.9), FieldU.from_samples(rng.uniform(0.1, 3.0, 3200), 0.6)):
+            want = np.diff(solve_poisson(uf)) / uf.h
+            got = solver._face_velocity(uf)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["nan", "inf in cell 0", "inf elsewhere", "projection fails"])
+    def test_step_raises_what_the_poisson_solve_raises(self, pot_inv1, case):
+        values = np.full(64, 1.0)
+        if case == "nan":
+            values[10] = np.nan
+        elif case == "inf in cell 0":
+            values[0] = np.inf
+        elif case == "inf elsewhere":
+            values[5] = np.inf
+        else:
+            values[:] = 5e-324  # the scale M / (h sum u) overflows
+        uf = FieldU(values=values, mass=1.0)
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: solve_poisson(uf))
+            assert _outcome(lambda: solver._face_velocity(uf)) == expected
+            if expected is None:
+                # the gauge row never reads cell 0: the velocity is finite,
+                # and the infinite cell fails every trial, as it did after
+                # a Poisson solve
+                assert case == "inf in cell 0"
+                assert np.isfinite(solver._face_velocity(uf)).all()
+                with pytest.raises(NearSingularity, match=r"\(max u = inf\)$"):
+                    step_u(state, 1e-3)
+            else:
+                with pytest.raises(expected[0], match=re.escape(expected[1]) + "$"):
+                    step_u(state, 1e-3)
+
+    @pytest.mark.parametrize("dt", [1e-5, 1e-3, 0.5])
+    def test_fused_step_is_the_unfused_step(self, pot_inv2, dt):
+        rng = np.random.default_rng(19)
+        x = (np.arange(400) + 0.5) / 400
+        # the spike of mass 5 loses positivity for dt >= 1e-2
+        spike = FieldU.from_samples(1e-3 + np.exp(-(((x - 0.3) / 0.02) ** 2)), 5.0)
+        rejected = 0
+        for uf in (cosine_u(400, amp=0.9), FieldU.from_samples(rng.uniform(0.01, 3.0, 400), 1.3), spike):
+            want = _unfused_u_step(pot_inv2, uf, solver._face_velocity(uf), dt)
+            got = solver._try_u_step(pot_inv2, uf, dt)
+            if want is None:
+                assert got is None
+                rejected += 1
+            else:
+                assert np.array_equal(got, want)
+        assert rejected == (dt > 1e-3)
 
 
 class TestStepF:
@@ -221,20 +333,20 @@ class TestStepF:
 class TestStepU:
     def test_steady_state(self, pot_inv1):
         uf = FieldU.from_samples(np.full(150, 1.0), 1.0)
-        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
         out = step_u(state, 0.01)
         assert np.max(np.abs(out.field.values - 1.0)) <= 1e-13
 
     def test_mass_conserved(self, pot_inv1):
         uf = cosine_u(200)
-        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
         for _ in range(50):
             state = step_u(state, 5e-4)
         assert state.field.mass_error() <= 1e-12
 
     def test_positivity(self, pot_inv1):
         uf = cosine_u(200, amp=0.95)
-        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
         for _ in range(20):
             state = step_u(state, 1e-3)
         assert state.field.min_value > 0.0
@@ -244,7 +356,7 @@ class TestStepU:
         # and the transformed-profile solver agrees on the trajectory
         uf = cosine_u(200, amp=0.01)
         amp0 = uf.max_value - 1.0
-        state = SolverState(t=0.0, field=uf, potentials=pot_inv1, v=solve_poisson(uf))
+        state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
         while state.t < 0.2:
             state = step_u(state, 2e-3)
         assert state.field.max_value - 1.0 < 0.5 * amp0
@@ -676,6 +788,24 @@ class TestNewtonReuse:
                     kinds.add("stall exit at best_w")
                 state = carried
         assert kinds == {"retried", "first trial", "stall exit at best_w"}
+
+    @pytest.mark.parametrize("text", ["(1+r)^-1", "(1+r)^-2"])
+    def test_run_evaluates_psi_f0_once(self, text, monkeypatch):
+        # L1(f0), the t = 0 record and the first step share one psi(f0)
+        # (three evaluations before the initial state carried its record)
+        made = []
+        build = solver.build_initial_data
+        monkeypatch.setattr(solver, "Potentials", CountingPotentials)
+        monkeypatch.setattr(solver, "build_initial_data", lambda *args: made.append(build(*args)) or made[-1])
+        cfg = preset_config("global-demo").with_overrides(
+            coefficient_text=text, initial_kind="cosine", amplitude=0.5, n=200, n_y=200, t_max=0.01
+        )
+        summary, series = run(cfg)
+        f0 = made[0][1]
+        pot = summary.final_state.potentials
+        assert summary.final_state.steps > 0
+        assert pot.calls_at(f0.values)[0] == 1
+        assert series[0].l1 == lyapunov_L1(Potentials(pot.coefficient), f0, cfg.mass)
 
     def test_lap_neumann_is_the_diff_form(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,72 @@
+"""The standard-library tools under ``tools/``: the golden diff's series
+report and the bench file writer."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden_diff = _load("golden_diff")
+bench_file = _load("bench_file")
+
+
+def _csv(rows) -> bytes:
+    return ("\n".join(",".join(row) for row in [["t", "u_max", "note"], *rows]) + "\n").encode()
+
+
+class TestGoldenDiffSeries:
+    def test_largest_gaps_over_every_common_record(self):
+        old = _csv([["0", "1.0", "a"], ["1", "2.0", "a"], ["2", "4.0", "a"]])
+        # the largest gap is in the middle record, not the final one
+        new = _csv([["0", "1.0", "a"], ["1", "2.5", "a"], ["2", "4.1", "b"]])
+        lines = golden_diff.describe_series(old, new)
+        assert lines == [
+            "series.csv: records differ from record 1 (old t = 1, new t = 1)",
+            "final record relative gaps: u_max 2.44e-02, note inf",
+            "largest gaps over the 3 common records: u_max rel 2.00e-01 abs 5.00e-01, note rel inf abs inf",
+        ]
+
+    def test_identical_series_has_no_gaps(self):
+        data = _csv([["0", "1.0", "a"]])
+        assert golden_diff.describe_series(data, data)[-2:] == [
+            "final record relative gaps: none",
+            "largest gaps over the 1 common records: none",
+        ]
+
+
+class TestBenchFile:
+    def test_records_every_workload_and_seed(self, tmp_path, monkeypatch):
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        # a stand-in benchmark: echoes its arguments, fails on workload "b"
+        # at seed 9137 without a result line
+        (checkout / "bench.py").write_text(
+            "import json, sys\n"
+            "args = sys.argv[1:]\n"
+            "if args[1] == 'b' and args[3] == '9137':\n"
+            "    sys.exit('broken run')\n"
+            "print('progress')\n"
+            "print(json.dumps({'args': args, 'correct': True}))\n",
+            encoding="utf-8",
+        )
+        spec = {"command": [sys.executable, "bench.py"], "run_seconds": 3, "workloads": [{"name": "a"}, {"name": "b"}]}
+        (checkout / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert bench_file.main(["7", str(checkout)]) == 1
+        document = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+        assert document["pr"] == 7
+        [entry] = document["checkouts"]
+        runs = entry["runs"]
+        assert sorted(runs) == ["a", "b"] and all(sorted(runs[w]) == ["0", "9137"] for w in runs)
+        assert runs["a"]["9137"]["args"] == ["--workload", "a", "--seed", "9137", "--trace", "0", "--seconds", "3.0"]
+        assert runs["b"]["9137"] == {"error": "exit code 1: broken run"}

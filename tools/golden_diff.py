@@ -26,8 +26,9 @@ validation battery (majorant check, psi inverse, energy/norm slacks) too.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
-that differs and the relative gap of every column of the final record
-that differs.
+that differs, the relative gap of every column of the final record that
+differs, and, for every column that differs anywhere, its largest relative
+and absolute gap over the records the two series have in common.
 
 Each ``--coeff TEXT`` adds two runs, ``python -m smolpois classify --coeff
 TEXT`` and ``design --coeff TEXT`` (these take the numeric regime path
@@ -114,18 +115,21 @@ def _rows(data: bytes) -> tuple[list[str], list[list[str]]]:
     return header, list(reader)
 
 
-def _rel_gap(old: str, new: str) -> float:
+def _gaps(old: str, new: str) -> tuple[float, float]:
+    """(relative, absolute) gap of two cells; inf for a cell that is not a
+    number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
-        return float("inf")
+        return float("inf"), float("inf")
     if a == b:
-        return 0.0
-    return abs(b - a) / max(abs(a), abs(b))
+        return 0.0, 0.0
+    return abs(b - a) / max(abs(a), abs(b)), abs(b - a)
 
 
 def describe_series(old: bytes, new: bytes) -> list[str]:
-    """The first differing record and the final-record relative gaps."""
+    """The first differing record, the final-record relative gaps and the
+    largest gaps of each differing column over the common records."""
     header, rows_old = _rows(old)
     _, rows_new = _rows(new)
     lines = []
@@ -139,11 +143,21 @@ def describe_series(old: bytes, new: bytes) -> list[str]:
         lines.append(f"series.csv: {len(rows_old)} records old, {len(rows_new)} new")
     if rows_old and rows_new:
         gaps = [
-            f"{name} {_rel_gap(a, b):.2e}"
+            f"{name} {_gaps(a, b)[0]:.2e}"
             for name, a, b in zip(header, rows_old[-1], rows_new[-1])
             if a != b
         ]
         lines.append("final record relative gaps: " + (", ".join(gaps) if gaps else "none"))
+        largest = {}  # column -> (relative, absolute)
+        for row_old, row_new in zip(rows_old, rows_new):
+            for name, a, b in zip(header, row_old, row_new):
+                if a != b:
+                    rel, ab = _gaps(a, b)
+                    worst = largest.get(name, (0.0, 0.0))
+                    largest[name] = (max(worst[0], rel), max(worst[1], ab))
+        gaps = [f"{name} rel {largest[name][0]:.2e} abs {largest[name][1]:.2e}" for name in header if name in largest]
+        common = min(len(rows_old), len(rows_new))
+        lines.append(f"largest gaps over the {common} common records: " + (", ".join(gaps) if gaps else "none"))
     return lines
 
 
