@@ -45,7 +45,7 @@ from .coefficient import (
 )
 from .diagnostics import lyapunov_L1, mu_mass
 from .quadrature import integrate, integrate_cells
-from .transform import pam_profile
+from .transform import delta_cap, pam_profile
 
 _GRID_POINTS = 2048
 _GSS_ITERS = 140
@@ -463,21 +463,14 @@ class BlowupDesign:
     search_trace: tuple[tuple[float, float, float], ...] = field(default=(), repr=False)
 
     def lambda_value(self, m: float) -> float:
-        """Lambda(m) = C2 K0^{theta+1} m^{(q-2)/q} + M m - M^{q+1}/(2(q+1))."""
+        """Lambda(m) of ``_lambda`` at this design's constants."""
         if m < 0.0:
             raise ValueError("moment must be nonnegative")
-        return (
-            self.c2 * self.k0 ** (self.theta + 1.0) * m ** ((self.q - 2.0) / self.q)
-            + self.M * m
-            - self.M ** (self.q + 1.0) / (2.0 * (self.q + 1.0))
-        )
+        return _lambda(self.M, self.q, self.theta, self.c2, self.k0, m)
 
     def validate(self) -> None:
-        cap = min(1.0, 2.0 * self.M, (2.0 * self.M) ** (-1.0 / self.q))
-        q_floor = max(
-            3.0 + self.theta,
-            (5.0 + 3.0 * self.theta) / (self.alpha * (self.theta + 1.0) - self.theta),
-        )
+        cap = delta_cap(self.M, self.q)
+        q_floor = _q_floor(self.theta, self.alpha)
         if not self.q > q_floor:
             raise RegimeError(f"q={self.q} does not exceed its floor {q_floor}")
         if not (0.0 < self.delta < cap):
@@ -501,8 +494,18 @@ def moment_at_start(M: float, q: float, delta: float) -> float:
     return (2.0 * (1.0 - M * dq) / ((q + 1.0) * (q + 2.0)) + M ** (q + 1.0) / (q + 1.0)) * dq
 
 
+def _lambda(M: float, q: float, theta: float, c2: float, k0: float, m: float) -> float:
+    """Lambda(m) = C2 K0^{theta+1} m^{(q-2)/q} + M m - M^{q+1}/(2(q+1))."""
+    return c2 * k0 ** (theta + 1.0) * m ** ((q - 2.0) / q) + M * m - M ** (q + 1.0) / (2.0 * (q + 1.0))
+
+
+def _q_floor(theta: float, alpha: float) -> float:
+    """max(3 + theta, (5 + 3 theta) / (alpha (theta + 1) - theta)) < q."""
+    return max(3.0 + theta, (5.0 + 3.0 * theta) / (alpha * (theta + 1.0) - theta))
+
+
 def _choose_q(theta: float, alpha: float) -> float:
-    q_floor = max(3.0 + theta, (5.0 + 3.0 * theta) / (alpha * (theta + 1.0) - theta))
+    q_floor = _q_floor(theta, alpha)
     # exceed the floor by 0.5, then round up to one decimal
     return math.ceil((q_floor + 0.5) * 10.0 - 1e-9) / 10.0
 
@@ -525,20 +528,19 @@ def select_delta(
     M: float,
     q: float,
     theta: float,
-    eps_m: float,
     mu_m: float,
     c2: float,
     n_y: int = 400,
 ):
     """Halving search for the spike width delta.
 
-    delta_k = min(1, 2M, (2M)^{-1/q}) * 2^{-k} / 2 for k = 1, 2, ...; each
+    delta_k = delta_cap(M, q) * 2^{-k} / 2 for k = 1, 2, ...; each
     candidate builds the discrete spike profile, evaluates its Lyapunov value
     and the induced K0, and accepts the first delta whose certificate value
     Lambda(m_q(0)) is negative.  Returns (delta, k0, lyap_f0, m_q0,
     lambda_m_q0, trace).
     """
-    cap = min(1.0, 2.0 * M, (2.0 * M) ** (-1.0 / q))
+    cap = delta_cap(M, q)
     trace = []
     k = 1
     while True:
@@ -552,11 +554,7 @@ def select_delta(
         lyap = lyapunov_L1(p, f0, M)
         k0 = (32.0 * M * max(lyap, 0.0) + mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
         mq0 = moment_at_start(M, q, delta)
-        lam = (
-            c2 * k0 ** (theta + 1.0) * mq0 ** ((q - 2.0) / q)
-            + M * mq0
-            - M ** (q + 1.0) / (2.0 * (q + 1.0))
-        )
+        lam = _lambda(M, q, theta, c2, k0, mq0)
         trace.append((delta, k0, lam))
         if lam < 0.0:
             return delta, k0, lyap, mq0, lam, tuple(trace)
@@ -594,7 +592,7 @@ def design_blowup(
     psi0 = p.psi0
     c1 = (2.0 + (q + 2.0) * M ** (q + 1.0)) / ((q + 1.0) * (q + 2.0))
     c2 = q * (q - 1.0) * (gamma_theta - psi0 + eps_m) / eps_m
-    delta, k0, lyap, mq0, lam, trace = select_delta(p, M, q, theta, eps_m, mu_m, c2, n_y=n_y)
+    delta, k0, lyap, mq0, lam, trace = select_delta(p, M, q, theta, mu_m, c2, n_y=n_y)
     design = BlowupDesign(
         M=M,
         theta=theta,

@@ -27,18 +27,17 @@ names the monitored extremum.  ``run`` has one step loop for both
 formulations; it chooses the stepper, the record function, the monitored
 extremum and its blowup test once, before the loop.
 
-Every tridiagonal solve is a direct LAPACK call: the Newton and diffusion
-systems go to ``dgtsv`` through ``solve_banded``, and ``solve_poisson``
-(kept as the public reference for the u-form drift, no longer called per
-step) LU-factors its matrix, which depends only on n, by ``dgttrf`` once
-per n and solves it by ``dgttrs``.  Both routes run the eliminations and
-pivots of ``scipy.linalg.solve_banded`` and give its results bit for bit.
-The three routines come from scipy's LAPACK extension ``_flapack``, which
+Every tridiagonal solve takes one route: LAPACK ``dgtsv`` through
+``solve_banded``, for the Newton system, the diffusion system and the
+Poisson reference ``solve_poisson`` (kept public as the reference for the
+u-form drift, no longer called per step).  ``dgtsv`` runs the eliminations
+and pivots of ``scipy.linalg.solve_banded`` and gives its results bit for
+bit.  It comes from scipy's LAPACK extension ``_flapack``, which
 ``_load_flapack`` loads from scipy's ``linalg`` directory when this module
 is imported, without running the ``scipy.linalg`` package ``__init__``
 (and the numpy.f2py and numpy.testing imports that it pulls in).  It is
 registered as ``scipy.linalg._flapack``, so a later ``import scipy.linalg``
-reuses it, and the routines are the objects ``scipy.linalg.lapack`` exports.
+reuses it, and ``dgtsv`` is the object ``scipy.linalg.lapack`` exports.
 
 Nothing of the f-form Newton solve that does not depend on dt is computed
 twice for one iterate.  ``FIterate`` holds that data at an iterate w:
@@ -65,7 +64,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from operator import attrgetter, gt, lt
@@ -107,7 +106,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dgttrf, dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
+dgtsv = _flapack.dgtsv
 
 DT_FLOOR = 1e-12
 DT_UNDERFLOW = 1e-14
@@ -177,36 +176,6 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=8)
-def _poisson_factors(n: int) -> tuple:
-    """The gauged Neumann Poisson matrix on n cells, factored once by LAPACK
-    ``dgttrf`` (the eliminations and pivots of ``dgtsv``).
-
-    Rows 1..n-2 are the three-point stencil, row n-1 reflects the ghost
-    v_n = v_{n-1}, and row 0 is the gauge v_0 = 0.  scipy's ``dgttrf`` and
-    ``dgttrs`` wrappers reject n = 2, so that matrix is kept as its band
-    rows for ``solve_banded``.  The arrays are shared by every solve on n
-    cells and are read-only.
-    """
-    h = 1.0 / n
-    h2 = h * h
-    ab = np.zeros((3, n))
-    ab[0, 2:] = 1.0 / h2               # super-diagonal entries for rows 1..n-2
-    ab[1, 0] = 1.0
-    ab[1, 1:n - 1] = -2.0 / h2
-    ab[1, n - 1] = -1.0 / h2
-    ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
-    if n == 2:
-        factors = (ab,)
-    else:
-        *factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        if info != 0:
-            raise SolverFailure(f"dgttrf failed on the Poisson matrix (info = {info})")
-    for array in factors:
-        array.flags.writeable = False
-    return tuple(factors)
-
-
 # --- Poisson ------------------------------------------------------------------
 
 
@@ -233,33 +202,29 @@ def _mass_deficit(uf: FieldU) -> np.ndarray:
 def solve_poisson(uf: FieldU) -> np.ndarray:
     """Solve v'' = M - u with homogeneous Neumann walls and zero mean.
 
-    u is first projected multiplicatively onto mass M (``_mass_deficit``);
-    the singular Neumann system is gauged by pinning v_0 and shifted to zero
-    mean afterwards.  Raises ``ValueError`` on a non-finite right-hand side.
+    u is first projected multiplicatively onto mass M (``_mass_deficit``).
+    ``solve_banded`` solves the gauged band: row 0 pins v_0 = 0, rows
+    1..n-2 are the three-point stencil and row n-1 reflects the ghost
+    v_n = v_{n-1}; v is then shifted to zero mean.  Raises ``ValueError``
+    on a non-finite right-hand side.
     """
     n = uf.n
+    h2 = uf.h * uf.h
+    ab = np.zeros((3, n))
+    ab[0, 2:] = 1.0 / h2               # super-diagonal entries for rows 1..n-2
+    ab[1, 0] = 1.0
+    ab[1, 1:n - 1] = -2.0 / h2
+    ab[1, n - 1] = -1.0 / h2
+    ab[2, :n - 1] = 1.0 / h2           # sub-diagonal entries for rows 1..n-1
     rhs = _mass_deficit(uf)
     rhs[0] = 0.0       # the gauge row
-    factors = _poisson_factors(n)
-    if n == 2:
-        v = solve_banded(factors[0].copy(), rhs)
-    else:
-        v, info = dgttrs(*factors, rhs, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gttrs")
+    v = solve_banded(ab, rhs)
     return v - v.mean()
 
 
 def poisson_residual(uf: FieldU, v: np.ndarray) -> float:
     """Max residual of the three-point Neumann discretization."""
-    h2 = uf.h**2
-    u = uf.values * (uf.mass / (uf.h * float(uf.values.sum())))
-    g = uf.mass - u
-    res = np.empty_like(v)
-    res[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2 - g[1:-1]
-    res[0] = (v[1] - v[0]) / h2 - g[0]
-    res[-1] = (v[-2] - v[-1]) / h2 - g[-1]
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(_lap_neumann(v, uf.h) - _mass_deficit(uf))))
 
 
 # --- f-form step --------------------------------------------------------------
@@ -313,18 +278,6 @@ def _carried_start(state: SolverState) -> Optional[FIterate]:
     if start is not None and start.w is f.values and start.pot is state.potentials and start.M == f.mass:
         return start
     return None
-
-
-def _newton_f(
-    pot: Potentials, f_old: np.ndarray, M: float, h: float, dt: float, start: Optional[FIterate] = None
-) -> Optional[np.ndarray]:
-    """One backward-Euler solve from ``f_old``; None when Newton fails or
-    positivity breaks.  ``start``, the record of f_old, is computed when it
-    is not given."""
-    if start is None:
-        start = FIterate(pot, f_old, M, h)
-    found = _solve_f(start, f_old, M, h, dt)
-    return None if found is None else found.w
 
 
 def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) -> Optional[FIterate]:

@@ -190,6 +190,11 @@ def f_to_u(ff: FieldF, n: int) -> FieldU:
     return FieldU.from_samples(u_vals, mass=ff.mass)
 
 
+def delta_cap(M: float, q: float) -> float:
+    """min(1, 2M, (2M)^(-1/q)): ``pam_profile`` needs delta in (0, cap)."""
+    return min(1.0, 2.0 * M, (2.0 * M) ** (-1.0 / q))
+
+
 def pam_profile(M: float, q: float, delta: float, n_y: int) -> FieldF:
     """Spike-plus-floor initial profile used by the blowup construction:
 
@@ -199,7 +204,7 @@ def pam_profile(M: float, q: float, delta: float, n_y: int) -> FieldF:
     2(1 - M delta^q)/delta + delta^q <= 2/delta; midpoint sampling is
     renormalized so the discrete integral is 1 as well.
     """
-    cap = min(1.0, 2.0 * M, (2.0 * M) ** (-1.0 / q))
+    cap = delta_cap(M, q)
     if not (0.0 < delta < cap):
         raise FieldError(f"delta={delta!r} outside the admissible range (0, {cap!r})")
     y = _cell_centers(n_y, M)

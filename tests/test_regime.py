@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -23,7 +24,7 @@ from smolpois.regime import (
     select_delta,
     verify_majorant,
 )
-from smolpois.transform import pam_profile
+from smolpois.transform import FieldError, delta_cap, pam_profile
 
 
 class TestGamma:
@@ -310,7 +311,7 @@ class TestSelectDelta:
     def test_accepted_delta_within_cap(self):
         pot = Potentials(coefficient_from_text("(1+r)^-2"))
         delta, k0, lyap, mq0, lam, trace = select_delta(
-            pot, 1.0, 4.0, 0.5, 2.0**-6, 207.47222222222223, 588.0, n_y=400
+            pot, 1.0, 4.0, 0.5, 207.47222222222223, 588.0, n_y=400
         )
         cap = min(1.0, 2.0, 2.0**-0.25)
         assert 0.0 < delta < cap
@@ -320,8 +321,44 @@ class TestSelectDelta:
     def test_exhaustion_reports_trace(self):
         pot = Potentials(coefficient_from_text("(1+r)^-2"))
         with pytest.raises(DesignFailure) as err:
-            select_delta(pot, 1.0, 4.0, 0.5, 2.0**-6, 207.47, 1e30, n_y=100)
+            select_delta(pot, 1.0, 4.0, 0.5, 207.47, 1e30, n_y=100)
         assert len(err.value.trace) > 10
+
+
+class TestDeltaCap:
+    """The spike profile, the delta search and the certificate check share
+    one cap min(1, 2M, (2M)^(-1/q)); the masses make each term of the min
+    the active one."""
+
+    CASES = [(M, q) for M in (0.25, 0.5, 1.0, 4.0) for q in (3.6, 5.1)]
+
+    def test_every_branch_is_active(self):
+        active = set()
+        for M, q in self.CASES:
+            cap = delta_cap(M, q)
+            active.update(i for i, term in enumerate((1.0, 2.0 * M, (2.0 * M) ** (-1.0 / q))) if term == cap)
+        assert active == {0, 1, 2}
+
+    @pytest.mark.parametrize("M, q", CASES)
+    def test_pam_profile_admits_below_the_cap_only(self, M, q):
+        cap = delta_cap(M, q)
+        with pytest.raises(FieldError):
+            pam_profile(M, q, cap, 64)
+        pam_profile(M, q, np.nextafter(cap, 0.0), 64)
+
+    @pytest.mark.parametrize("M, q", CASES)
+    def test_search_starts_at_a_quarter_of_the_cap(self, M, q):
+        pot = Potentials(coefficient_from_text("(1+r)^-2"))
+        with pytest.raises(DesignFailure) as err:
+            select_delta(pot, M, q, 0.5, 207.47, 1e30, n_y=64)
+        assert err.value.trace[0][0] == delta_cap(M, q) / 4.0
+
+    @pytest.mark.parametrize("M, q", CASES)
+    def test_validate_admits_below_the_cap_only(self, design, M, q):
+        cap = delta_cap(M, q)
+        with pytest.raises(RegimeError, match="^delta="):
+            dataclasses.replace(design, M=M, q=q, delta=cap).validate()
+        dataclasses.replace(design, M=M, q=q, delta=float(np.nextafter(cap, 0.0))).validate()
 
 
 # --- the scalar loops the batched regime path replaced, kept as the reference ---

@@ -44,6 +44,31 @@ class TestGoldenDiffSeries:
         ]
 
 
+class TestGoldenDiffLineCount:
+    @staticmethod
+    def _tree(root: Path, files: dict) -> Path:
+        for name, text in files.items():
+            path = root / "smolpois" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return root
+
+    def test_reports_both_totals_and_the_difference_last(self, tmp_path, capsys):
+        # only smolpois/*.py counts, and a last line without a break is not
+        # a line, as for wc -l
+        old = self._tree(tmp_path / "old", {"__init__.py": "", "a.py": "1\n2\n3\n", "b.py": "1\n2"})
+        new = self._tree(
+            tmp_path / "new",
+            {"__init__.py": "", "a.py": "1\n", "notes.txt": "1\n2\n", "sub/c.py": "1\n2\n"},
+        )
+        assert (golden_diff.line_count(old), golden_diff.line_count(new)) == (4, 1)
+        # the one regime command fails alike in both trees, which hold no
+        # __main__, so the command is identical
+        assert golden_diff.main([str(old), str(new), "--coeff", "r"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "smolpois/*.py lines: old 4, new 1, difference -3"
+
+
 class TestBenchFile:
     def test_records_every_workload_and_seed(self, tmp_path, monkeypatch):
         checkout = tmp_path / "checkout"

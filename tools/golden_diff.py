@@ -37,6 +37,9 @@ They, and the ``validate`` run, are IDENTICAL when stdout, the exit code
 and the last line of stderr (the error message, if any; tracebacks name
 the tree's paths) match.
 
+The last line printed is the ``wc -l`` total of ``smolpois/*.py`` in
+OLD_SRC and in NEW_SRC and their difference, new minus old.
+
 The exit code is 0 when every run is identical, 1 when any differs and 2
 when a simulation wrote no outputs.  Standard library only.
 """
@@ -194,6 +197,12 @@ def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scrat
     return 1
 
 
+def line_count(src: Path) -> int:
+    """The ``wc -l`` total of ``smolpois/*.py`` under ``src``: the number of
+    line breaks."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "smolpois").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
@@ -231,6 +240,8 @@ def main(argv=None) -> int:
             commands.append((f"{command} {text!r}", [command, f"--coeff={text}"]))
     for label, command_args in commands:
         worst = max(worst, compare_command(label, old_src, new_src, command_args))
+    old_lines, new_lines = line_count(old_src), line_count(new_src)
+    print(f"smolpois/*.py lines: old {old_lines}, new {new_lines}, difference {new_lines - old_lines:+d}")
     return worst
 
 
