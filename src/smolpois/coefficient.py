@@ -291,91 +291,57 @@ class ExpressionCoefficient(Coefficient):
 # --- structural recognition of builtins --------------------------------------
 
 
-def _const_value(node: expr.Node) -> Optional[float]:
-    """Value of a subtree with no free variable, else None."""
-    if isinstance(node, expr.Var):
-        return None
-    if isinstance(node, expr.Num):
-        return node.value
-    if isinstance(node, expr.Neg):
-        v = _const_value(node.operand)
-        return None if v is None else -v
-    if isinstance(node, expr.BinOp):
-        lv = _const_value(node.left)
-        rv = _const_value(node.right)
-        if lv is None or rv is None:
-            return None
-        try:
-            return float(expr.evaluate(node, 1.0))
-        except expr.EvalDomainError:
-            return None
-    if isinstance(node, expr.Call):
-        if any(_const_value(a) is None for a in node.args):
-            return None
-        try:
-            return float(expr.evaluate(node, 1.0))
-        except expr.EvalDomainError:
-            return None
-    return None
+# The power-product fold gives each node a pair: its value when it holds no
+# r and evaluates, else None; and (c, p, beta) when it is c * r^p *
+# (1+r)^beta, else None.  r folds to this very object, so that ``1 + r`` is
+# told from ``1 + r^1``.
+_R = (None, (1.0, 1.0, 0.0))
 
 
-def _match_factors(node: expr.Node) -> Optional[tuple[float, float, float]]:
-    """Match a subtree as c * r^p * (1+r)^beta; return (c, p, beta) or None."""
-    const = _const_value(node)
-    if const is not None:
-        return (const, 0.0, 0.0)
-    if isinstance(node, expr.Var):
-        return (1.0, 1.0, 0.0)
-    if isinstance(node, expr.Neg):
-        inner = _match_factors(node.operand)
-        if inner is None:
-            return None
-        c, p, b = inner
-        return (-c, p, b)
-    if isinstance(node, expr.BinOp):
-        if node.op == "+":
-            # the only additive pattern recognized is 1 + r (either order)
-            pair = (node.left, node.right)
-            for one, var in (pair, pair[::-1]):
-                if isinstance(var, expr.Var) and _const_value(one) == 1.0:
-                    return (1.0, 0.0, 1.0)
-            return None
-        if node.op == "*":
-            lm, rm = _match_factors(node.left), _match_factors(node.right)
-            if lm is None or rm is None:
-                return None
-            return (lm[0] * rm[0], lm[1] + rm[1], lm[2] + rm[2])
-        if node.op == "/":
-            lm, rm = _match_factors(node.left), _match_factors(node.right)
-            if lm is None or rm is None or rm[0] == 0.0:
-                return None
-            return (lm[0] / rm[0], lm[1] - rm[1], lm[2] - rm[2])
-        if node.op == "^":
-            e = _const_value(node.right)
-            base = _match_factors(node.left)
-            if e is None or base is None:
-                return None
-            c, p, b = base
-            if c <= 0.0:
-                return None
-            return (c**e, p * e, b * e)
-        return None
-    if isinstance(node, expr.Call):
-        if node.name == "sqrt":
-            inner = _match_factors(node.args[0])
-            if inner is None or inner[0] < 0.0:
-                return None
-            c, p, b = inner
-            return (math.sqrt(c), 0.5 * p, 0.5 * b)
-        if node.name == "pow":
-            e = _const_value(node.args[1])
-            base = _match_factors(node.args[0])
-            if e is None or base is None or base[0] <= 0.0:
-                return None
-            c, p, b = base
-            return (c**e, p * e, b * e)
-        return None
-    return None
+def _const_pair(value) -> tuple:
+    """The pair of a constant, as a Python float: numpy's ``**`` can differ
+    from Python's by one ulp."""
+    value = float(value)
+    return value, (value, 0.0, 0.0)
+
+
+def _factor_step(name: str, operands: list) -> tuple:
+    """The pair of an operation, from the pairs of its operands.  Each test
+    of c is written so that a nan c takes the branch it has always taken."""
+    consts = [const for const, _ in operands]
+    if None not in consts:
+        try:
+            return _const_pair(expr.OPERATIONS[name][0](*consts))
+        except expr.EvalDomainError:
+            pass
+    if name == "+":
+        # the only additive pattern recognized is 1 + r (either order)
+        for one, var in (operands, operands[::-1]):
+            if var is _R and one[0] == 1.0:
+                return None, (1.0, 0.0, 1.0)
+        return None, None
+    factors = [match for _, match in operands]
+    if None in factors:
+        return None, None
+    (c, p, b), (rc, rp, rb) = factors[0], factors[-1]
+    if name == "neg":
+        match = (-c, p, b)
+    elif name == "sqrt":
+        match = None if c < 0.0 else (math.sqrt(c), 0.5 * p, 0.5 * b)
+    elif name == "*":
+        match = (c * rc, p + rp, b + rb)
+    elif name == "/":
+        match = None if rc == 0.0 else (c / rc, p - rp, b - rb)
+    elif name in ("^", "pow") and consts[1] is not None and not c <= 0.0:
+        e = consts[1]
+        try:
+            power = c**e
+        except OverflowError:  # of a positive base, so the power is +inf
+            power = math.inf
+        match = (power, p * e, b * e)
+    else:
+        match = None
+    return None, match
 
 
 def coefficient_from_text(text: str) -> Coefficient:
@@ -383,7 +349,8 @@ def coefficient_from_text(text: str) -> Coefficient:
     (c * r^p * (1+r)^beta) to their closed-form implementation; their
     constant factor c must be finite and positive, and p and beta finite."""
     tree = expr.parse_coefficient(text)
-    matched = _match_factors(tree)
+    with np.errstate(all="ignore"):
+        matched = expr.fold(tree, _R, _const_pair, _factor_step)[1]
     if matched is not None:
         c, p, beta = matched
         if not math.isfinite(c):

@@ -17,20 +17,27 @@ first:
     + -
 
 Whitespace is insignificant, and a tree may nest at most ``MAX_DEPTH``
-levels.  Evaluation never returns a non-finite value silently: division
-by zero, ln of a non-positive argument and overflow all raise
-``EvalDomainError``.
+levels.
 
-``evaluate`` runs a plan that each tree compiles once, on its first
-evaluation: nested closures that apply the numpy operations of the checked
-walk ``_eval`` to the same operands, with each constant subtree folded by
-that walk.  The plan checks no domain.  It runs with numpy's floating-point
+Every walk over a tree is a ``fold``, the only code that tells node kinds
+apart.  ``OPERATIONS`` maps each operation name to its checked numpy
+operation and the same operation unchecked.  The checked walk ``_eval``
+folds with the checked ones and never returns a non-finite value silently:
+division by zero, ln of a non-positive argument and overflow all raise
+``EvalDomainError``.  ``pretty`` folds to text, and ``coefficient`` folds
+to the factors of a power product.
+
+``evaluate`` runs a plan that each tree folds once, on its first
+evaluation: nested closures that apply the unchecked operations to the
+operands of ``_eval``, with each operation on constants applied at once,
+checked.  The plan checks no domain.  It runs with numpy's floating-point
 flags raising, and a flag (division by zero, an invalid operation such as
 ln or sqrt of a negative value, or an overflow) hands the evaluation to
 ``_eval``, which names the error, or returns its value when the flag was
-spurious.  Operations on an infinity raise no flag, so ``_eval`` also takes
-every evaluation of a tree whose folded constants include one (as in
-``1e400*exp(-r)``), and each evaluation whose r or result is not finite.
+spurious.  Operations on an infinity raise no flag, so a tree with a
+constant beside r that fails or is not finite (as in ``1e400*exp(-r)``)
+has no plan, and ``_eval`` also takes each evaluation whose r or result is
+not finite.
 """
 
 from __future__ import annotations
@@ -71,16 +78,14 @@ class _Node:
 
     @cached_property
     def _plan(self) -> Optional[Callable]:
-        """r -> value by the numpy operations of ``_eval``, with no domain
-        checks; None when every evaluation must take ``_eval``."""
+        """r -> value by the unchecked operations, applied to the operands
+        of ``_eval``; None when every evaluation must take ``_eval``."""
         try:
-            plan = _compile(self)
-            if plan is None:
-                value = _constant(self)
-                plan = lambda r: value
-        except _NeedsCheckedWalk:
+            with np.errstate(all="ignore"):
+                plan = _plan_operand(fold(self, _identity, _identity, _plan_step))
+        except EvalDomainError:
             return None
-        return plan
+        return plan if callable(plan) else lambda r: plan
 
     def __getstate__(self):
         # a closure does not pickle; an unpickled tree compiles its own plan
@@ -120,9 +125,9 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 
 # --- parser ----------------------------------------------------------------
 
-# Deepest tree that parse_coefficient accepts: evaluate, pretty and the
-# power-product matcher in coefficient.py recurse per level, and this keeps
-# them far below Python's recursion limit.
+# Deepest tree that parse_coefficient accepts: fold recurses per level in
+# every walk, and a plan nests one closure per level; this keeps both far
+# below Python's recursion limit.
 MAX_DEPTH = 100
 
 _BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
@@ -206,6 +211,31 @@ def parse_coefficient(text: str) -> Node:
     return _from_python(body, text, origin)
 
 
+# --- folds ------------------------------------------------------------------
+
+
+def fold(node: Node, var, num: Callable, apply: Callable):
+    """Fold ``node`` bottom-up, the only walk over a tree: ``var`` is the
+    value of r, ``num(value)`` that of a literal and ``apply(name, values)``
+    that of every other node, where ``name`` is "neg", the operator or the
+    function name and ``values`` are the folds of its operands, in order."""
+    if isinstance(node, Num):
+        return num(node.value)
+    if isinstance(node, Var):
+        return var
+    if isinstance(node, Neg):
+        name, operands = "neg", (node.operand,)
+    elif isinstance(node, BinOp):
+        name, operands = node.op, (node.left, node.right)
+    else:
+        name, operands = node.name, node.args
+    return apply(name, [fold(operand, var, num, apply) for operand in operands])
+
+
+def _identity(value):
+    return value
+
+
 # --- evaluation -------------------------------------------------------------
 
 
@@ -213,6 +243,58 @@ def _check_finite(value, where: str):
     if not np.all(np.isfinite(value)):
         raise EvalDomainError(f"non-finite value in {where}")
     return value
+
+
+def _checked_op(op: Callable, where: str, outside: Optional[Callable] = None, message: str = "") -> Callable:
+    """``op``, raising ``EvalDomainError(message)`` where ``outside`` holds
+    at some point of its operands, and on a value that is not finite."""
+
+    def checked(*values):
+        if outside is not None and np.any(outside(*values)):
+            raise EvalDomainError(message)
+        return _check_finite(op(*values), where)
+
+    return checked
+
+
+def _pow(base, exponent):
+    base_arr = np.asarray(base, dtype=float)
+    exp_arr = np.asarray(exponent, dtype=float)
+    if np.any((base_arr == 0.0) & (exp_arr < 0.0)):
+        raise EvalDomainError("zero raised to a negative power")
+    if np.any((base_arr < 0.0) & (exp_arr != np.round(exp_arr))):
+        raise EvalDomainError("negative base with non-integer exponent")
+    return _check_finite(np.power(base_arr, exp_arr), "power")
+
+
+def _power(base, exponent):
+    """``_pow`` without its checks."""
+    return np.power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
+
+
+# name -> (checked operation, the same operation unchecked).  The checked one
+# raises EvalDomainError where the value leaves the reals or is not finite.
+OPERATIONS = {
+    "neg": (operator.neg, operator.neg),
+    "+": (_checked_op(operator.add, "addition"), operator.add),
+    "-": (_checked_op(operator.sub, "subtraction"), operator.sub),
+    "*": (_checked_op(operator.mul, "multiplication"), operator.mul),
+    "/": (_checked_op(operator.truediv, "division", lambda x, y: y == 0.0, "division by zero"), operator.truediv),
+    "^": (_pow, _power),
+    "exp": (_checked_op(np.exp, "exp"), np.exp),
+    "ln": (_checked_op(np.log, "ln", lambda x: np.asarray(x) <= 0.0, "ln of a non-positive value"), np.log),
+    "sqrt": (_checked_op(np.sqrt, "sqrt", lambda x: np.asarray(x) < 0.0, "sqrt of a negative value"), np.sqrt),
+    "pow": (_pow, _power),
+}
+
+
+def _checked(name: str, values: list):
+    return OPERATIONS[name][0](*values)
+
+
+def _eval(node: Node, r):
+    """The checked walk: ``node`` at r by the checked operations."""
+    return fold(node, r, _identity, _checked)
 
 
 def evaluate(tree: Node, r):
@@ -250,105 +332,26 @@ def _run_plan(plan: Optional[Callable], r_arr: np.ndarray):
     return out if np.isfinite(out + r_arr).all() else None
 
 
-def _eval(node: Node, r):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return r
-    if isinstance(node, Neg):
-        return -_eval(node.operand, r)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, r)
-        right = _eval(node.right, r)
-        if node.op == "+":
-            return _check_finite(left + right, "addition")
-        if node.op == "-":
-            return _check_finite(left - right, "subtraction")
-        if node.op == "*":
-            return _check_finite(left * right, "multiplication")
-        if node.op == "/":
-            if np.any(right == 0.0):
-                raise EvalDomainError("division by zero")
-            return _check_finite(left / right, "division")
-        if node.op == "^":
-            return _pow(left, right)
-        raise AssertionError(f"unknown operator {node.op}")
-    if isinstance(node, Call):
-        args = [_eval(a, r) for a in node.args]
-        if node.name == "exp":
-            return _check_finite(np.exp(args[0]), "exp")
-        if node.name == "ln":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                raise EvalDomainError("ln of a non-positive value")
-            return _check_finite(np.log(args[0]), "ln")
-        if node.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                raise EvalDomainError("sqrt of a negative value")
-            return _check_finite(np.sqrt(args[0]), "sqrt")
-        if node.name == "pow":
-            return _pow(args[0], args[1])
-        raise AssertionError(f"unknown function {node.name}")
-    raise AssertionError(f"unknown node {node!r}")
+def _plan_operand(value):
+    """A closure, or a constant that is finite and so may stand beside r or
+    for the whole tree; ``_eval`` meets any other constant on every
+    evaluation, so it raises ``EvalDomainError``."""
+    if callable(value) or math.isfinite(value):
+        return value
+    raise EvalDomainError("a constant that is not finite")
 
 
-def _pow(base, exponent):
-    base_arr = np.asarray(base, dtype=float)
-    exp_arr = np.asarray(exponent, dtype=float)
-    if np.any((base_arr == 0.0) & (exp_arr < 0.0)):
-        raise EvalDomainError("zero raised to a negative power")
-    if np.any((base_arr < 0.0) & (exp_arr != np.round(exp_arr))):
-        raise EvalDomainError("negative base with non-integer exponent")
-    return _check_finite(np.power(base_arr, exp_arr), "power")
-
-
-class _NeedsCheckedWalk(Exception):
-    """A constant subtree fails or is not finite: no plan can stand in for
-    ``_eval``, which meets that constant on every evaluation."""
-
-
-def _power(base, exponent):
-    """``_pow`` without its checks."""
-    return np.power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
-
-
-_PLAN_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _power}
-_PLAN_FUNCTIONS = {"exp": np.exp, "ln": np.log, "sqrt": np.sqrt, "pow": _power}
-
-
-def _constant(node: Node):
-    """The value of a subtree without r, folded by ``_eval``."""
-    try:
-        with np.errstate(all="ignore"):
-            value = _eval(node, None)
-    except EvalDomainError:
-        raise _NeedsCheckedWalk from None
-    if not math.isfinite(value):  # a bare or negated non-finite literal
-        raise _NeedsCheckedWalk
-    return value
-
-
-def _compile(node: Node) -> Optional[Callable]:
-    """Closure r -> value of ``node`` applying the numpy operations of
-    ``_eval`` to the same operands, or None when ``node`` holds no r."""
-    if isinstance(node, Num):
-        return None
-    if isinstance(node, Var):
-        return _identity
-    if isinstance(node, Neg):
-        children, op = (node.operand,), operator.neg
-    elif isinstance(node, BinOp):
-        children, op = (node.left, node.right), _PLAN_OPERATORS[node.op]
-    else:
-        children, op = node.args, _PLAN_FUNCTIONS[node.name]
-    plans = [_compile(child) for child in children]
+def _plan_step(name: str, values: list):
+    """One step of the plan fold: an operation on constants is applied now,
+    checked; one on a closure becomes a closure that applies it unchecked."""
+    checked, op = OPERATIONS[name]
+    plans = [callable(value) for value in values]
     if not any(plans):
-        return None
-    # a constant operand enters as its folded value, a Python or numpy float
-    operands = [plan or _constant(child) for plan, child in zip(plans, children)]
-    if len(operands) == 1:
-        (f,) = operands
+        return checked(*values)
+    if len(values) == 1:
+        (f,) = values
         return lambda r: op(f(r))
-    f, g = operands
+    f, g = map(_plan_operand, values)
     if plans[0] and plans[1]:
         return lambda r: op(f(r), g(r))
     if plans[0]:
@@ -356,23 +359,17 @@ def _compile(node: Node) -> Optional[Callable]:
     return lambda r: op(f, g(r))
 
 
-def _identity(r):
-    return r
-
-
 # --- pretty printing --------------------------------------------------------
 
 
 def pretty(node: Node) -> str:
     """Fully parenthesized rendering; re-parsing reproduces the evaluation."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return "r"
-    if isinstance(node, Neg):
-        return f"(-{pretty(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(pretty(a) for a in node.args)})"
-    raise AssertionError(f"unknown node {node!r}")
+    return fold(node, "r", repr, _pretty_step)
+
+
+def _pretty_step(name: str, parts: list[str]) -> str:
+    if name == "neg":
+        return f"(-{parts[0]})"
+    if name in _FUNCTIONS:
+        return f"{name}({', '.join(parts)})"
+    return f"({parts[0]} {name} {parts[1]})"

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from pathlib import Path
 
@@ -58,6 +59,9 @@ NONFINITE = {
     "1e400*(1+r)^-2": "a constant factor",
     "r*1e400/(1+r)^2": "a constant factor",
     "1e400*0*r": "a constant factor",
+    # a positive base whose power overflows a float
+    "(1e200*r)^2": "a constant factor",
+    "pow(1e200*r, 2)": "a constant factor",
     "r^1e400": "an exponent",
     "(1+r)^1e400": "an exponent",
 }
@@ -103,6 +107,55 @@ class TestRecognition:
         with pytest.raises(CoefficientError) as err:
             coefficient_from_text(text)
         assert str(err.value) == f"coefficient {text!r} has {NONFINITE[text]} that is not finite"
+
+
+def _random_product(rng, depth=0) -> tuple[str, bool]:
+    """A random tree of r, 1+r, r+1 and positive constants under *, /,
+    ^const, sqrt, pow and unary minus, as text; and whether it holds a
+    unary minus."""
+    pick = rng.random()
+    if depth >= 4 or pick < 0.3:
+        return rng.choice(["r", "(1+r)", "(r+1)", "0.5", "1", "2", "3", "7.25"]), False
+    left, negated = _random_product(rng, depth + 1)
+    exponent = rng.choice(["-2.5", "-1", "0.5", "2", "3"])
+    if pick < 0.65:
+        right, also = _random_product(rng, depth + 1)
+        return f"({left}){rng.choice('*/')}({right})", negated or also
+    if pick < 0.75:
+        return f"({left})^({exponent})", negated
+    if pick < 0.85:
+        return f"sqrt({left})", negated
+    if pick < 0.93:
+        return f"pow({left}, {exponent})", negated
+    return f"-({left})", True
+
+
+class TestRecognitionProperty:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_promoted_trees_equal_their_power_product(self, seed):
+        rng = random.Random(seed)
+        promoted = 0
+        for _ in range(300):
+            text, negated = _random_product(rng)
+            try:
+                c = coefficient_from_text(text)
+            except CoefficientError:
+                assert negated, text
+                continue
+            # without a unary minus every such tree is a power product
+            assert negated or isinstance(c, PowerProductCoefficient), text
+            if not isinstance(c, PowerProductCoefficient):
+                continue
+            promoted += 1
+            tree = expr.parse_coefficient(text)
+            for r in (0.3, 1.0, 2.5):
+                expected = c.c * r**c.p * (1.0 + r) ** c.beta
+                assert expr.evaluate(tree, r) == pytest.approx(expected, rel=1e-12, abs=0.0), (text, r)
+        assert promoted > 200
+
+    @pytest.mark.parametrize("text", ["2+r", "1+r^1", "r+1.5", "exp(-r)", "(1+r)-0"])
+    def test_near_misses_stay_expressions(self, text):
+        assert type(coefficient_from_text(text)) is ExpressionCoefficient
 
 
 class TestEval:
@@ -250,6 +303,8 @@ class TestPositivitySampling:
             ("sqrt(r-1)+1", "coefficient fails at r=1.000e-06: sqrt of a negative value"),
             ("exp(r)", "coefficient fails at r=8.962e+02: non-finite value in exp"),
             ("1e400*exp(-r)", "coefficient fails at r=1.000e-06: non-finite value in multiplication"),
+            # its overflowing power beside r is not a power product
+            ("(1e200*r)^2+r", "coefficient fails at r=1.000e-06: non-finite value in power"),
         ],
     )
     def test_error_names_first_failing_sample(self, text, message):

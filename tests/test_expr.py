@@ -724,3 +724,53 @@ class TestPlanParity:
         clone = pickle.loads(pickle.dumps(tree))
         assert clone == tree and "_plan" not in vars(clone)
         assert evaluate(clone, 2.0) == value
+
+
+# --- one fold for every walk --------------------------------------------------
+
+NODE_CLASSES = {"Node", "_Node", "Num", "Var", "Neg", "BinOp", "Call"}
+
+
+def node_type_tests(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, class) of each ``isinstance`` test in a module
+    against a tree node class of ``expr``, by bare name or as ``expr.X``;
+    the classes of the ``ast`` module do not count."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            for kind in kinds:
+                if isinstance(kind, ast.Attribute) and getattr(kind.value, "id", None) != "ast":
+                    name = kind.attr
+                else:
+                    name = getattr(kind, "id", None)
+                if name in NODE_CLASSES:
+                    found.append((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneFold:
+    def test_only_fold_tests_node_types(self):
+        found = {
+            (path.name, where, name)
+            for path in sorted((ROOT / "src" / "smolpois").glob("*.py"))
+            for where, name in node_type_tests(path.read_text(encoding="utf-8"))
+        }
+        assert found == {("expr.py", "fold", name) for name in ("Num", "Var", "Neg", "BinOp")}
+
+    def test_guard_sees_every_spelling(self):
+        source = (
+            "def walk(node):\n"
+            "    isinstance(node, expr.Var)\n"
+            "    isinstance(node, (ast.Call, Call))\n"
+            "    isinstance(node, ast.Num)\n"
+            "    isinstance(node, int)\n"
+        )
+        assert node_type_tests(source) == [("walk", "Var"), ("walk", "Call")]

@@ -56,17 +56,33 @@ class TestGoldenDiffLineCount:
     def test_reports_both_totals_and_the_difference_last(self, tmp_path, capsys):
         # only smolpois/*.py counts, and a last line without a break is not
         # a line, as for wc -l
-        old = self._tree(tmp_path / "old", {"__init__.py": "", "a.py": "1\n2\n3\n", "b.py": "1\n2"})
+        old = self._tree(tmp_path / "old", {"__init__.py": "", "a.py": "1\n2\n3\n", "b.py": "1\n2", "d.py": "1\n"})
         new = self._tree(
             tmp_path / "new",
-            {"__init__.py": "", "a.py": "1\n", "notes.txt": "1\n2\n", "sub/c.py": "1\n2\n"},
+            {
+                "__init__.py": "",
+                "a.py": "1\n",
+                "d.py": "2\n",
+                "e.py": "1\n2\n",
+                "notes.txt": "1\n2\n",
+                "sub/c.py": "1\n2\n",
+            },
         )
-        assert (golden_diff.line_count(old), golden_diff.line_count(new)) == (4, 1)
+        assert golden_diff.line_counts(old) == {"__init__.py": 0, "a.py": 3, "b.py": 1, "d.py": 1}
+        assert golden_diff.line_counts(new) == {"__init__.py": 0, "a.py": 1, "d.py": 1, "e.py": 2}
         # the one regime command fails alike in both trees, which hold no
         # __main__, so the command is identical
         assert golden_diff.main([str(old), str(new), "--coeff", "r"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[-1] == "smolpois/*.py lines: old 4, new 1, difference -3"
+        # each file whose count changed, in name order, then the totals;
+        # files with the same count (__init__.py, d.py) are not listed
+        assert lines[-5:] == [
+            "design 'r': IDENTICAL",
+            "smolpois/a.py lines: old 3, new 1, difference -2",
+            "smolpois/b.py lines: old 1, new absent, difference -1",
+            "smolpois/e.py lines: old absent, new 2, difference +2",
+            "smolpois/*.py lines: old 5, new 4, difference -1",
+        ]
 
 
 class TestBenchFile:

@@ -38,7 +38,9 @@ and the last line of stderr (the error message, if any; tracebacks name
 the tree's paths) match.
 
 The last line printed is the ``wc -l`` total of ``smolpois/*.py`` in
-OLD_SRC and in NEW_SRC and their difference, new minus old.
+OLD_SRC and in NEW_SRC and their difference, new minus old.  Just before
+it comes one line for each ``smolpois/*.py`` whose count differs, with
+"absent" for a file that only one tree holds.
 
 The exit code is 0 when every run is identical, 1 when any differs and 2
 when a simulation wrote no outputs.  Standard library only.
@@ -197,10 +199,24 @@ def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scrat
     return 1
 
 
-def line_count(src: Path) -> int:
-    """The ``wc -l`` total of ``smolpois/*.py`` under ``src``: the number of
-    line breaks."""
-    return sum(path.read_bytes().count(b"\n") for path in (src / "smolpois").glob("*.py"))
+def line_counts(src: Path) -> dict[str, int]:
+    """The ``wc -l`` count of each ``smolpois/*.py`` under ``src``, by file
+    name: the number of line breaks."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (src / "smolpois").glob("*.py")}
+
+
+def line_count_report(old_src: Path, new_src: Path) -> list[str]:
+    """One line per ``smolpois/*.py`` whose count differs, in name order,
+    then the totals and their difference."""
+    old, new = line_counts(old_src), line_counts(new_src)
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            a, b = old.get(name, "absent"), new.get(name, "absent")
+            change = new.get(name, 0) - old.get(name, 0)
+            lines.append(f"smolpois/{name} lines: old {a}, new {b}, difference {change:+d}")
+    total_old, total_new = sum(old.values()), sum(new.values())
+    return lines + [f"smolpois/*.py lines: old {total_old}, new {total_new}, difference {total_new - total_old:+d}"]
 
 
 def main(argv=None) -> int:
@@ -240,8 +256,7 @@ def main(argv=None) -> int:
             commands.append((f"{command} {text!r}", [command, f"--coeff={text}"]))
     for label, command_args in commands:
         worst = max(worst, compare_command(label, old_src, new_src, command_args))
-    old_lines, new_lines = line_count(old_src), line_count(new_src)
-    print(f"smolpois/*.py lines: old {old_lines}, new {new_lines}, difference {new_lines - old_lines:+d}")
+    print("\n".join(line_count_report(old_src, new_src)))
     return worst
 
 
