@@ -11,10 +11,11 @@ equivalently psi(r) = int_{1/r}^1 a(s) ds and psi(0) = -int_1^inf a(s) ds.
 The tail antiderivative A(r) = -int_r^inf a(s) ds feeds the blowup
 criterion machinery.
 
-Coefficients of the form c * r^p * (1+r)^beta are recognized structurally
-from the parsed expression and carry closed-form antiderivatives and exact
-asymptotic exponents; anything else falls back to adaptive quadrature with
-numeric integrability verdicts (so labelled in reports).
+Coefficients of the form c * r^p * (b+r)^beta, with a constant shift b > 0,
+are recognized structurally from the parsed expression and carry
+closed-form antiderivatives and exact asymptotic exponents; anything else
+falls back to adaptive quadrature with numeric integrability verdicts (so
+labelled in reports).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class Coefficient:
 
 
 class PowerProductCoefficient(Coefficient):
-    """a(r) = c * r^p * (1+r)^beta with c > 0.
+    """a(r) = c * r^p * (b+r)^beta with c > 0 and a shift b > 0 (1 by default).
 
     Closed antiderivatives exist when beta is a nonnegative integer (binomial
     expansion into a power sum) or when p = 0; the asymptotic exponents
@@ -163,32 +164,42 @@ class PowerProductCoefficient(Coefficient):
 
     verdict_source = CLOSED_FORM
 
-    def __init__(self, c: float, p: float, beta: float, text: str = ""):
+    def __init__(self, c: float, p: float, beta: float, b: float = 1.0, text: str = ""):
         if c <= 0.0:
             raise CoefficientError("builtin coefficient needs a positive constant factor")
         self.c = float(c)
         self.p = float(p)
         self.beta = float(beta)
-        self.text = text or self._default_text()
+        self.b = float(b)
+        self.text = text or f"{self.c}*r^{self.p}*({self.b}+r)^{self.beta}"
         self.smallr_exponent = self.p
         self.tail_exponent = self.p + self.beta
         self._terms = self._expand_terms()
 
-    def _default_text(self):
-        return f"{self.c}*r^{self.p}*(1+r)^{self.beta}"
-
     def _expand_terms(self):
-        """Power-sum form [(c_k, e_k)] when beta is a nonnegative integer."""
-        if self.beta == round(self.beta) and self.beta >= 0:
-            b = int(round(self.beta))
-            return [(self.c * math.comb(b, k), self.p + k) for k in range(b + 1)]
-        return None
+        """Power-sum form [(c C(beta, k) b^(beta-k), p + k)] when beta is a
+        nonnegative integer; None otherwise, and when a term is not finite and
+        positive.  The terms are built in order and the first bad one ends
+        the expansion, so its work is bounded for any beta."""
+        if not (self.beta == round(self.beta) and self.beta >= 0):
+            return None
+        m = int(self.beta)
+        terms = []
+        for k in range(m + 1):
+            try:
+                term = self.c * math.comb(m, k) * self.b ** (m - k)
+            except OverflowError:  # of the binomial or of the power
+                return None
+            if not 0.0 < term < math.inf:
+                return None
+            terms.append((term, self.p + k))
+        return terms
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
         if self.p == 0.0:  # r^0 = 1 at every r, and c * 1.0 * x == c * x
-            return self.c * np.power(1.0 + np.asarray(r, dtype=float), self.beta)
-        return self.c * np.power(r, self.p) * np.power(1.0 + np.asarray(r, dtype=float), self.beta)
+            return self.c * np.power(self.b + np.asarray(r, dtype=float), self.beta)
+        return self.c * np.power(r, self.p) * np.power(self.b + np.asarray(r, dtype=float), self.beta)
 
     @cached_property
     def tail_integrable(self) -> bool:
@@ -203,8 +214,8 @@ class PowerProductCoefficient(Coefficient):
             return _powersum_primitive(self._terms, r)
         if self.p == 0.0:
             if self.beta == -1.0:
-                return self.c * np.log(1.0 + np.asarray(r, dtype=float))
-            return self.c * np.power(1.0 + np.asarray(r, dtype=float), self.beta + 1.0) / (self.beta + 1.0)
+                return self.c * np.log(self.b + np.asarray(r, dtype=float))
+            return self.c * np.power(self.b + np.asarray(r, dtype=float), self.beta + 1.0) / (self.beta + 1.0)
         return None
 
     def primitive_over_s(self, r):
@@ -212,12 +223,12 @@ class PowerProductCoefficient(Coefficient):
             shifted = [(c, e - 1.0) for c, e in self._terms]
             return _powersum_primitive(shifted, r)
         if self.p == 0.0 and self.beta == round(self.beta) and self.beta < 0:
-            # partial fractions: 1/(s (1+s)^m) = 1/s - sum_{j=1}^m (1+s)^-j
-            m = int(round(-self.beta))
+            # partial fractions: 1/(s (b+s)^m) = b^-m/s - sum_{j=1}^m b^(j-1-m) (b+s)^-j
+            m, b = int(round(-self.beta)), self.b
             s = np.asarray(r, dtype=float)
-            out = np.log(s / (1.0 + s))
+            out = b**-m * np.log(s / (b + s))
             for j in range(2, m + 1):
-                out = out + np.power(1.0 + s, 1.0 - j) / (j - 1.0)
+                out = out + b ** (j - 1 - m) * np.power(b + s, 1.0 - j) / (j - 1.0)
             return self.c * out
         return None
 
@@ -292,17 +303,18 @@ class ExpressionCoefficient(Coefficient):
 
 
 # The power-product fold gives each node a pair: its value when it holds no
-# r and evaluates, else None; and (c, p, beta) when it is c * r^p *
-# (1+r)^beta, else None.  r folds to this very object, so that ``1 + r`` is
-# told from ``1 + r^1``.
-_R = (None, (1.0, 1.0, 0.0))
+# r and evaluates, else None; and (c, p, beta, b) when it is c * r^p *
+# (b+r)^beta, else None, where the shift b is None until a factor b + r
+# enters.  r folds to this very object, so that ``2 + r`` is told from
+# ``2 + r^1``.
+_R = (None, (1.0, 1.0, 0.0, None))
 
 
 def _const_pair(value) -> tuple:
     """The pair of a constant, as a Python float: numpy's ``**`` can differ
     from Python's by one ulp."""
     value = float(value)
-    return value, (value, 0.0, 0.0)
+    return value, (value, 0.0, 0.0, None)
 
 
 def _factor_step(name: str, operands: list) -> tuple:
@@ -315,44 +327,67 @@ def _factor_step(name: str, operands: list) -> tuple:
         except expr.EvalDomainError:
             pass
     if name == "+":
-        # the only additive pattern recognized is 1 + r (either order)
-        for one, var in (operands, operands[::-1]):
-            if var is _R and one[0] == 1.0:
-                return None, (1.0, 0.0, 1.0)
+        # the only additive pattern recognized is b + r (either order), with
+        # b a finite constant > 0
+        for shift, var in (operands, operands[::-1]):
+            if var is _R and shift[0] is not None and 0.0 < shift[0] < math.inf:
+                return None, (1.0, 0.0, 1.0, shift[0])
         return None, None
     factors = [match for _, match in operands]
     if None in factors:
         return None, None
-    (c, p, b), (rc, rp, rb) = factors[0], factors[-1]
+    (c, p, beta, b), (rc, rp, rbeta, rb) = factors[0], factors[-1]
+    if None not in (b, rb) and b != rb:  # two shifts, as in (1+r)/(2+r)
+        return None, None
+    b = rb if b is None else b
     if name == "neg":
-        match = (-c, p, b)
+        match = (-c, p, beta, b)
     elif name == "sqrt":
-        match = None if c < 0.0 else (math.sqrt(c), 0.5 * p, 0.5 * b)
+        match = None if c < 0.0 else (math.sqrt(c), 0.5 * p, 0.5 * beta, b)
     elif name == "*":
-        match = (c * rc, p + rp, b + rb)
+        match = (c * rc, p + rp, beta + rbeta, b)
     elif name == "/":
-        match = None if rc == 0.0 else (c / rc, p - rp, b - rb)
+        match = None if rc == 0.0 else (c / rc, p - rp, beta - rbeta, b)
     elif name in ("^", "pow") and consts[1] is not None and not c <= 0.0:
         e = consts[1]
         try:
             power = c**e
         except OverflowError:  # of a positive base, so the power is +inf
             power = math.inf
-        match = (power, p * e, b * e)
+        match = (power, p * e, beta * e, b)
     else:
         match = None
     return None, match
 
 
+def _shift_promotes(c: float, p: float, beta: float, b: float) -> bool:
+    """Whether c * r^p * (b+r)^beta with b != 1 becomes a power product: its
+    exponents, b^beta and c b^beta must be finite and b^beta and c b^beta
+    positive, or it stays an expression and keeps that error line."""
+    try:
+        scale = b**beta
+    except OverflowError:
+        return False
+    return math.isfinite(p) and 0.0 < scale < math.inf and 0.0 < c * scale < math.inf
+
+
 def coefficient_from_text(text: str) -> Coefficient:
     """Parse a coefficient string, promoting recognized power products
-    (c * r^p * (1+r)^beta) to their closed-form implementation; their
-    constant factor c must be finite and positive, and p and beta finite."""
+    (c * r^p * (b+r)^beta) to their closed-form implementation; their
+    constant factor c must be finite and positive, and p and beta finite.
+    A shifted one (b != 1) that ``_shift_promotes`` rejects, or whose
+    power-sum terms are not all finite and positive, stays an expression."""
     tree = expr.parse_coefficient(text)
     with np.errstate(all="ignore"):
         matched = expr.fold(tree, _R, _const_pair, _factor_step)[1]
     if matched is not None:
-        c, p, beta = matched
+        c, p, beta, b = matched
+        if b is not None and b != 1.0:
+            if _shift_promotes(c, p, beta, b):
+                coeff = PowerProductCoefficient(c, p, beta, b, text=text)
+                if coeff._terms is not None or not (beta >= 0.0 and beta == round(beta)):
+                    return coeff
+            return ExpressionCoefficient(tree, text)
         if not math.isfinite(c):
             raise CoefficientError(f"coefficient {text!r} has a constant factor that is not finite")
         if c <= 0.0:

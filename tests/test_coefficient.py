@@ -98,6 +98,41 @@ class TestRecognition:
         c = coefficient_from_text("(1+r)/(2+r)")
         assert isinstance(c, ExpressionCoefficient)
 
+    @pytest.mark.parametrize(
+        "text, factors",
+        [
+            ("(1+r)^-2", (1.0, 0.0, -2.0, 1.0)),
+            ("(2+r)^-2", (1.0, 0.0, -2.0, 2.0)),
+            ("1/(2+r)", (1.0, 0.0, -1.0, 2.0)),
+            ("r+1.5", (1.0, 0.0, 1.0, 1.5)),
+            ("(0.5+r)^-3", (1.0, 0.0, -3.0, 0.5)),
+            ("r^0.5*(3+r)^-2", (1.0, 0.5, -2.0, 3.0)),
+            ("(2+r)^3", (1.0, 0.0, 3.0, 2.0)),
+            ("3*(r+2)/r/(2+r)^2", (3.0, -1.0, -1.0, 2.0)),
+        ],
+    )
+    def test_shifted_form(self, text, factors):
+        c = coefficient_from_text(text)
+        assert type(c) is PowerProductCoefficient
+        assert (c.c, c.p, c.beta, c.b) == factors
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "-(2+r)",              # c b^beta not positive
+            "1e400*(2+r)^-2",      # c b^beta not finite
+            "(2+r)^1e400",         # b^beta not finite
+            "1e308*(0.9+r)^3",     # a power-sum term overflows
+        ],
+    )
+    def test_shifted_products_that_do_not_evaluate_stay_expressions(self, text):
+        tree = expr.parse_coefficient(text)
+        with pytest.raises(CoefficientError) as promoted:
+            coefficient_from_text(text)
+        with pytest.raises(CoefficientError) as expression:
+            ExpressionCoefficient(tree, text)
+        assert str(promoted.value) == str(expression.value)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(CoefficientError):
             coefficient_from_text("r - 2")
@@ -109,17 +144,17 @@ class TestRecognition:
         assert str(err.value) == f"coefficient {text!r} has {NONFINITE[text]} that is not finite"
 
 
-def _random_product(rng, depth=0) -> tuple[str, bool]:
-    """A random tree of r, 1+r, r+1 and positive constants under *, /,
+def _random_product(rng, b="1", depth=0) -> tuple[str, bool]:
+    """A random tree of r, b+r, r+b and positive constants under *, /,
     ^const, sqrt, pow and unary minus, as text; and whether it holds a
     unary minus."""
     pick = rng.random()
     if depth >= 4 or pick < 0.3:
-        return rng.choice(["r", "(1+r)", "(r+1)", "0.5", "1", "2", "3", "7.25"]), False
-    left, negated = _random_product(rng, depth + 1)
+        return rng.choice(["r", f"({b}+r)", f"(r+{b})", "0.5", "1", "2", "3", "7.25"]), False
+    left, negated = _random_product(rng, b, depth + 1)
     exponent = rng.choice(["-2.5", "-1", "0.5", "2", "3"])
     if pick < 0.65:
-        right, also = _random_product(rng, depth + 1)
+        right, also = _random_product(rng, b, depth + 1)
         return f"({left}){rng.choice('*/')}({right})", negated or also
     if pick < 0.75:
         return f"({left})^({exponent})", negated
@@ -131,12 +166,13 @@ def _random_product(rng, depth=0) -> tuple[str, bool]:
 
 
 class TestRecognitionProperty:
+    @pytest.mark.parametrize("b", ["1", "0.5", "2", "3"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_promoted_trees_equal_their_power_product(self, seed):
+    def test_promoted_trees_equal_their_power_product(self, seed, b):
         rng = random.Random(seed)
         promoted = 0
         for _ in range(300):
-            text, negated = _random_product(rng)
+            text, negated = _random_product(rng, b)
             try:
                 c = coefficient_from_text(text)
             except CoefficientError:
@@ -147,13 +183,19 @@ class TestRecognitionProperty:
             if not isinstance(c, PowerProductCoefficient):
                 continue
             promoted += 1
+            assert c.b == (float(b) if f"{b}+r" in text or f"r+{b}" in text else 1.0), text
             tree = expr.parse_coefficient(text)
             for r in (0.3, 1.0, 2.5):
-                expected = c.c * r**c.p * (1.0 + r) ** c.beta
+                expected = c.c * r**c.p * (c.b + r) ** c.beta
                 assert expr.evaluate(tree, r) == pytest.approx(expected, rel=1e-12, abs=0.0), (text, r)
+                assert c(r) == pytest.approx(expected, rel=1e-12, abs=0.0), (text, r)
         assert promoted > 200
 
-    @pytest.mark.parametrize("text", ["2+r", "1+r^1", "r+1.5", "exp(-r)", "(1+r)-0"])
+    # r + 0 has no shift b > 0, r^1 is not r, a factor 2 on r is not b + r,
+    # and a product of two shifts is no power product
+    @pytest.mark.parametrize(
+        "text", ["r+0", "2+r^1", "2+2*r", "(1+r)*(2+r)", "1+r^1", "exp(-r)", "(1+r)-0"]
+    )
     def test_near_misses_stay_expressions(self, text):
         assert type(coefficient_from_text(text)) is ExpressionCoefficient
 
@@ -193,16 +235,16 @@ class TestEval:
         grid = np.geomspace(1e-8, 1e8, 2048)
         assert c.eval_a(grid).tolist() == [c.eval_a(r) for r in grid]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.parametrize("text", ["(1+r)^-1", "3*(1+r)^-2", "(1+r)^2.5", "1"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:divide by zero encountered")
+    @pytest.mark.parametrize("text", ["(1+r)^-1", "3*(1+r)^-2", "(1+r)^2.5", "1", "(2+r)^-2", "1/(r+0.5)"])
     def test_p_zero_skips_only_a_unit_factor(self, text):
-        # a(r) = c (1+r)^beta without the factor r^0 = 1: the same bits and types
+        # a(r) = c (b+r)^beta without the factor r^0 = 1: the same bits and types
         c = coefficient_from_text(text)
         assert c.p == 0.0
 
         def with_unit_factor(r):
             r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
-            return c.c * np.power(r, 0.0) * np.power(1.0 + np.asarray(r, dtype=float), c.beta)
+            return c.c * np.power(r, 0.0) * np.power(c.b + np.asarray(r, dtype=float), c.beta)
 
         grid = np.concatenate((np.geomspace(5e-324, 1e308, 1500), [0.0, -0.5, np.inf, np.nan]))
         for r in (grid, grid.tolist(), np.float64(0.25), 0.25, 3, np.asarray(2.0)):
@@ -305,12 +347,88 @@ class TestPositivitySampling:
             ("1e400*exp(-r)", "coefficient fails at r=1.000e-06: non-finite value in multiplication"),
             # its overflowing power beside r is not a power product
             ("(1e200*r)^2+r", "coefficient fails at r=1.000e-06: non-finite value in power"),
+            # shifted power products whose c b^beta is not finite and positive
+            ("(1e200+r)^3", "coefficient fails at r=1.000e-06: non-finite value in power"),
+            ("(1e200+r)^-3", "coefficient not positive: value 0.0 at r=1.000e-06"),
         ],
     )
     def test_error_names_first_failing_sample(self, text, message):
         with pytest.raises(CoefficientError) as err:
             coefficient_from_text(text)
         assert str(err.value) == message
+
+
+# shifted power products with a closed psi: p = 0 (a primitive in b + r,
+# and partial fractions for psi1 when beta is a negative integer) or a
+# nonnegative integer beta (a power sum), with b on either side of 1
+SHIFTED_CLOSED = ["(2+r)^-2", "1/(2+r)", "(0.5+r)^-3", "3*(0.5+r)^-4", "(2+r)^-1.5", "(2+r)^3", "r+1.5", "r^-0.5*(3+r)^2"]
+
+
+class TestShiftedClosedForms:
+    """psi, psi1, the tail integral and int_0^1 a of a shifted power product
+    from its closed forms agree with quadrature to 1e-10, relative to values
+    above 1."""
+
+    @staticmethod
+    def _close(value, oracle):
+        return abs(value - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize("text", SHIFTED_CLOSED)
+    def test_against_quadrature(self, text):
+        c = coefficient_from_text(text)
+        assert type(c) is PowerProductCoefficient and c.b != 1.0
+        assert c.primitive(1.0) is not None  # psi1 of (2+r)^-1.5 takes quadrature
+        pot = Potentials(c)
+        for r in np.geomspace(1e-3, 1e3, 25).tolist():
+            assert self._close(pot.psi(r), integrate(c, 1.0 / r, 1.0)), (text, r)
+            assert self._close(pot.psi1(r), integrate(lambda s: c(s) / s, 1.0 / r, 1.0)), (text, r)
+            if c.tail_integrable:
+                assert self._close(c.tail_integral(r), -integrate_tail(c, r)), (text, r)
+        if c.integrable_at_zero:
+            assert self._close(c.integral_zero_to_one(), integrate(c, 1e-300, 1.0)), text
+
+    def test_exponents_are_exact(self):
+        c = coefficient_from_text("r^0.5*(3+r)^-2")
+        assert (c.smallr_exponent, c.tail_exponent) == (0.5, -1.5)
+        assert c.verdict_source == "closed-form" and c.tail_integrable and c.integrable_at_zero
+
+
+class TestPowerSumExpansion:
+    """A nonnegative integer beta expands into binomial terms in order, and
+    the first term that is not finite ends the expansion."""
+
+    @pytest.fixture
+    def comb_calls(self, monkeypatch):
+        calls = []
+        real = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: (calls.append(k), real(n, k))[1])
+        return calls
+
+    def test_shifted_terms(self):
+        assert coefficient_from_text("2*(3+r)^2")._terms == [(18.0, 0.0), (12.0, 1.0), (2.0, 2.0)]
+
+    # comb(2000, 230) is the first binomial coefficient of beta = 2000 that
+    # no float holds; comb(1e300, 2) already overflows
+    @pytest.mark.parametrize("text, first_bad", [("(1+r)^2000", 230), ("(1+r)^1e300", 2)])
+    def test_large_beta_stops_at_the_first_overflow(self, text, first_bad, comb_calls):
+        c = coefficient_from_text(text)
+        assert type(c) is PowerProductCoefficient and c._terms is None
+        assert comb_calls == list(range(first_bad + 1))
+        beta = int(c.beta)
+        with pytest.raises(OverflowError):
+            float(math.comb(beta, first_bad))
+        float(math.comb(beta, first_bad - 1))
+
+    def test_unexpanded_closed_form_stands_in(self):
+        c = coefficient_from_text("(1+r)^2000")
+        assert c.primitive(0.1) == pytest.approx(1.1**2001 / 2001, rel=1e-12)
+        assert c.primitive_over_s(0.1) is None
+
+    def test_large_beta_classifies(self):
+        from smolpois.regime import classify
+
+        report = classify(coefficient_from_text("(1+r)^2000"))
+        assert report.clause == "global" and report.source == "closed-form"
 
 
 class TestTailIntegral:
@@ -458,6 +576,7 @@ class TestLimits:
         assert c.verdict_source == "numeric"
         assert not c.tail_integrable
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # int_0^1 (1+r)^2000
     @pytest.mark.parametrize("text", PARSED_GOLDEN)
     def test_limits_equal_reference(self, text):
         c = coefficient_from_text(text)
@@ -576,10 +695,11 @@ class TestPsiInverseBracket:
             assert pot.psi_args == [coefficient._BRACKET_FLOOR] * calls
             pot.psi_args.clear()
 
-    @pytest.mark.parametrize("text", ["(1+r)^-1", "r", "1/(2+r)", "1/(1+r)+r"])
+    @pytest.mark.parametrize("text", ["(1+r)^-1", "r", "1/(2+r)", "1/(1+r)+r", "(1+r^2)^-0.5"])
     def test_bracketed_calls_keep_their_psi_sequence(self, text):
-        # closed forms, one that overflows at the floor, and quadrature-backed
-        # psi (which is never evaluated at the floor)
+        # closed forms (1/(2+r) with a shift), one that overflows at the
+        # floor, and quadrature-backed psi (which is never evaluated at the
+        # floor)
         pot = RecordingPotentials(coefficient_from_text(text))
         ref = RecordingPotentials(coefficient_from_text(text))
         pot.psi_inverse(-0.5)

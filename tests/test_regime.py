@@ -8,7 +8,7 @@ import pytest
 
 from smolpois import expr, quadrature, regime
 from smolpois.coefficient import CoefficientError, Potentials, coefficient_from_text
-from smolpois.diagnostics import moment_mq
+from smolpois.diagnostics import lyapunov_L1, moment_mq
 from smolpois.quadrature import integrate
 from smolpois.regime import (
     ConcaveMajorant,
@@ -67,7 +67,8 @@ class TestDecrConstants:
         gt, _ = compute_decr_constants(coefficient_from_text("r^-3"), 0.5, 2.0)
         assert gt == math.inf
 
-    @pytest.mark.parametrize("text", ["1/(1+r^2)", "(2+r)^-2"])
+    # numeric coefficients, which take the grid suprema
+    @pytest.mark.parametrize("text", ["1/(1+r^2)", "1/(2+r^2)"])
     def test_default_candidates_computes_only_c_inf(self, text, monkeypatch):
         # gamma_theta does not depend on alpha, so the candidate search skips it
         calls = []
@@ -76,7 +77,7 @@ class TestDecrConstants:
         assert default_candidates(coefficient_from_text(text), None, None) == (0.5, 2.0)
         assert calls == [regime._FROM_ONE]
 
-    @pytest.mark.parametrize("text", ["1/(1+r^2)", "(2+r)^-2"])
+    @pytest.mark.parametrize("text", ["1/(1+r^2)", "1/(2+r^2)"])
     def test_design_reuses_the_candidate_suprema(self, text, monkeypatch):
         # one grid supremum per distinct (exponent, interval): C_inf at the
         # accepted alpha = 2 for the candidates, then gamma_theta at 2 + theta
@@ -283,6 +284,22 @@ class TestDesign:
     def test_requires_finite_constants(self):
         with pytest.raises(RegimeError):
             design_blowup(coefficient_from_text("r^-3"), 1.0, 0.5, 2.0)
+
+    def test_shifted_design_takes_exact_potentials(self):
+        # a = (2+r)^-2: psi(f) = f/(1+2f) - 1/3 and, from the partial fractions
+        # of 1/(s(2+s)^2), psi1(f) = ln(1/3)/4 + 1/6 + log1p(2f)/4 - f/(2(1+2f))
+        class Exact:
+            def psi(self, f):
+                return f / (1.0 + 2.0 * f) - 1.0 / 3.0
+
+            def psi1(self, f):
+                return math.log(1.0 / 3.0) / 4.0 + 1.0 / 6.0 + np.log1p(2.0 * f) / 4.0 - f / (2.0 * (1.0 + 2.0 * f))
+
+        c = coefficient_from_text("(2+r)^-2")
+        design = design_blowup(c, 1.0, *default_candidates(c, None, None))
+        assert design.delta == 0.0065695032441696445  # the certify gate's reference
+        f0 = pam_profile(1.0, design.q, design.delta, design.n_y)
+        assert design.lyap_f0 == pytest.approx(lyapunov_L1(Exact(), f0, 1.0), rel=1e-12, abs=0.0)
 
     def test_requires_integrable_tail(self):
         from smolpois.coefficient import TailDivergenceError

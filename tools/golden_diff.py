@@ -13,12 +13,14 @@ directory with ``--out out``, so that the config echo in ``summary.json``
 is the same on both sides.  Runs are the named presets and the INI files
 given with ``--config``; a path inside such a file should be absolute.
 When none of PRESET, ``--config`` and ``--coeff`` is given, it runs all
-four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, a
-quadrature-backed f-form, an integrable-tail u-form, and the stall-heavy
+four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, an
+f-form with a shifted closed-form psi and one with a quadrature-backed
+psi, an integrable-tail u-form, and the stall-heavy
 f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600,
 and the dt-underflow f-form path, the longest chain of dt-halving retries)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
-``certify`` benchmark coefficients and parser-sensitive spellings), and
+``certify`` benchmark coefficients, parser-sensitive spellings and the
+error branches of recognition and evaluation), and
 also ``python -m smolpois validate``, so a bare ``python
 tools/golden_diff.py OLD/src src`` covers the regime layer and the
 validation battery (majorant check, psi inverse, energy/norm slacks) too.
