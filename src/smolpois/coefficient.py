@@ -11,11 +11,10 @@ equivalently psi(r) = int_{1/r}^1 a(s) ds and psi(0) = -int_1^inf a(s) ds.
 The tail antiderivative A(r) = -int_r^inf a(s) ds feeds the blowup
 criterion machinery.
 
-Coefficients of the form c * r^p * (b+r)^beta, with a constant shift b > 0,
-are recognized structurally from the parsed expression and carry
-closed-form antiderivatives and exact asymptotic exponents; anything else
-falls back to adaptive quadrature with numeric integrability verdicts (so
-labelled in reports).
+Coefficients c * r^p * (b+r)^beta, with a constant shift b > 0, are
+recognized structurally from the parsed expression and carry closed-form
+antiderivatives and exact asymptotic exponents; anything else falls back to
+adaptive quadrature with numeric integrability verdicts (so labelled).
 """
 
 from __future__ import annotations
@@ -67,6 +66,24 @@ def _powersum_primitive(terms, r):
         else:
             out = out + c * np.power(r, e + 1.0) / (e + 1.0)
     return out
+
+
+def _power_sum(c: float, p: float, beta: float, b: float):
+    """Power-sum form [(c C(beta, k) b^(beta-k), p + k)] of c r^p (b+r)^beta
+    when beta is a nonnegative integer, else None.  ArithmeticError when c
+    b^beta or a term, built in order, is not finite and positive."""
+    if not 0.0 < c * b**beta < math.inf:  # b**beta may raise OverflowError
+        raise ArithmeticError(f"c b^beta = {c * b**beta!r} is not finite and positive")
+    if not (beta == round(beta) and beta >= 0):
+        return None
+    m = int(beta)
+    terms = []
+    for k in range(m + 1):
+        term = c * math.comb(m, k) * b ** (m - k)  # may overflow, in either factor
+        if not 0.0 < term < math.inf:
+            raise ArithmeticError(f"power-sum term {term!r} is not finite and positive")
+        terms.append((term, p + k))
+    return terms
 
 
 # --- coefficient classes -----------------------------------------------------
@@ -174,26 +191,10 @@ class PowerProductCoefficient(Coefficient):
         self.text = text or f"{self.c}*r^{self.p}*({self.b}+r)^{self.beta}"
         self.smallr_exponent = self.p
         self.tail_exponent = self.p + self.beta
-        self._terms = self._expand_terms()
-
-    def _expand_terms(self):
-        """Power-sum form [(c C(beta, k) b^(beta-k), p + k)] when beta is a
-        nonnegative integer; None otherwise, and when a term is not finite and
-        positive.  The terms are built in order and the first bad one ends
-        the expansion, so its work is bounded for any beta."""
-        if not (self.beta == round(self.beta) and self.beta >= 0):
-            return None
-        m = int(self.beta)
-        terms = []
-        for k in range(m + 1):
-            try:
-                term = self.c * math.comb(m, k) * self.b ** (m - k)
-            except OverflowError:  # of the binomial or of the power
-                return None
-            if not 0.0 < term < math.inf:
-                return None
-            terms.append((term, self.p + k))
-        return terms
+        try:
+            self._terms = _power_sum(self.c, self.p, self.beta, self.b)
+        except ArithmeticError:  # a term is not finite
+            self._terms = None
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
@@ -222,13 +223,20 @@ class PowerProductCoefficient(Coefficient):
         if self._terms is not None:
             shifted = [(c, e - 1.0) for c, e in self._terms]
             return _powersum_primitive(shifted, r)
-        if self.p == 0.0 and self.beta == round(self.beta) and self.beta < 0:
+        m, b = -self.beta, self.b
+        if self.p == 0.0 and m == round(m) and m > 0:
             # partial fractions: 1/(s (b+s)^m) = b^-m/s - sum_{j=1}^m b^(j-1-m) (b+s)^-j
-            m, b = int(round(-self.beta)), self.b
+            m = int(round(m))
             s = np.asarray(r, dtype=float)
             out = b**-m * np.log(s / (b + s))
             for j in range(2, m + 1):
                 out = out + b ** (j - 1 - m) * np.power(b + s, 1.0 - j) / (j - 1.0)
+            if b < 1.0:
+                # with x = b/(b+s), out = -b^-m sum_{j>=m} x^j/j: where x^m < 1e-3 the terms
+                # above, of size b^-m, cancel, and that series is summed to x^(6m+10) instead
+                x = b / (b + s)
+                tail = sum(np.power(x, float(j)) / j for j in range(m, 7 * m + 10))
+                out = np.where(np.power(x, float(m)) < 1e-3, -(b**-m) * tail, out)
             return self.c * out
         return None
 
@@ -304,9 +312,8 @@ class ExpressionCoefficient(Coefficient):
 
 # The power-product fold gives each node a pair: its value when it holds no
 # r and evaluates, else None; and (c, p, beta, b) when it is c * r^p *
-# (b+r)^beta, else None, where the shift b is None until a factor b + r
-# enters.  r folds to this very object, so that ``2 + r`` is told from
-# ``2 + r^1``.
+# (b+r)^beta, else None, with shift b None until a factor b + r enters.  r
+# folds to this very object, so that ``2 + r`` is told from ``2 + r^1``.
 _R = (None, (1.0, 1.0, 0.0, None))
 
 
@@ -361,22 +368,21 @@ def _factor_step(name: str, operands: list) -> tuple:
 
 
 def _shift_promotes(c: float, p: float, beta: float, b: float) -> bool:
-    """Whether c * r^p * (b+r)^beta with b != 1 becomes a power product: its
-    exponents, b^beta and c b^beta must be finite and b^beta and c b^beta
+    """Whether c * r^p * (b+r)^beta with b != 1 becomes a power product: p
+    must be finite, and c b^beta and every power-sum term finite and
     positive, or it stays an expression and keeps that error line."""
     try:
-        scale = b**beta
-    except OverflowError:
+        _power_sum(c, p, beta, b)
+    except ArithmeticError:
         return False
-    return math.isfinite(p) and 0.0 < scale < math.inf and 0.0 < c * scale < math.inf
+    return math.isfinite(p)
 
 
 def coefficient_from_text(text: str) -> Coefficient:
     """Parse a coefficient string, promoting recognized power products
     (c * r^p * (b+r)^beta) to their closed-form implementation; their
-    constant factor c must be finite and positive, and p and beta finite.
-    A shifted one (b != 1) that ``_shift_promotes`` rejects, or whose
-    power-sum terms are not all finite and positive, stays an expression."""
+    constant factor c must be finite and positive, and p and beta finite;
+    a shifted one (b != 1) that ``_shift_promotes`` rejects stays an expression."""
     tree = expr.parse_coefficient(text)
     with np.errstate(all="ignore"):
         matched = expr.fold(tree, _R, _const_pair, _factor_step)[1]
@@ -384,9 +390,7 @@ def coefficient_from_text(text: str) -> Coefficient:
         c, p, beta, b = matched
         if b is not None and b != 1.0:
             if _shift_promotes(c, p, beta, b):
-                coeff = PowerProductCoefficient(c, p, beta, b, text=text)
-                if coeff._terms is not None or not (beta >= 0.0 and beta == round(beta)):
-                    return coeff
+                return PowerProductCoefficient(c, p, beta, b, text=text)
             return ExpressionCoefficient(tree, text)
         if not math.isfinite(c):
             raise CoefficientError(f"coefficient {text!r} has a constant factor that is not finite")
