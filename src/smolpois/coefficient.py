@@ -148,7 +148,8 @@ class Coefficient:
     @cached_property
     def weighted_suprema(self) -> dict:
         """sup r^e a(r) over an interval, keyed by (e, interval), as the
-        regime layer has computed them for this coefficient."""
+        regime layer has estimated them on its grid for this coefficient;
+        a power product's are closed forms and are not kept here."""
         return {}
 
     def tail_integral(self, r: float) -> float:

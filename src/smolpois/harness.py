@@ -7,8 +7,9 @@ reported on stderr only (the summary file stores null).
 
 Subcommands: classify, design, simulate, sweep, validate.  Exit status 0
 means the work completed (whatever the scientific verdict), 1 is a
-usage/config error or a failed ``validate`` check, 2 a solver failure
-(inconclusive).
+usage/config error, a rejected coefficient, an arithmetic failure (one
+``error: <Type>: <message>`` line) or a failed ``validate`` check, 2 a
+solver failure (inconclusive).
 """
 
 from __future__ import annotations
@@ -747,6 +748,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except (ConfigError, ParseError, RegimeError, CoefficientError, TailDivergenceError, PsiRangeError) as err:
         sys.stderr.write(f"error: {err}\n")
+        return 1
+    except ArithmeticError as err:  # an overflow, a quadrature that fails, ...
+        sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
     except (SolverFailure, DesignFailure) as err:
         sys.stderr.write(f"solver error: {err}\n")

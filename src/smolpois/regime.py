@@ -17,11 +17,15 @@ The module also builds the piecewise-linear concave majorant B of
 explicit certificate (q, eps_M, delta, mu_M, K0, C1, C2) whose moment
 inequality dm_q/dt <= Lambda(m_q) < 0 forces finite-time touch-down.
 
-Suprema over open intervals are estimated on a 2048-point log grid with
-golden-section refinement around the maximizer; divergence at the corner
-of the interval is decided exactly for recognized power products and by
+The decay-pair suprema gamma_theta and C_inf of a recognized power product
+c r^p (b+r)^beta are closed forms: the largest of the value at r = 1, the
+limit at the open end and the value at the critical point, with divergence
+decided by the exponents.  Every other supremum (gamma, and every
+supremum of an expression coefficient) is estimated on a 2048-point log
+grid with golden-section refinement around the maximizer; divergence at
+the corner of the interval is decided exactly for power products and by
 decade-growth heuristics (flagged "numeric") otherwise; one estimator,
-``_sup_estimate``, serves every supremum.  Grid values come from one
+``_sup_estimate``, serves every grid supremum.  Grid values come from one
 array call (the numeric gamma's tail integrals from one ``integrate_cells``
 sweep), bit-identical to a point-by-point loop; only the refinement
 evaluates point by point.
@@ -185,11 +189,11 @@ def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[
     """(gamma_theta, C_inf) = (sup_{(0,1)} r^{2+theta} a, sup_{r>=1} r^alpha a).
 
     Requires theta > 0 and alpha in (theta/(1+theta), 2]; infinite values
-    are returned as math.inf rather than raised.  For a power product the
-    exponents decide divergence exactly.
+    are returned as math.inf rather than raised.  For a power product both
+    are closed forms and the exponents decide divergence exactly.
     """
     _check_decr_pair(theta, alpha)
-    return _gamma_theta(c, theta), _c_infinity(c, alpha)
+    return _weighted_sup(c, 2.0 + theta, _UNIT_INTERVAL), _weighted_sup(c, alpha, _FROM_ONE)
 
 
 def _check_decr_pair(theta: float, alpha: float) -> None:
@@ -201,26 +205,45 @@ def _check_decr_pair(theta: float, alpha: float) -> None:
         )
 
 
-def _gamma_theta(c: Coefficient, theta: float) -> float:
-    """sup_{(0,1)} r^{2+theta} a(r), independent of alpha."""
-    if isinstance(c, PowerProductCoefficient) and c.smallr_exponent + 2.0 + theta < 0.0:
-        return math.inf
-    return _weighted_sup(c, 2.0 + theta, _UNIT_INTERVAL)
-
-
-def _c_infinity(c: Coefficient, alpha: float) -> float:
-    """sup_{r>=1} r^alpha a(r), independent of theta."""
-    if isinstance(c, PowerProductCoefficient) and c.tail_exponent + alpha > 0.0:
-        return math.inf
-    return _weighted_sup(c, alpha, _FROM_ONE)
-
-
 def _weighted_sup(c: Coefficient, e: float, interval: tuple) -> float:
-    """sup of r^e a(r) over ``interval``, estimated once per coefficient."""
+    """sup of r^e a(r) over ``interval``: in closed form for a power
+    product, otherwise estimated on the grid once per coefficient."""
+    if isinstance(c, PowerProductCoefficient):
+        return _power_product_sup(c, e, interval)
     memo = c.weighted_suprema
     if (e, interval) not in memo:
         memo[e, interval] = _sup_on_grid(_weighted_a(c, e), *interval)
     return memo[e, interval]
+
+
+def _power_product_sup(c: PowerProductCoefficient, e: float, interval: tuple) -> float:
+    """sup of phi(r) = r^e a(r) = c r^k (b+r)^beta, k = e + p, over (0,1)
+    (``_UNIT_INTERVAL``) or [1, inf) (``_FROM_ONE``).
+
+    phi'/phi = (k b + m r)/(r (b+r)) with m = k + beta, so phi is infinite
+    near 0 when k < 0 and near infinity when m > 0; otherwise its supremum
+    is the largest of phi(1), the limit at the open end (c b^beta when
+    k = 0 on (0,1), c when m = 0 on [1, inf)) and phi at the critical point
+    r* = -b k/m when r* lies strictly inside.  phi(1) and phi(r*) are
+    evaluated as ``_weighted_a`` does, so a value that is not finite and
+    positive raises its errors.  phi(r*) may land a few ulp below the
+    grid's best point: the value is an estimate, not an enclosure.
+    """
+    k = e + c.p
+    m = k + c.beta
+    left = interval[2] == "left"
+    end_exponent = k if left else -m  # phi ~ r^k near 0 and ~ r^m near infinity
+    if end_exponent < 0.0:
+        return math.inf
+    phi = _weighted_a(c, e)
+    candidates = [phi(1.0)]
+    if end_exponent == 0.0:
+        candidates.append(c.c * c.b**c.beta if left else c.c)
+    if m != 0.0:
+        r_star = -c.b * k / m
+        if (0.0 < r_star < 1.0) if left else r_star > 1.0:
+            candidates.append(phi(r_star))
+    return float(max(candidates))
 
 
 def _weighted_a(c: Coefficient, e: float):
@@ -273,7 +296,7 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
     for candidate in np.arange(2.0, alpha_floor, -0.1):
         alpha = float(candidate)
         _check_decr_pair(theta, alpha)
-        if math.isfinite(_c_infinity(c, alpha)):
+        if math.isfinite(_weighted_sup(c, alpha, _FROM_ONE)):
             return theta, alpha
     return theta, 2.0
 

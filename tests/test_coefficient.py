@@ -591,10 +591,11 @@ class TestLimits:
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # int_0^1 (1+r)^2000
     @pytest.mark.parametrize("text", PARSED_GOLDEN)
     def test_limits_equal_reference(self, text):
+        # the value, or the error (r^300*(1+r)^-400 fails in the tail quadrature)
         c = coefficient_from_text(text)
         pot = Potentials(c)
-        assert pot.psi0 == _reference_psi0(c)
-        assert pot.psi_sup == _reference_psi_sup(c)
+        assert _outcome(lambda: pot.psi0) == _outcome(_reference_psi0, c)
+        assert _outcome(lambda: pot.psi_sup) == _outcome(_reference_psi_sup, c)
 
 
 def _reference_psi0(c):

@@ -322,6 +322,14 @@ class TestCli:
         ("classify", "1e400", "coefficient '1e400' has a constant factor that is not finite"),
         ("classify", "1e400*(1+r)^-2",
          "coefficient '1e400*(1+r)^-2' has a constant factor that is not finite"),
+        # other arithmetic failures are named by their type: r^300 (1+r)^-400
+        # is nan inside a panel of its tail-integral quadrature, and
+        # psi~(2/M)^2 in mu_M overflows a float
+        ("classify", "r^300*(1+r)^-400",
+         "QuadratureError: integrand not finite inside panel (estimate nan, error estimate inf)"),
+        ("design", "r^300*(1+r)^-400",
+         "QuadratureError: integrand not finite inside panel (estimate nan, error estimate inf)"),
+        ("design", "1e300*(1+r)^-3", "OverflowError: (34, 'Numerical result out of range')"),
     ])
     def test_coefficient_error_is_one_line(self, capsys, command, text, message):
         assert main([command, "--coeff", text]) == 1

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from smolpois import expr, quadrature, regime
-from smolpois.coefficient import CoefficientError, Potentials, coefficient_from_text
+from smolpois.coefficient import CoefficientError, Potentials, PowerProductCoefficient, coefficient_from_text
 from smolpois.diagnostics import lyapunov_L1, moment_mq
 from smolpois.quadrature import integrate
 from smolpois.regime import (
@@ -601,6 +602,11 @@ def _gss_against_reference(phi, lo, hi):
     return value, not unseen and max(value, ends) == max(reference, ends), len(calls)
 
 
+# power products of certify whose gamma is infinite: every supremum on their
+# regime path is a closed form, so no refinement runs at all
+CLOSED_FORM_ONLY = ("(1+r)*r^-2.5", "(1+r)^-1", "1/(2+r)")
+
+
 class TestGoldenSectionStop:
     @pytest.mark.parametrize("text", CERTIFY)
     def test_certify_refinements_equal_reference(self, text, monkeypatch):
@@ -616,9 +622,23 @@ class TestGoldenSectionStop:
             outputs = _regime_outputs(text, (1.0,))
             m.setattr(regime, "_gss_max", _reference_gss_max)
             assert _regime_outputs(text, (1.0,)) == outputs
+        if text in CLOSED_FORM_ONLY:
+            assert refinements == []
+            return
         assert refinements
         assert all(agrees for agrees, _ in refinements)
         assert max(calls for _, calls in refinements) <= GSS_CALL_CAP
+
+    @pytest.mark.parametrize("text", [t for t in CERTIFY if isinstance(coefficient_from_text(t), PowerProductCoefficient)])
+    def test_decay_constants_of_power_products_skip_the_refinement(self, text, monkeypatch):
+        def refused(*args):
+            raise AssertionError("decay constants of a power product reached _gss_max")
+
+        c = coefficient_from_text(text)
+        expected = compute_decr_constants(c, 0.5, 2.0)
+        monkeypatch.setattr(regime, "_gss_max", refused)
+        monkeypatch.setattr(regime, "_sup_on_grid", refused)
+        assert compute_decr_constants(coefficient_from_text(text), 0.5, 2.0) == expected
 
     @pytest.mark.parametrize(
         "phi_of",
@@ -650,3 +670,75 @@ class TestWeightedA:
         grid = np.geomspace(interval[0], interval[1], regime._GRID_POINTS)
         pointwise = np.array([phi(x) for x in grid.tolist()])
         assert np.asarray(phi(grid), dtype=float).tobytes() == pointwise.tobytes()
+
+
+def _ulps(value, exact):
+    return abs(value - exact) / math.ulp(exact)
+
+
+class TestPowerProductSuprema:
+    """gamma_theta and C_inf of c r^p (b+r)^beta in closed form: phi(1), the
+    limit at the open end and phi at the critical point r* = -b k/m."""
+
+    def test_end_point_and_limit_pins(self):
+        gt, ci = compute_decr_constants(coefficient_from_text("(1+r)^-2"), 0.5, 2.0)
+        assert _ulps(gt, 0.25) <= 1.0
+        assert ci == 1.0  # the limit c at infinity, where m = 0
+        assert _ulps(compute_decr_constants(coefficient_from_text("(2+r)^-2"), 0.5, 2.0)[0], 1.0 / 9.0) <= 1.0
+        assert compute_decr_constants(coefficient_from_text("(1+r)*r^-2.5"), 0.5, 1.5) == (2.0, 2.0)
+
+    def test_critical_point_from_one(self):
+        # r^2 (1+r)^-3 peaks at r* = 2 with 4/27
+        _, ci = compute_decr_constants(coefficient_from_text("(1+r)^-3"), 0.5, 2.0)
+        assert _ulps(ci, 4.0 / 27.0) <= 1.0
+
+    def test_interior_maximum_on_the_unit_interval(self):
+        # r^2.5 (0.1+r)^-4 peaks at r* = 0.25/1.5 = 1/6: (1/6)^2.5 (4/15)^-4 = 50625/(9216 sqrt 6)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = float(Decimal(50625) / (Decimal(9216) * Decimal(6).sqrt()))
+        gt, _ = compute_decr_constants(coefficient_from_text("(0.1+r)^-4"), 0.5, 2.0)
+        assert _ulps(gt, exact) <= 8.0
+
+    def test_exponent_tests_decide_divergence(self):
+        # k = e + p < 0 on (0,1), m = k + beta > 0 on [1, inf)
+        assert compute_decr_constants(coefficient_from_text("r^-3"), 0.5, 2.0)[0] == math.inf
+        assert compute_decr_constants(coefficient_from_text("(1+r)^-1"), 0.5, 2.0)[1] == math.inf
+
+    def test_evaluated_candidate_keeps_the_scalar_error(self):
+        # a(1) = 1e-300 * 2^-100 underflows to 0
+        with pytest.raises(CoefficientError, match=re.escape("coefficient not positive at r=1.0")):
+            compute_decr_constants(coefficient_from_text("1e-300*(1+r)^-100"), 0.5, 2.0)
+
+    def test_no_grid_underflow_from_one(self):
+        # the [1, 1e8] grid of r^2 a underflows a near 7.4e7; the closed form
+        # evaluates a at r = 1 and r* = 2 only
+        c = coefficient_from_text("1e-300*(1+r)^-3")
+        with pytest.raises(CoefficientError):
+            regime._sup_on_grid(regime._weighted_a(c, 2.0), *regime._FROM_ONE)
+        assert compute_decr_constants(c, 0.5, 2.0)[1] == 4.0 * 1e-300 * 3.0**-3
+
+    def test_random_products_against_the_grid(self):
+        rng = np.random.default_rng(20261019)
+        eps = sys.float_info.epsilon
+        compared = 0
+        for _ in range(800):
+            c = 10.0 ** rng.uniform(-3.0, 3.0)
+            p, beta, e = rng.uniform(-4.0, 2.0), rng.uniform(-6.0, 3.0), rng.uniform(0.5, 3.0)
+            b = 10.0 ** rng.uniform(-1.5, 1.0)
+            interval = (regime._UNIT_INTERVAL, regime._FROM_ONE)[int(rng.integers(2))]
+            a = PowerProductCoefficient(c, p, beta, b)
+            closed = regime._weighted_sup(a, e, interval)
+            grid = regime._sup_on_grid(regime._weighted_a(a, e), *interval)
+            draw = (c, p, beta, b, e, interval[2])
+            if math.isfinite(closed) and math.isfinite(grid):
+                compared += 1
+                assert closed >= grid * (1.0 - 8.0 * eps), draw
+                assert closed == pytest.approx(grid, rel=1e-12), draw
+            else:
+                # the grid's decade heuristics can miss a slow divergence or
+                # flag a far maximum; the exponents decide
+                k = e + p
+                diverges = k < 0.0 if interval[2] == "left" else k + beta > 0.0
+                assert (closed == math.inf) == diverges, draw
+        assert compared >= 400
