@@ -629,10 +629,12 @@ class TestGoldenSectionStop:
         assert all(agrees for agrees, _ in refinements)
         assert max(calls for _, calls in refinements) <= GSS_CALL_CAP
 
-    @pytest.mark.parametrize("text", [t for t in CERTIFY if isinstance(coefficient_from_text(t), PowerProductCoefficient)])
+    @pytest.mark.parametrize(
+        "text", [t for t in CERTIFY if isinstance(coefficient_from_text(t), PowerProductCoefficient)]
+    )
     def test_decay_constants_of_power_products_skip_the_refinement(self, text, monkeypatch):
         def refused(*args):
-            raise AssertionError("decay constants of a power product reached _gss_max")
+            raise AssertionError("decay constants of a power product reached the grid")
 
         c = coefficient_from_text(text)
         expected = compute_decr_constants(c, 0.5, 2.0)
