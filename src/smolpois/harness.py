@@ -750,6 +750,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except ArithmeticError as err:  # an overflow, a quadrature that fails, ...
+        if args.command not in ("classify", "design"):
+            raise  # a solver-side failure (a touch-down in crossval, ...) stays visible
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
     except (SolverFailure, DesignFailure) as err:

@@ -224,13 +224,15 @@ def _power_product_sup(c: PowerProductCoefficient, e: float, interval: tuple) ->
     near 0 when k < 0 and near infinity when m > 0; otherwise its supremum
     is the largest of phi(1), the limit at the open end (c b^beta when
     k = 0 on (0,1), c when m = 0 on [1, inf)) and phi at the critical point
-    r* = -b k/m when r* lies strictly inside.  phi(1) and phi(r*) are
-    evaluated as ``_weighted_a`` does, so a value that is not finite and
-    positive raises its errors.  phi(r*) may land a few ulp below the
+    r* = -b k/m when r* lies strictly inside.  k and m are summed as
+    smallr_exponent + e and tail_exponent + e, so m is exactly 0 for the
+    alpha = -tail_exponent of ``default_candidates``.  phi(1) and phi(r*)
+    are evaluated as ``_weighted_a`` does, so a value that is not finite
+    and positive raises its errors.  phi(r*) may land a few ulp below the
     grid's best point: the value is an estimate, not an enclosure.
     """
-    k = e + c.p
-    m = k + c.beta
+    k = c.smallr_exponent + e
+    m = c.tail_exponent + e
     left = interval[2] == "left"
     end_exponent = k if left else -m  # phi ~ r^k near 0 and ~ r^m near infinity
     if end_exponent < 0.0:

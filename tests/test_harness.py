@@ -337,6 +337,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_solver_arithmetic_error_is_not_a_usage_error(self, monkeypatch):
+        # only classify and design report an ArithmeticError as one line;
+        # a touch-down raised on the solver side propagates
+        from smolpois.transform import TouchDownError
+
+        def touch_down(args):
+            raise TouchDownError("f reached 1")
+
+        monkeypatch.setattr(harness, "_cmd_simulate", touch_down)
+        with pytest.raises(TouchDownError):
+            main(["simulate", "--preset", "crossval"])
+
     def test_psi_range_error_is_one_line(self, tmp_path, capsys):
         # at M = 100 the global-bound chain asks for psi^-1 of a value far
         # below psi(1e-280); the run ends in one error line, not a traceback

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -707,6 +708,14 @@ class TestPowerProductSuprema:
         assert compute_decr_constants(coefficient_from_text("r^-3"), 0.5, 2.0)[0] == math.inf
         assert compute_decr_constants(coefficient_from_text("(1+r)^-1"), 0.5, 2.0)[1] == math.inf
 
+    def test_default_alpha_leaves_the_tail_exactly_flat(self):
+        # alpha = -(p + beta) = 1.4; (1.4 - 2.3) + 0.9 rounds to 1.1e-16 > 0,
+        # (-2.3 + 0.9) + 1.4 is exactly 0, as in default_candidates
+        report = classify(coefficient_from_text("r^-2.3*(1+r)^0.9"))
+        assert report.clause == "blowup-via-(decr)"
+        assert report.alpha == 1.4
+        assert report.c_infinity == 2.0**0.9
+
     def test_evaluated_candidate_keeps_the_scalar_error(self):
         # a(1) = 1e-300 * 2^-100 underflows to 0
         with pytest.raises(CoefficientError, match=re.escape("coefficient not positive at r=1.0")):
@@ -739,8 +748,9 @@ class TestPowerProductSuprema:
                 assert closed == pytest.approx(grid, rel=1e-12), draw
             else:
                 # the grid's decade heuristics can miss a slow divergence or
-                # flag a far maximum; the exponents decide
-                k = e + p
-                diverges = k < 0.0 if interval[2] == "left" else k + beta > 0.0
+                # flag a far maximum; the exponents decide, here summed
+                # exactly so that the check does not share the code's rounding
+                k = Fraction(p) + Fraction(e)
+                diverges = k < 0 if interval[2] == "left" else k + Fraction(beta) > 0
                 assert (closed == math.inf) == diverges, draw
         assert compared >= 400
