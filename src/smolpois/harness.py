@@ -7,8 +7,9 @@ reported on stderr only (the summary file stores null).
 
 Subcommands: classify, design, simulate, sweep, validate.  Exit status 0
 means the work completed (whatever the scientific verdict), 1 is a
-usage/config error, a rejected coefficient, an arithmetic failure (one
-``error: <Type>: <message>`` line) or a failed ``validate`` check, 2 a
+usage/config error, a rejected coefficient, an arithmetic failure of
+classify or design (one ``error: <Type>: <message>`` line) or a failed
+``validate`` check, 2 a
 solver failure (inconclusive).
 """
 
