@@ -14,7 +14,8 @@ criterion machinery.
 Coefficients c * r^p * (b+r)^beta, with a constant shift b > 0, are
 recognized structurally from the parsed expression and carry closed-form
 antiderivatives and exact asymptotic exponents; anything else falls back to
-adaptive quadrature with numeric integrability verdicts (so labelled).
+quadrature with numeric integrability verdicts (so labelled), and psi and
+psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .quadrature import (
-    QuadratureError,
-    dyadic_decay_probe,
-    integrate,
-    integrate_cells,
-    integrate_tail,
-)
+from .quadrature import QuadratureError, dyadic_decay_probe, integrate, integrate_cells, integrate_tail
 
 CLOSED_FORM = "closed-form"
 NUMERIC = "numeric"
+
+# numpy passes (m - 1, +6m + 10 for b < 1) above which the partial fractions of
+# psi1 of c (b+r)^-m cost more than the knot table: on 400 and 800 points (2-vCPU
+# host) they tie at 32-35 passes for b = 1, 37-44 for b = 0.5, agreeing to 1e-14
+_PARTIAL_FRACTION_PASSES = 40
 
 # the last point the from-below bracket search of ``psi_inverse`` reaches:
 # 8^-310 = 2^-930, the smallest power of 1/8 not below 1e-280
@@ -228,6 +228,8 @@ class PowerProductCoefficient(Coefficient):
         if self.p == 0.0 and m == round(m) and m > 0:
             # partial fractions: 1/(s (b+s)^m) = b^-m/s - sum_{j=1}^m b^(j-1-m) (b+s)^-j
             m = int(round(m))
+            if m - 1 + (6 * m + 10 if b < 1.0 else 0) > _PARTIAL_FRACTION_PASSES:
+                return None  # psi1 takes the knot table, at a cost that does not grow with m
             s = np.asarray(r, dtype=float)
             out = b**-m * np.log(s / (b + s))
             for j in range(2, m + 1):
@@ -406,16 +408,24 @@ def coefficient_from_text(text: str) -> Coefficient:
 # --- potentials --------------------------------------------------------------
 
 
+# the potential tables' knots 2^(k/8), k = -8600 ... 8600: 0 to inf, 1 at _KNOTS[_ONE]
+_KNOTS, _ONE = np.arange(-1075.0, 1075.0625, 0.125), 8600
+with np.errstate(over="ignore"):
+    np.exp2(_KNOTS, out=_KNOTS)  # in place: a quarter of the peak memory
+_TABLE_CHUNK = 64  # cells per integrand call as a table grows, and at most past an overflow
+
+
 class Potentials:
     """Evaluators for psi, psi1 and psi~ derived from one coefficient.
 
-    Immutable after construction; closed forms are used when the coefficient
-    provides antiderivatives, adaptive quadrature (abs tol 1e-10) otherwise.
+    Closed forms are used when the coefficient provides antiderivatives, a
+    knot table plus one Kronrod panel per point (abs tol 1e-10) otherwise.
     """
 
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
         self._primitive_at_one = {}  # potential name -> its primitive at 1 (None: none)
+        self._tables = {}  # (potential name, +1 up or -1 down from p = 1) -> C at its knots
 
     # -- limits --
 
@@ -443,7 +453,7 @@ class Potentials:
 
     def _potential(self, name: str, r, g, primitive):
         """int_{1/r}^1 g(s) ds from the closed ``primitive`` of g when there
-        is one, by quadrature otherwise."""
+        is one, from the knot table of g otherwise."""
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
             raise CoefficientError(f"{name} needs r > 0")
@@ -453,10 +463,40 @@ class Potentials:
             prim = self._primitive_at_one[name] = primitive(1.0)
         if prim is not None:
             value = prim - primitive(1.0 / r_arr)
-            return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
-        if np.ndim(r) == 0:
-            return integrate(g, 1.0 / float(r), 1.0)
-        return self._segmented(g, r_arr)
+        else:
+            value = self._tabulated(name, g, r_arr)
+        return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
+
+    def _tabulated(self, name: str, g, r_arr: np.ndarray) -> np.ndarray:
+        """int_{1/r}^1 g = -(C(p_k) + int_{p_k}^p g) at p = 1/r, with p_k the
+        last knot from 1 toward p, C from ``_table`` and the panels of all
+        points from one ``integrate_cells`` call; -C past a table's end."""
+        p = 1.0 / r_arr.ravel()
+        up = p >= 1.0
+        i = np.searchsorted(_KNOTS, p, side="right") - 1
+        i += ~up & (_KNOTS[i] < p)  # below 1, the knot at or above p
+        k = np.abs(i - _ONE)
+        base = np.empty(p.size)
+        for direction, at in ((1, up), (-1, ~up)):
+            table = self._table(name, g, direction, int(k.max(initial=0, where=at)))
+            base[at] = table[np.minimum(k[at], table.size - 1)]
+        inside = np.isfinite(base)
+        base[inside] += integrate_cells(g, _KNOTS[i[inside]], p[inside])
+        return -base.reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
+
+    def _table(self, name: str, g, direction: int, last: int) -> np.ndarray:
+        """C(p_k) = int_1^{p_k} g at p_k = 2^(direction k/8), grown out to k = last
+        one cell per knot, summed onto C_last by one ``np.add.accumulate`` (the same
+        bits whatever was asked before) and ended by its first overflow."""
+        values = self._tables.get((name, direction), np.zeros(1))
+        knots = _KNOTS[_ONE::direction]
+        while values.size <= last and np.isfinite(values[-1]):
+            ks = slice(values.size - 1, min(last, values.size - 1 + _TABLE_CHUNK) + 1)
+            cells = integrate_cells(g, knots[ks][:-1], knots[ks][1:])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.add.accumulate(np.concatenate((values[-1:], cells)))
+            self._tables[name, direction] = values = np.concatenate((values, sums[1:]))
+        return values
 
     def psi_tilde(self, r):
         """psi~(r) = psi(r) - psi(0) = int_{1/r}^inf a(s) ds >= 0."""
@@ -471,29 +511,13 @@ class Potentials:
         value = self.coefficient(1.0 / r_arr) / (r_arr * r_arr)
         return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
 
-    def _segmented(self, g, r_arr: np.ndarray) -> np.ndarray:
-        """Evaluate int_{1/r}^1 g for many r with one cumulative sweep.
-
-        The distinct points p = 1/r are swept outward from 1, downward and
-        then upward, one cell integral per step; C(p) = int_1^p g is the
-        running sum.
-        """
-        points, inverse = np.unique(1.0 / r_arr.ravel(), return_inverse=True)
-        split = int(np.searchsorted(points, 1.0))
-        cumulative = []
-        for sweep in (points[:split][::-1], points[split:]):
-            cells = integrate_cells(g, np.concatenate(([1.0], sweep)))
-            cumulative.append(np.add.accumulate(np.concatenate(([0.0], cells)))[1:])
-        cumulative = np.concatenate((cumulative[0][::-1], cumulative[1]))
-        return -cumulative[inverse].reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
-
     # -- inverse --
 
     @cached_property
     def _psi_at_bracket_floor(self) -> float:
         """psi(_BRACKET_FLOOR) when psi has a closed form (-inf where that
-        overflows); nan, which no h is below, when psi needs quadrature: one
-        integral out to 2^930 costs more than the searches it would cut short."""
+        overflows); nan, which no h is below, for a knot table: the search then
+        costs about as much, and can bracket h where psi(2^-930) would raise."""
         if self.coefficient.primitive(1.0) is None:
             return math.nan
         with np.errstate(over="ignore", invalid="ignore"):

@@ -10,18 +10,19 @@ which turns algebraic tails into mild endpoint singularities the panel
 subdivision grades into automatically.
 
 Panels are evaluated in batches: ``integrate`` evaluates both halves of a
-bisection in one integrand call, and many adjacent cells (a cumulative
-sweep over a grid) go through ``integrate_cells``, which evaluates the
-integrand on the Kronrod nodes of 64 cells per call and accepts a cell
-whose single panel meets the tolerance, the acceptance rule of QUADPACK
-(Piessens et al., 1983).  The rest go to ``integrate``.  The batching
-contract: each panel is one row of the node array, reduced by
+bisection in one integrand call, and many cells (a sweep over a grid or a
+knot table, one panel per point) go through ``integrate_cells``, which
+evaluates the integrand on the Kronrod nodes of all cells in one call and
+accepts a cell whose single panel meets the tolerance, the acceptance rule
+of QUADPACK (Piessens et al., 1983).  The rest go to ``integrate``.  The
+batching contract: each panel is one row of the node array, reduced by
 ``np.vecdot``, which runs the 1-D ``np.dot`` kernel on each row (a matrix
-product may sum in another order).  A block of cells or a pair of halves
+product may sum in another order).  A set of cells or a pair of halves
 whose evaluation raises an ``ArithmeticError`` or is not finite falls
 back to per-cell ``integrate`` or per-panel ``_panel`` calls, in order.
 So every value, and every error raised, is bit-identical to the
-one-panel-per-call evaluation.
+one-panel-per-call evaluation.  A panel however long is accepted when its
+K15 and G7 agree, so callers keep cells short (``coefficient.Potentials``).
 
 Integrability of a tail is *decided* separately (``dyadic_decay_probe``)
 by checking geometric decay of the integral over 40 dyadic blocks
@@ -31,6 +32,7 @@ a numeric heuristic and callers label it as such.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -59,7 +61,6 @@ _WG = np.array([
 
 DEFAULT_ATOL = 1e-10
 _MAX_PANELS = 4000
-_CELL_BLOCK = 64          # cells per integrand call in integrate_cells
 _PROBE_BLOCKS = 40        # dyadic blocks of dyadic_decay_probe
 _PROBE_RATIO_MAX = 0.99   # largest settled block ratio it calls integrable
 _PROBE_ATOL = 1e-12       # block tolerance; the ratio after a block this small is 0
@@ -126,11 +127,11 @@ def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> fl
     """Integrate a vectorized ``f`` over the finite interval [a, b].
 
     The target is absolute error ``atol`` relaxed to relative once the
-    integral magnitude exceeds one.  Each bisection evaluates both halves
-    of the worst panel in one call of ``f`` on a (2, 15) node array (see
-    ``_bisect``); the stop test sums the panels in list order and the worst
-    panel is the first of largest error, so values do not depend on the
-    batching.
+    integral magnitude exceeds one; a sum that overflowed is returned at
+    once.  Each bisection evaluates both halves of the worst panel in one
+    call of ``f`` on a (2, 15) node array (see ``_bisect``); the stop test
+    sums the panels in list order and the worst panel is the first of
+    largest error, so values do not depend on the batching.
     """
     if a == b:
         return 0.0
@@ -143,8 +144,8 @@ def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> fl
     for _ in range(_MAX_PANELS):
         total = sum(p[3] for p in panels)
         total_err = sum(p[0] for p in panels)
-        if total_err <= atol * max(1.0, abs(total)):
-            return sign * total
+        if total_err <= atol * max(1.0, abs(total)) or not math.isfinite(total):
+            return sign * total  # an overflowed sum stays so under bisection
         worst = max(range(len(panels)), key=lambda i: panels[i][0])
         _, pa, pb, _ = panels.pop(worst)
         mid = 0.5 * (pa + pb)
@@ -158,37 +159,37 @@ def integrate(f: Callable, a: float, b: float, atol: float = DEFAULT_ATOL) -> fl
     raise QuadratureError("panel budget exhausted", sign * total, total_err)
 
 
-def integrate_cells(f: Callable, edges, atol: float = DEFAULT_ATOL) -> np.ndarray:
-    """``integrate(f, edges[k], edges[k+1], atol)`` for every k, in one array.
+def integrate_cells(f: Callable, left, right, atol: float = DEFAULT_ATOL) -> np.ndarray:
+    """``integrate(f, left[k], right[k], atol)`` for every k, in one array.
 
     Each cell gets one 7/15 Kronrod panel, with ``f`` evaluated on the nodes
-    of ``_CELL_BLOCK`` cells per call and each cell's sums reduced by
-    ``np.vecdot``, so that a block's arithmetic is numpy's and each row's is
-    ``_panel``'s.  A cell whose panel meets the acceptance test of
-    ``integrate`` on its first pass takes that panel's value; a zero-width
-    cell, a cell that misses it, and every cell of a block whose evaluation
-    raises an ``ArithmeticError`` or is not finite go to ``integrate``
-    itself, in order.  Every value, and every error raised, is the one the
-    per-cell ``integrate`` calls give.
+    of every cell in one call and each cell's sums reduced by ``np.vecdot``,
+    so that the call's arithmetic is numpy's and each row's is ``_panel``'s.
+    A cell whose panel meets the stop test of ``integrate`` on its first
+    pass (its error within tolerance, or its value overflowed) takes that
+    panel's value; a cell that misses it, and every cell when the
+    evaluation raises an ``ArithmeticError`` or is not finite go to
+    ``integrate`` itself, in order.  Every value, and every error raised, is
+    the one the per-cell ``integrate`` calls give.
     """
-    edges = np.asarray(edges, dtype=float)
-    out = np.empty(max(edges.size - 1, 0))
-    for start in range(0, out.size, _CELL_BLOCK):
-        stop = min(start + _CELL_BLOCK, out.size)
-        left, right = edges[start:stop], edges[start + 1:stop + 1]
-        lo, hi = np.minimum(left, right), np.maximum(left, right)
-        half = 0.5 * (hi - lo)
-        sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
-        if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
-            refine = range(right.size)
-        else:
+    left = np.asarray(left, dtype=float).ravel()
+    right = np.asarray(right, dtype=float).ravel()
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    half = 0.5 * (hi - lo)
+    sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
+    if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
+        out = np.empty(left.size)
+        refine = range(left.size)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # a panel that overflowed
             k15, g7 = half * sums[0], half * sums[1]
             total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
-            accept = (lo < hi) & (np.abs(k15 - g7) <= atol * np.maximum(1.0, np.abs(total)))
-            out[start:stop] = np.where(right < left, -total, total)
-            refine = np.flatnonzero(~accept).tolist()
-        for k in refine:
-            out[start + k] = integrate(f, float(left[k]), float(right[k]), atol=atol)
+            err_ok = np.abs(k15 - g7) <= atol * np.maximum(1.0, np.abs(total))
+        accept = err_ok | ~np.isfinite(total)  # a zero-width cell: 0.0, as integrate gives
+        out = np.where(right < left, -total, total)
+        refine = np.flatnonzero(~accept).tolist()
+    for k in refine:
+        out[k] = integrate(f, float(left[k]), float(right[k]), atol=atol)
     return out
 
 
@@ -221,7 +222,7 @@ def dyadic_decay_probe(f: Callable, r: float, direction: str = "up") -> bool:
     """
     step = 1 if direction == "up" else -1
     edges = [r * 2.0 ** (step * k) for k in range(_PROBE_BLOCKS + 1)]
-    blocks = np.abs(integrate_cells(f, edges, atol=_PROBE_ATOL)).tolist()
+    blocks = np.abs(integrate_cells(f, edges[:-1], edges[1:], atol=_PROBE_ATOL)).tolist()
     ratios = []
     for prev, cur in zip(blocks, blocks[1:]):
         if prev <= _PROBE_ATOL:

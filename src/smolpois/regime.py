@@ -171,7 +171,7 @@ def _gamma_numeric(c: Coefficient) -> float:
     grid (2048 independent improper integrals would be needlessly slow)."""
     lo, hi, corner = _UNIT_INTERVAL
     grid = np.geomspace(lo, hi, _GRID_POINTS)
-    cells = integrate_cells(c, grid)
+    cells = integrate_cells(c, grid[:-1], grid[1:])
     # tails[k] = tails[k + 1] + int_{grid[k]}^{grid[k+1]} a, summed downward
     start = -c.tail_integral(float(grid[-1]))
     tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from smolpois.coefficient import (
     CoefficientError,
@@ -566,6 +567,94 @@ class TestPsi:
             lhs = pot_inv2.psi_tilde(r) - pot_inv2.psi_tilde(s)
             rhs = pot_inv2.psi(r) - pot_inv2.psi(s)
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# psi and psi1 of two expression coefficients in closed form, at f from
+# 1e-12 to 1e12.  psi1 of 1/(1+r^2) is -ln2/2 - ln(1/f) + ln(1 + 1/f^2)/2,
+# written as -ln2/2 + log1p(f^2)/2, which does not cancel at small f
+PIN_F = np.geomspace(1e-12, 1e12, 97)
+PINNED = {
+    ("1/(1+r^2)", "psi"): lambda f: math.pi / 4.0 - np.arctan(1.0 / f),
+    ("1/(1+r^2)", "psi1"): lambda f: -0.5 * math.log(2.0) + 0.5 * np.log1p(f * f),
+    ("exp(-r)", "psi"): lambda f: np.exp(-1.0 / f) - math.exp(-1.0),
+    ("exp(-r)", "psi1"): lambda f: exp1(1.0 / f) - exp1(1.0),
+}
+
+
+class TestKnotTable:
+    """A potential without a closed primitive: a cumulative table at the
+    knots 2^(k/8) plus one Kronrod panel per point."""
+
+    @pytest.mark.parametrize("text, name", list(PINNED))
+    def test_closed_forms(self, text, name):
+        want = PINNED[text, name](PIN_F)
+        evaluate = getattr(Potentials(coefficient_from_text(text)), name)
+        scalars = np.array([evaluate(float(f)) for f in PIN_F])
+        for got in (evaluate(PIN_F), scalars):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_long_cell_no_longer_misses_the_mass_near_one(self):
+        # one 15-point panel on [1, 1e11] gave -1.5e-17 and -0.0 here
+        psi1 = Potentials(coefficient_from_text("1/(1+r^2)")).psi1
+        psi = Potentials(coefficient_from_text("exp(-r)")).psi
+        for f in (1e-11, np.array([1e-11])):
+            assert psi1(f) == pytest.approx(-0.5 * math.log(2.0), rel=1e-12)
+            assert psi(f) == pytest.approx(-math.exp(-1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["1/(1+r^2)", "exp(-r)", "(1+r^2)^-0.5"])
+    def test_bits_do_not_depend_on_what_was_asked_before(self, text):
+        points = np.geomspace(1e-9, 1e9, 41)
+        for name in ("psi", "psi1"):
+            fresh = lambda: getattr(Potentials(coefficient_from_text(text)), name)
+            first = fresh()(points)
+            evaluate = fresh()
+            evaluate(np.geomspace(1e-14, 1e14, 29))
+            after_wider = evaluate(points)
+            reverse = fresh()(points[::-1])[::-1]
+            evaluate = fresh()
+            scalars = np.array([evaluate(float(r)) for r in points])
+            for other in (after_wider, reverse, scalars):
+                assert other.tobytes() == first.tobytes(), name
+
+    def test_overflow_ends_the_table(self, monkeypatch):
+        # int_1^p a overflows near p = 2^512 for a = 1/(1+r)+r: the table ends
+        # there after about one integrand call per 64 cells, where a quadrature
+        # out to 2^930 bisected an overflowed panel to its 4000-panel budget
+        pot = Potentials(coefficient_from_text("1/(1+r)+r"))
+        calls = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        assert pot.psi(2.0**-930) == -math.inf
+        assert len(calls) <= 70
+        assert pot.psi(np.array([2.0**-930, 2.0**-600, 0.5])).tolist() == [-math.inf, -math.inf, pot.psi(0.5)]
+        assert len(calls) <= 72
+
+
+class TestPartialFractionCrossover:
+    """psi1 of c (b+r)^-m takes the knot table where the partial fractions
+    need more numpy passes than ``_PARTIAL_FRACTION_PASSES``."""
+
+    LAST = coefficient._PARTIAL_FRACTION_PASSES + 1  # m - 1 passes for b = 1
+
+    def test_crossover(self):
+        assert coefficient_from_text(f"(1+r)^-{self.LAST}").primitive_over_s(0.5) is not None
+        assert coefficient_from_text(f"(1+r)^-{self.LAST + 1}").primitive_over_s(0.5) is None
+        # b < 1 adds 6m + 10 passes of the series: 37 for m = 4, 44 for m = 5
+        assert coefficient_from_text("(0.1+r)^-4").primitive_over_s(0.5) is not None
+        assert coefficient_from_text("(0.1+r)^-5").primitive_over_s(0.5) is None
+
+    def test_table_agrees_with_partial_fractions_at_the_crossover(self):
+        c = coefficient_from_text(f"(1+r)^-{self.LAST}")
+        pot = Potentials(c)
+        closed = pot.psi1(PIN_F)
+        table = pot._tabulated("psi1", lambda s: c(s) / s, PIN_F)
+        assert np.all(np.abs(table - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+
+    def test_large_m_costs_one_table(self):
+        # partial fractions made 99999 numpy passes per call here
+        f = np.geomspace(1e-3, 1e3, 400)
+        psi1 = Potentials(coefficient_from_text("(1+r)^-100000")).psi1(f)
+        assert np.all(np.isfinite(psi1)) and np.all(np.diff(psi1) >= 0.0)
 
 
 class TestLimits:

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import re
@@ -386,8 +387,8 @@ CERTIFY = ("(1+r)^-2", "(1+r)*r^-2.5", "(1+r)^-1", "(2+r)^-2", "exp(-r)", "1/(2+
 EXP_ERROR = "coefficient not positive at r=np.float64(745.5835819317275)"
 
 
-def _scalar_cells(f, edges, atol=quadrature.DEFAULT_ATOL):
-    return np.array([integrate(f, a, b, atol=atol) for a, b in zip(edges[:-1], edges[1:])])
+def _scalar_cells(f, left, right, atol=quadrature.DEFAULT_ATOL):
+    return np.array([integrate(f, a, b, atol=atol) for a, b in zip(left, right)])
 
 
 def _scalar_sup_on_grid(phi, lo, hi, corner):
@@ -440,31 +441,29 @@ def _scalar_gamma_numeric(c):
     return max(float(vals[imax]), regime._gss_max(phi, float(a), float(b)))
 
 
-def _scalar_segmented(self, g, r_arr):
-    points = 1.0 / r_arr.ravel()
-    order = np.argsort(points)
-    sorted_pts = points[order]
-    cumulative = np.empty_like(sorted_pts)
-    unique_vals = {}
-    prev_pt, prev_val = 1.0, 0.0
-    below = [p for p in sorted_pts if p < 1.0]
-    above = [p for p in sorted_pts if p >= 1.0]
-    for p in reversed(below):
-        prev_val += integrate(g, prev_pt, p, atol=quadrature.DEFAULT_ATOL)
-        unique_vals[p] = prev_val
-        prev_pt = p
-    prev_pt, prev_val = 1.0, 0.0
-    for p in above:
-        if p in unique_vals:
-            continue
-        prev_val += integrate(g, prev_pt, p, atol=quadrature.DEFAULT_ATOL)
-        unique_vals[p] = prev_val
-        prev_pt = p
-    for i, p in enumerate(sorted_pts):
-        cumulative[i] = unique_vals[p]
-    out = np.empty_like(cumulative)
-    out[order] = -cumulative
-    return out.reshape(r_arr.shape)
+# the knots 2^(k/8) and 2^(-k/8), k = 0 ... 8600, of the potentials' tables,
+# each with its keys sign * knot, which increase with k
+with np.errstate(over="ignore"):
+    _KNOTS = {sign: np.exp2(sign * np.arange(8601) / 8).tolist() for sign in (1, -1)}
+_KNOT_KEYS = {sign: [sign * x for x in knots] for sign, knots in _KNOTS.items()}
+
+
+def _scalar_tabulated(self, name, g, r_arr):
+    """Potentials._tabulated point by point over the same knots: C(p_k) as
+    the running sum of one integrate per cell, plus one integrate on the
+    partial panel [p_k, p] of each point."""
+    sums = {1: [0.0], -1: [0.0]}
+    out = []
+    for p in (1.0 / r_arr.ravel()).tolist():
+        sign = 1 if p >= 1.0 else -1
+        knots = _KNOTS[sign]
+        k = bisect.bisect_right(_KNOT_KEYS[sign], sign * p) - 1  # the last knot from 1 toward p
+        running = sums[sign]
+        while len(running) <= k:
+            j = len(running)
+            running.append(running[-1] + integrate(g, knots[j - 1], knots[j], atol=quadrature.DEFAULT_ATOL))
+        out.append(-(running[k] + integrate(g, knots[k], p, atol=quadrature.DEFAULT_ATOL)))
+    return np.array(out).reshape(r_arr.shape)
 
 
 def _regime_outputs(text, masses):
@@ -505,7 +504,7 @@ class TestBatchedRegimePath:
         with monkeypatch.context() as m:
             m.setattr(regime, "_sup_on_grid", _scalar_sup_on_grid)
             m.setattr(regime, "_gamma_numeric", _scalar_gamma_numeric)
-            m.setattr(Potentials, "_segmented", _scalar_segmented)
+            m.setattr(Potentials, "_tabulated", _scalar_tabulated)
             m.setattr(quadrature, "integrate_cells", _scalar_cells)
             reference = _regime_outputs(text, masses)
         assert _regime_outputs(text, masses) == reference
@@ -526,8 +525,9 @@ class TestBatchedRegimePath:
         theta, alpha = default_candidates(c, None, None)
         design_blowup(c, 1.0, theta, alpha)
         # 12100 with one evaluate call per grid point and per cell; 971
-        # (against a bound of 2000) with two calls per bisection
-        assert len(calls) <= 644
+        # (against a bound of 2000) with two calls per bisection; 644 with
+        # 64 cells per call and an adaptive quadrature per potential cell
+        assert len(calls) <= 284
 
     def test_certify_pass_evaluation_budget(self, monkeypatch):
         # the certify benchmark operation at M = 1; each callable is counted
@@ -552,9 +552,10 @@ class TestBatchedRegimePath:
             except CoefficientError as err:
                 assert text == "exp(-r)" and str(err) == EXP_ERROR
         # 2122 and 337 while Potentials also computed psi1(0); 1942 evaluate
-        # calls (against a bound of 2077) with two calls per bisection
-        assert counts["evaluate"] <= 1349
-        assert counts["integrate"] <= 322
+        # calls (against a bound of 2077) with two calls per bisection; 754
+        # and 183 with 64 cells per call and no knot table
+        assert counts["evaluate"] <= 363
+        assert counts["integrate"] <= 145
 
 
 def _reference_gss_max(phi, lo, hi):
