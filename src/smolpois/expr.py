@@ -24,8 +24,8 @@ apart.  ``OPERATIONS`` maps each operation name to its checked numpy
 operation and the same operation unchecked.  The checked walk ``_eval``
 folds with the checked ones and never returns a non-finite value silently:
 division by zero, ln of a non-positive argument and overflow all raise
-``EvalDomainError``.  ``pretty`` folds to text, and ``coefficient`` folds
-to the factors of a power product.
+``EvalDomainError``, and ``coefficient`` folds to the factors of a power
+product.
 
 ``evaluate`` runs a plan that each tree folds once, on its first
 evaluation: nested closures that apply the unchecked operations to the
@@ -86,10 +86,6 @@ class _Node:
         except EvalDomainError:
             return None
         return plan if callable(plan) else lambda r: plan
-
-    def __getstate__(self):
-        # a closure does not pickle; an unpickled tree compiles its own plan
-        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
 
 
 @dataclass(frozen=True)
@@ -357,19 +353,3 @@ def _plan_step(name: str, values: list):
     if plans[0]:
         return lambda r: op(f(r), g)
     return lambda r: op(f, g(r))
-
-
-# --- pretty printing --------------------------------------------------------
-
-
-def pretty(node: Node) -> str:
-    """Fully parenthesized rendering; re-parsing reproduces the evaluation."""
-    return fold(node, "r", repr, _pretty_step)
-
-
-def _pretty_step(name: str, parts: list[str]) -> str:
-    if name == "neg":
-        return f"(-{parts[0]})"
-    if name in _FUNCTIONS:
-        return f"{name}({', '.join(parts)})"
-    return f"({parts[0]} {name} {parts[1]})"

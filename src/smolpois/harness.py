@@ -1,11 +1,11 @@
-"""CLI, configuration, presets, sweeps, and reproducible file outputs.
+"""CLI, configuration, presets, and reproducible file outputs.
 
 Config files are flat INI sections of ``key = value`` pairs; unknown keys
 are errors, never ignored.  All outputs are byte-deterministic for a given
 config: CSV numbers carry 17 significant digits and the wall-clock time is
 reported on stderr only (the summary file stores null).
 
-Subcommands: classify, design, simulate, sweep, validate.  Exit status 0
+Subcommands: classify, design, simulate, validate.  Exit status 0
 means the work completed (whatever the scientific verdict), 1 is a
 usage/config error, a rejected coefficient, an arithmetic failure of
 classify or design (one ``error: <Type>: <message>`` line) or a failed
@@ -42,7 +42,7 @@ from .regime import (
     verify_majorant,
 )
 from .solver import SolverFailure, run, run_crossval
-from .transform import FieldF, field_to_csv
+from .transform import FieldF
 
 # series.csv columns: header name -> the DiagnosticsRecord attribute it holds
 _SERIES_COLUMNS = {
@@ -64,7 +64,7 @@ _SERIES_COLUMNS = {
 CSV_HEADER = ",".join(_SERIES_COLUMNS)
 
 # RunConfig fields left out of the config echo in summary.json
-_NOT_ECHOED = ("out_dir", "save_fields")
+_NOT_ECHOED = ("out_dir",)
 
 
 class ConfigError(ValueError):
@@ -94,7 +94,6 @@ class RunConfig:
     samples_file: Optional[str] = None
     out_dir: Optional[str] = None
     eps_touchdown: float = 1e-6
-    save_fields: bool = False
     preset: Optional[str] = None
 
     def validate(self) -> "RunConfig":
@@ -208,7 +207,7 @@ class RunSummary:
 
 # --- config file loading ---------------------------------------------------------
 
-# config key -> (RunConfig field, kind); the sweep keys set no field
+# config key -> (RunConfig field, kind)
 _CONFIG_KEYS = {
     "coefficient.expr": ("coefficient_text", str),
     "coefficient.theta": ("theta", float),
@@ -228,9 +227,6 @@ _CONFIG_KEYS = {
     "initial.q": ("pam_q", "float_or_auto"),
     "initial.delta": ("pam_delta", "float_or_auto"),
     "initial.file": ("samples_file", str),
-    "output.save_fields": ("save_fields", bool),
-    "sweep.key": (None, str),
-    "sweep.values": (None, str),
 }
 
 
@@ -245,13 +241,6 @@ def _coerce(key: str, raw: str):
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if kind == "float_or_auto":
         if raw.lower() == "auto":
             return "auto"
@@ -262,47 +251,21 @@ def _coerce(key: str, raw: str):
     raise AssertionError(kind)
 
 
-def _read_config_pairs(path) -> dict:
+def load_config(path) -> RunConfig:
+    """Load and validate a run configuration file."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-    pairs = {}
+    kwargs = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
             full = f"{section}.{key}"
             if full not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {full!r}")
-            pairs[full] = _coerce(full, raw)
-    if "coefficient.expr" not in pairs:
+            kwargs[_CONFIG_KEYS[full][0]] = _coerce(full, raw)
+    if "coefficient_text" not in kwargs:
         raise ConfigError("config needs coefficient.expr")
-    return pairs
-
-
-def load_config(path) -> RunConfig:
-    """Load and validate a run configuration file."""
-    pairs = _read_config_pairs(path)
-    kwargs = {}
-    for key, value in pairs.items():
-        if key.startswith("sweep."):
-            continue
-        kwargs[_CONFIG_KEYS[key][0]] = value
     return RunConfig(**kwargs).validate()
-
-
-def load_sweep(path) -> tuple[RunConfig, str, list]:
-    """Load a sweep config: base RunConfig plus (key, values) to vary."""
-    pairs = _read_config_pairs(path)
-    if "sweep.key" not in pairs or "sweep.values" not in pairs:
-        raise ConfigError("sweep config needs sweep.key and sweep.values")
-    key = pairs["sweep.key"]
-    if key not in _CONFIG_KEYS or key.startswith("sweep."):
-        raise ConfigError(f"sweep.key {key!r} is not a config key")
-    values = [_coerce(key, item) for item in pairs["sweep.values"].split(",") if item.strip()]
-    if not values:
-        raise ConfigError("sweep.values is empty")
-    base = load_config(path)
-    return base, key, values
 
 
 # --- presets ----------------------------------------------------------------------
@@ -527,54 +490,11 @@ def simulate(config: RunConfig) -> tuple[RunSummary, list]:
 def _cmd_simulate(args) -> int:
     config = _resolve_simulate_config(args)
     summary, series = simulate(config)
-    out_dir = config.out_dir or "out"
-    emit_outputs(summary, series, out_dir)
-    if config.save_fields and summary.final_state is not None:
-        field_to_csv(summary.final_state.field, Path(out_dir) / "field_final.csv")
+    emit_outputs(summary, series, config.out_dir or "out")
     if summary.wall_clock_s is not None:
         sys.stderr.write(f"wall clock: {summary.wall_clock_s:.3f} s\n")
     sys.stdout.write(dumps_deterministic(summary.to_dict()))
     return 2 if summary.verdict == "inconclusive" else 0
-
-
-def _sweep_child(payload) -> dict:
-    index, config, out_dir = payload
-    summary, series = simulate(config)
-    emit_outputs(summary, series, out_dir)
-    return {
-        "index": index,
-        "dir": str(out_dir),
-        "verdict": summary.verdict,
-        "blowup_time": summary.blowup_time,
-        "final_time": summary.final_time,
-    }
-
-
-def _cmd_sweep(args) -> int:
-    base, key, values = load_sweep(args.config)
-    out_root = Path(args.out or base.out_dir or "sweep-out")
-    jobs = max(1, args.jobs)
-    children = []
-    for index, value in enumerate(values):
-        config = base.with_overrides(**{_CONFIG_KEYS[key][0]: value})
-        child_dir = out_root / f"run-{index:03d}"
-        children.append((index, config, str(child_dir)))
-    if jobs == 1:
-        results = [_sweep_child(child) for child in children]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_child, children))
-    manifest = {
-        "key": key,
-        "values": list(values),
-        "runs": sorted(results, key=lambda r: r["index"]),
-    }
-    out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "manifest.json").write_text(dumps_deterministic(manifest), encoding="utf-8")
-    sys.stdout.write(dumps_deterministic(manifest))
-    return 0
 
 
 def _cmd_validate(args) -> int:
@@ -721,11 +641,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--grid", type=int, default=None, help="sets both n and n_y")
     p_sim.add_argument("--out", default=None)
 
-    p_sweep = sub.add_parser("sweep", help="one run per value of a swept key")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-
     p_val = sub.add_parser("validate", help="invariant battery on builtin coefficients")
     p_val.add_argument("--out", default=None)
     return parser
@@ -742,7 +657,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "classify": _cmd_classify,
         "design": _cmd_design,
         "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
         "validate": _cmd_validate,
     }
     try:

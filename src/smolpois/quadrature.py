@@ -12,9 +12,9 @@ subdivision grades into automatically.
 Panels are evaluated in batches: ``integrate`` evaluates both halves of a
 bisection in one integrand call, and many cells (a sweep over a grid or a
 knot table, one panel per point) go through ``integrate_cells``, which
-evaluates the integrand on the Kronrod nodes of all cells in one call and
-accepts a cell whose single panel meets the tolerance, the acceptance rule
-of QUADPACK (Piessens et al., 1983).  The rest go to ``integrate``.  The
+evaluates the integrand on the Kronrod nodes of up to ``_CELL_BLOCK``
+cells in one call and accepts a cell whose single panel meets the
+tolerance, the acceptance rule of QUADPACK (Piessens et al., 1983).  The rest go to ``integrate``.  The
 batching contract: each panel is one row of the node array, reduced by
 ``np.vecdot``, which runs the 1-D ``np.dot`` kernel on each row (a matrix
 product may sum in another order).  A set of cells or a pair of halves
@@ -64,6 +64,7 @@ _MAX_PANELS = 4000
 _PROBE_BLOCKS = 40        # dyadic blocks of dyadic_decay_probe
 _PROBE_RATIO_MAX = 0.99   # largest settled block ratio it calls integrable
 _PROBE_ATOL = 1e-12       # block tolerance; the ratio after a block this small is 0
+_CELL_BLOCK = 1024        # cells whose nodes integrate_cells evaluates in one call
 
 
 class QuadratureError(ArithmeticError):
@@ -163,33 +164,35 @@ def integrate_cells(f: Callable, left, right, atol: float = DEFAULT_ATOL) -> np.
     """``integrate(f, left[k], right[k], atol)`` for every k, in one array.
 
     Each cell gets one 7/15 Kronrod panel, with ``f`` evaluated on the nodes
-    of every cell in one call and each cell's sums reduced by ``np.vecdot``,
-    so that the call's arithmetic is numpy's and each row's is ``_panel``'s.
-    A cell whose panel meets the stop test of ``integrate`` on its first
-    pass (its error within tolerance, or its value overflowed) takes that
-    panel's value; a cell that misses it, and every cell when the
-    evaluation raises an ``ArithmeticError`` or is not finite go to
-    ``integrate`` itself, in order.  Every value, and every error raised, is
-    the one the per-cell ``integrate`` calls give.
+    of ``_CELL_BLOCK`` cells at a time in one call and each cell's sums
+    reduced by ``np.vecdot``, so that the call's arithmetic is numpy's and
+    each row's is ``_panel``'s.  A cell whose panel meets the stop test of
+    ``integrate`` on its first pass (its error within tolerance, or its
+    value overflowed) takes that panel's value; a cell that misses it, and
+    every cell of a block whose evaluation raises an ``ArithmeticError`` or
+    is not finite go to ``integrate`` itself, in order.  Every value, and
+    every error raised, is the one the per-cell ``integrate`` calls give.
     """
     left = np.asarray(left, dtype=float).ravel()
     right = np.asarray(right, dtype=float).ravel()
-    lo, hi = np.minimum(left, right), np.maximum(left, right)
-    half = 0.5 * (hi - lo)
-    sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
-    if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
-        out = np.empty(left.size)
-        refine = range(left.size)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # a panel that overflowed
-            k15, g7 = half * sums[0], half * sums[1]
-            total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
-            err_ok = np.abs(k15 - g7) <= atol * np.maximum(1.0, np.abs(total))
-        accept = err_ok | ~np.isfinite(total)  # a zero-width cell: 0.0, as integrate gives
-        out = np.where(right < left, -total, total)
-        refine = np.flatnonzero(~accept).tolist()
-    for k in refine:
-        out[k] = integrate(f, float(left[k]), float(right[k]), atol=atol)
+    out = np.empty(left.size)
+    for start in range(0, left.size, _CELL_BLOCK):
+        a, b = left[start:start + _CELL_BLOCK], right[start:start + _CELL_BLOCK]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        half = 0.5 * (hi - lo)
+        sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
+        if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
+            refine = range(a.size)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # a panel that overflowed
+                k15, g7 = half * sums[0], half * sums[1]
+                total = 0.0 + k15  # as integrate's sum over panels: -0.0 becomes 0.0
+                err_ok = np.abs(k15 - g7) <= atol * np.maximum(1.0, np.abs(total))
+            accept = err_ok | ~np.isfinite(total)  # a zero-width cell: 0.0, as integrate gives
+            out[start:start + a.size] = np.where(b < a, -total, total)
+            refine = np.flatnonzero(~accept).tolist()
+        for k in refine:
+            out[start + k] = integrate(f, float(a[k]), float(b[k]), atol=atol)
     return out
 
 
@@ -217,8 +220,12 @@ def dyadic_decay_probe(f: Callable, r: float, direction: str = "up") -> bool:
     [r 2^{-k-1}, r 2^{-k}]) by testing geometric decay of block integrals.
 
     Declares integrable when the later block ratios all stay below
-    ``_PROBE_RATIO_MAX``; everything else is divergent.  Purely numeric:
-    slowly converging integrals (e.g. 1/(s ln^2 s)) are declared divergent.
+    ``_PROBE_RATIO_MAX``; everything else is divergent.  Purely numeric, it
+    errs both ways near the tail boundary: the block ratio of s^(-1-eps) is
+    2^-eps > 0.99 for eps < 0.0145, so (1+s)^-1.001 and (1+s)^-1.01 are
+    declared divergent, while the ratios of 1/((1+s) ln(2+s)^kappa) tend
+    to 1 too slowly, so it is declared integrable at kappa = 0.5 and 1 (as
+    at kappa = 2, where it is).
     """
     step = 1 if direction == "up" else -1
     edges = [r * 2.0 ** (step * k) for k in range(_PROBE_BLOCKS + 1)]

@@ -177,9 +177,7 @@ def _gamma_numeric(c: Coefficient) -> float:
     tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]
 
     def phi(r: float) -> float:
-        k = int(np.searchsorted(grid, r))
-        if k >= _GRID_POINTS:
-            return r * -c.tail_integral(r)
+        k = int(np.searchsorted(grid, r))  # the search brackets are grid cells: r <= grid[-1]
         return r * (tails[k] + integrate(c, r, float(grid[k])))
 
     return _sup_estimate(grid, grid * tails, phi, corner)

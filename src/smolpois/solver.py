@@ -222,11 +222,6 @@ def solve_poisson(uf: FieldU) -> np.ndarray:
     return v - v.mean()
 
 
-def poisson_residual(uf: FieldU, v: np.ndarray) -> float:
-    """Max residual of the three-point Neumann discretization."""
-    return float(np.max(np.abs(_lap_neumann(v, uf.h) - _mass_deficit(uf))))
-
-
 # --- f-form step --------------------------------------------------------------
 
 

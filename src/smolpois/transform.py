@@ -216,12 +216,3 @@ def pam_profile(M: float, q: float, delta: float, n_y: int) -> FieldF:
     if sup_continuum > 2.0 / delta + 1e-12:
         raise FieldError("spike profile exceeded its analytic sup bound")
     return field
-
-
-def field_to_csv(field, path) -> None:
-    """Dump a field as CSV rows (index, coordinate, value)."""
-    lines = ["index,coordinate,value"]
-    for i, (c, v) in enumerate(zip(field.centers, field.values)):
-        lines.append(f"{i},{c:.17g},{v:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

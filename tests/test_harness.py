@@ -15,7 +15,6 @@ from smolpois.harness import (
     dumps_deterministic,
     emit_outputs,
     load_config,
-    load_sweep,
     main,
     preset_config,
     simulate,
@@ -58,6 +57,11 @@ class TestLoadConfig:
         bad = BASIC.replace("t_max = 0.2", "t_max = 0.2\nwibble = 1")
         with pytest.raises(ConfigError, match="wibble"):
             load_config(write_config(tmp_path, bad))
+        for key in ("sweep.key", "output.save_fields"):  # removed keys
+            section, name = key.split(".")
+            with pytest.raises(ConfigError, match=re.escape(repr(key))):
+                load_config(write_config(tmp_path, BASIC + f"\n[{section}]\n{name} = 1\n"))
+        assert main(["sweep", "--config", str(write_config(tmp_path, BASIC))]) == 1
 
     def test_negative_mass_names_key(self, tmp_path):
         bad = BASIC.replace("mass = 1.0", "mass = -2")
@@ -384,77 +388,6 @@ class TestCli:
         assert "[FAIL]" not in out
 
 
-class TestSweep:
-    def test_sweep_manifest(self, tmp_path, capsys):
-        body = """
-[coefficient]
-expr = (1+r)^-2
-
-[run]
-formulation = f
-t_max = 0.05
-
-[grid]
-n = 64
-n_y = 64
-
-[initial]
-kind = pam
-q = 4.0
-delta = 0.2
-
-[sweep]
-key = initial.delta
-values = 0.2, 0.1
-"""
-        cfg_path = write_config(tmp_path, body)
-        out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)])
-        assert code == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["key"] == "initial.delta"
-        assert len(manifest["runs"]) == 2
-        for entry in manifest["runs"]:
-            child = Path(entry["dir"])
-            assert (child / "series.csv").exists()
-            assert entry["verdict"] is not None
-
-    def test_sweep_parallel_matches_serial(self, tmp_path):
-        body = """
-[coefficient]
-expr = (1+r)^-2
-
-[run]
-formulation = f
-t_max = 0.02
-
-[grid]
-n = 32
-n_y = 32
-
-[initial]
-kind = constant
-
-[sweep]
-key = run.mass
-values = 1.0, 2.0
-"""
-        cfg_path = write_config(tmp_path, body)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(serial)]) == 0
-        assert main(["sweep", "--config", str(cfg_path), "--out", str(parallel), "--jobs", "2"]) == 0
-        for child in ("run-000", "run-001"):
-            a = (serial / child / "series.csv").read_bytes()
-            b = (parallel / child / "series.csv").read_bytes()
-            assert a == b
-
-    def test_sweep_requires_section(self, tmp_path):
-        cfg_path = write_config(tmp_path, BASIC)
-        with pytest.raises(ConfigError):
-            load_sweep(cfg_path)
-
-
 class TestSamplesInitialData:
     def test_f_profile_from_file(self, tmp_path):
         n = 64
@@ -478,11 +411,11 @@ class TestSamplesInitialData:
         assert series[0].f_max == pytest.approx(1.2, rel=1e-2)
 
     def test_field_csv_format_accepted(self, tmp_path):
-        from smolpois.transform import FieldF, field_to_csv
-
-        field = FieldF.from_samples(np.full(32, 0.5), 1.0)
+        # rows of index, cell centre and value under a header line
+        y = (np.arange(32) + 0.5) / 32
+        rows = [f"{i},{c:.17g},1" for i, c in enumerate(y)]
         sample_path = tmp_path / "field.csv"
-        field_to_csv(field, sample_path)
+        sample_path.write_text("\n".join(["index,coordinate,value", *rows]) + "\n", encoding="utf-8")
         cfg = RunConfig(
             coefficient_text="(1+r)^-2",
             formulation="f",
@@ -495,18 +428,6 @@ class TestSamplesInitialData:
         ).validate()
         summary, _ = simulate(cfg)
         assert summary.verdict == "global-so-far"
-
-
-class TestSaveFields:
-    def test_final_field_written(self, tmp_path):
-        code = main([
-            "simulate", "--config", str(write_config(tmp_path, BASIC + "\n[output]\nsave_fields = true\n")),
-            "--t-max", "0.05", "--grid", "32", "--out", str(tmp_path / "run"),
-        ])
-        assert code == 0
-        dump = tmp_path / "run" / "field_final.csv"
-        assert dump.exists()
-        assert dump.read_text().splitlines()[0] == "index,coordinate,value"
 
 
 class TestValidationSuite:

@@ -162,11 +162,15 @@ class TestIntegrateCells:
         [
             (lambda s: 1.0 / (s - 0.5), QuadratureError),  # infinite at a node
             (partial(evaluate, parse_coefficient("1/(r-0.5)")), EvalDomainError),  # raises there
+            # the pole of cell 1104, in the second block of integrate_cells
+            (partial(evaluate, parse_coefficient("1/(r-1100.5)")), EvalDomainError),
         ],
     )
     def test_non_finite_raises_like_per_cell(self, f, error):
-        # the cell [0.25, 0.75] has its middle node at 0.5, where f is not finite
-        edges = [0.1, 0.2, 0.25, 0.75, 0.9]
+        # the cell [0.25, 0.75] has its middle node at 0.5, and the cell
+        # [1100, 1101] its middle node at 1100.5
+        edges = [0.1, 0.2, 0.25, 0.75, 0.9, *np.arange(1.0, 1201.0)]
+        assert quadrature._CELL_BLOCK < 1104 < len(edges) - 1
         with pytest.raises(error) as per_cell:
             _per_cell(f, edges)
         with pytest.raises(error) as batched:

@@ -7,7 +7,6 @@ from smolpois.transform import (
     FieldU,
     TouchDownError,
     f_to_u,
-    field_to_csv,
     pam_profile,
     u_to_f,
 )
@@ -141,17 +140,3 @@ class TestPamProfile:
         # spike thinner than a cell: renormalization yields the flat profile
         ff = pam_profile(1.0, 4.0, 1e-4, 400)
         assert np.allclose(ff.values, 1.0, rtol=1e-12)
-
-
-class TestCsv:
-    def test_field_dump(self, tmp_path):
-        ff = pam_profile(1.0, 4.0, 0.1, 16)
-        path = tmp_path / "field.csv"
-        field_to_csv(ff, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,coordinate,value"
-        assert len(lines) == 17
-        index, coord, value = lines[1].split(",")
-        assert index == "0"
-        assert float(coord) == pytest.approx(ff.centers[0])
-        assert float(value) == pytest.approx(ff.values[0])

@@ -10,17 +10,21 @@ OLD_SRC and NEW_SRC are directories that hold the ``smolpois`` package
 (a checkout's ``src/``).  Each run is ``python -m smolpois simulate`` with
 ``PYTHONPATH`` set to one tree, then the other, in a fresh temporary
 directory with ``--out out``, so that the config echo in ``summary.json``
-is the same on both sides.  Runs are the named presets and the INI files
-given with ``--config``; a path inside such a file should be absolute.
+is the same on both sides.  Each such directory first gets a copy of
+every ``tools/golden/*.csv``, so that a relative ``initial.file`` names
+one of them; any other path inside an INI file should be absolute.  Runs
+are the named presets and the INI files given with ``--config``.
 When none of PRESET, ``--config`` and ``--coeff`` is given, it runs all
 four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, an
 f-form with a shifted closed-form psi and one with a quadrature-backed
 psi, an integrable-tail u-form, and the stall-heavy
 f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600,
-and the dt-underflow f-form path, the longest chain of dt-halving retries)
+the dt-underflow f-form path, the longest chain of dt-halving retries,
+f- and u-form runs from ``initial.kind = samples`` and a
+two-formulation run from ``initial.kind = constant``)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
-``certify`` benchmark coefficients, parser-sensitive spellings and the
-error branches of recognition and evaluation), and
+``certify`` benchmark coefficients, parser-sensitive spellings, a parse
+error and the error branches of recognition and evaluation), and
 also ``python -m smolpois validate``, so a bare ``python
 tools/golden_diff.py OLD/src src`` covers the regime layer and the
 validation battery (majorant check, psi inverse, energy/norm slacks) too.
@@ -55,6 +59,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -67,9 +72,12 @@ OUTPUTS = ("series.csv", "summary.json")
 
 
 def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
-    """Run one simulation from ``src`` in ``workdir``; the bytes of each
-    output, or None where the run wrote none, and the run's stderr."""
+    """Run one simulation from ``src`` in ``workdir``, which first gets a
+    copy of each ``tools/golden/*.csv``; the bytes of each output, or None
+    where the run wrote none, and the run's stderr."""
     workdir.mkdir(parents=True)
+    for path in GOLDEN_CONFIGS.glob("*.csv"):
+        shutil.copy(path, workdir)
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "smolpois", "simulate", *run_args, "--out", "out"],
