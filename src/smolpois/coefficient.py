@@ -12,10 +12,12 @@ The tail antiderivative A(r) = -int_r^inf a(s) ds feeds the blowup
 criterion machinery.
 
 Coefficients c * r^p * (b+r)^beta, with a constant shift b > 0, are
-recognized structurally from the parsed expression and carry closed-form
-antiderivatives and exact asymptotic exponents; anything else falls back to
-quadrature with numeric integrability verdicts (so labelled), and psi and
-psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
+recognized structurally from the parsed expression and carry exact
+asymptotic exponents, and closed-form antiderivatives where they exist;
+anything else gets numeric integrability verdicts (so labelled).  Whatever
+the class, an integral with a closed primitive is read from it and one
+without falls back to quadrature: A(r) to ``integrate_tail``, psi and psi1
+to a cumulative table at the knots 2^(k/8) plus one panel per point.
 """
 
 from __future__ import annotations
@@ -152,16 +154,24 @@ class Coefficient:
         a power product's are closed forms and are not kept here."""
         return {}
 
-    def tail_integral(self, r: float) -> float:
-        """A(r) = -int_r^inf a(s) ds, or -inf as the divergence flag."""
-        raise NotImplementedError
+    def tail_integral(self, r):
+        """A(r) = -int_r^inf a(s) ds, or -inf as the divergence flag: the
+        closed ``primitive`` where there is one, elementwise on an array;
+        else by quadrature, for a scalar r only."""
+        if not self.tail_integrable:
+            return -math.inf
+        prim = self.primitive(r)
+        if prim is not None:
+            return float(prim) if np.ndim(r) == 0 else np.asarray(prim, dtype=float)
+        return -integrate_tail(self.__call__, r)
 
     def integral_zero_to_one(self) -> float:
         """int_0^1 a(s) ds for a integrable at zero, by quadrature."""
         return integrate(self.__call__, 1e-300, 1.0)
 
     def primitive(self, r):
-        """Closed-form antiderivative of a, or None."""
+        """Closed-form antiderivative of a, or None; one that vanishes at
+        infinity whenever the tail is integrable."""
         return None
 
     def primitive_over_s(self, r):
@@ -243,19 +253,6 @@ class PowerProductCoefficient(Coefficient):
             return self.c * out
         return None
 
-    def tail_integral(self, r):
-        """A(r) for a scalar r, or elementwise for an array."""
-        if not self.tail_integrable:
-            return -math.inf
-        prim = self.primitive(r)
-        if prim is not None:
-            # the primitive vanishes at infinity (every exponent < -1 here),
-            # so A(r) = F(r) - F(inf) = F(r)
-            return float(prim) if np.ndim(r) == 0 else np.asarray(prim, dtype=float)
-        if np.ndim(r) == 0:
-            return -integrate_tail(self.__call__, r)
-        return np.array([-integrate_tail(self.__call__, x) for x in np.ravel(r).tolist()]).reshape(np.shape(r))
-
     def integral_zero_to_one(self) -> float:
         if self._terms is not None and all(e > -1.0 for _, e in self._terms):
             return float(self.primitive(1.0))  # primitive vanishes at 0 termwise
@@ -303,11 +300,6 @@ class ExpressionCoefficient(Coefficient):
     @cached_property
     def integrable_at_zero(self) -> bool:
         return dyadic_decay_probe(self.__call__, 1.0, direction="down")
-
-    def tail_integral(self, r: float) -> float:
-        if not self.tail_integrable:
-            return -math.inf
-        return -integrate_tail(self.__call__, r)
 
 
 # --- structural recognition of builtins --------------------------------------

@@ -11,6 +11,8 @@ The solver's per-record pass computes every functional and slack of a
 profile from one evaluation of psi(f) (``energy_norm_terms``,
 ``global_bound_chain``) and stores them on its ``DiagnosticsRecord``; the
 suite checks over a series read those records and evaluate no potential.
+A suite check returns one ``CheckResult``, or, when it checks several
+inequalities, a dict of them keyed by their names in ``summary.json``.
 """
 
 from __future__ import annotations
@@ -185,24 +187,21 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     passed: bool
     min_slack: Optional[float] = None
     first_violation_t: Optional[float] = None
     note: str = ""
 
 
-def _suite(name: str, pairs: Sequence[tuple[float, float]], tol: float) -> CheckResult:
+def _suite(pairs: Sequence[tuple[float, float]], tol: float) -> CheckResult:
     """Aggregate (t, slack) pairs into a pass/fail verdict at tolerance tol."""
     if not pairs:
-        return CheckResult(name=name, passed=True, note="no records to check")
+        return CheckResult(passed=True, note="no records to check")
     min_t, min_slack = min(pairs, key=lambda ts: ts[1])
     violations = [(t, s) for t, s in pairs if s < -tol]
     if violations:
-        return CheckResult(
-            name=name, passed=False, min_slack=min_slack, first_violation_t=violations[0][0]
-        )
-    return CheckResult(name=name, passed=True, min_slack=min_slack)
+        return CheckResult(passed=False, min_slack=min_slack, first_violation_t=violations[0][0])
+    return CheckResult(passed=True, min_slack=min_slack)
 
 
 # --- suite checks over a series -------------------------------------------------
@@ -216,7 +215,7 @@ def check_lyapunov(series: Sequence[DiagnosticsRecord], tol_rate: float = 1e-8) 
             continue
         dt = cur.t - prev.t
         pairs.append((cur.t, prev.l1 + tol_rate * dt - cur.l1))
-    return _suite("lyapunov_monotone", pairs, tol=0.0)
+    return _suite(pairs, tol=0.0)
 
 
 def check_sigma_comparison(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> CheckResult:
@@ -226,12 +225,12 @@ def check_sigma_comparison(series: Sequence[DiagnosticsRecord], tol: float = 1e-
         for rec in series
         if rec.sigma_t is not None and rec.f_max is not None
     ]
-    return _suite("sigma_comparison", pairs, tol=0.0)
+    return _suite(pairs, tol=0.0)
 
 
 def check_corollary_bound(
     series: Sequence[DiagnosticsRecord], M: float, mu_m: float, tol: float = 1e-6
-) -> tuple[CheckResult, CheckResult]:
+) -> dict[str, CheckResult]:
     """Uniform bound on psi~ along the trajectory (integrable-tail regime).
 
     Returns the trajectory-level check against the fixed bound from L1(f0),
@@ -243,10 +242,10 @@ def check_corollary_bound(
         for rec in series
         if rec.psi_tilde_max is not None and rec.l1 is not None
     ]
-    return (
-        _suite("psi_tilde_bound_fixed", _slack_pairs(series, "slack_corollary"), tol=tol),
-        _suite("psi_tilde_bound_pertime", pertime_pairs, tol=tol),
-    )
+    return {
+        "psi_tilde_bound_fixed": _suite(_slack_pairs(series, "slack_corollary"), tol=tol),
+        "psi_tilde_bound_pertime": _suite(pertime_pairs, tol=tol),
+    }
 
 
 def _slack_pairs(series: Sequence[DiagnosticsRecord], name: str) -> list[tuple[float, float]]:
@@ -254,21 +253,16 @@ def _slack_pairs(series: Sequence[DiagnosticsRecord], name: str) -> list[tuple[f
     return [(r.t, getattr(r, name)) for r in series if getattr(r, name) is not None]
 
 
-def check_energy_norm_series(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> tuple[CheckResult, CheckResult]:
-    return (
-        _suite("gex5", _slack_pairs(series, "slack_gex5"), tol=tol),
-        _suite("gex6", _slack_pairs(series, "slack_gex6"), tol=tol),
-    )
+def check_energy_norm_series(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> dict[str, CheckResult]:
+    return {
+        "gex5": _suite(_slack_pairs(series, "slack_gex5"), tol=tol),
+        "gex6": _suite(_slack_pairs(series, "slack_gex6"), tol=tol),
+    }
 
 
-@dataclass(frozen=True)
-class MomentOdeResult:
-    ode_slack: CheckResult
-    monotone: CheckResult
-    lambda_chain: CheckResult
-
-
-def check_moment_ode(series: Sequence[DiagnosticsRecord], design, tol: Optional[float] = None) -> MomentOdeResult:
+def check_moment_ode(
+    series: Sequence[DiagnosticsRecord], design, tol: Optional[float] = None
+) -> dict[str, CheckResult]:
     """Verify dm_q/dt <= Lambda(m_q) over recorded intervals, strict decrease
     of m_q, and the chain Lambda(m_q(t)) <= Lambda(m_q(0)) < 0."""
     if design is None:
@@ -285,31 +279,21 @@ def check_moment_ode(series: Sequence[DiagnosticsRecord], design, tol: Optional[
         mono_pairs.append((cur.t, prev.m_q - cur.m_q))
     for rec in records:
         chain_pairs.append((rec.t, lam0 - design.lambda_value(rec.m_q)))
-    chain = _suite("lambda_chain", chain_pairs, tol=max(tol, 1e-12))
+    chain = _suite(chain_pairs, tol=max(tol, 1e-12))
     if lam0 >= 0.0:
-        chain = CheckResult(
-            name="lambda_chain", passed=False, min_slack=chain.min_slack,
-            note=f"Lambda(m_q(0)) = {lam0!r} not negative",
-        )
-    return MomentOdeResult(
-        ode_slack=_suite("moment_ode", ode_pairs, tol=tol),
-        monotone=_suite("m_q_decreasing", mono_pairs, tol=0.0),
-        lambda_chain=chain,
-    )
+        chain = CheckResult(passed=False, min_slack=chain.min_slack, note=f"Lambda(m_q(0)) = {lam0!r} not negative")
+    return {
+        "moment_ode": _suite(ode_pairs, tol=tol),
+        "m_q_decreasing": _suite(mono_pairs, tol=0.0),
+        "lambda_chain": chain,
+    }
 
 
-@dataclass(frozen=True)
-class GlobalBoundsResult:
-    prandtl: CheckResult
-    psi_l1: CheckResult
-    barrier: CheckResult
-
-
-def check_global_bounds(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> GlobalBoundsResult:
+def check_global_bounds(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> dict[str, CheckResult]:
     """Divergent-tail bound chain from the records' slacks: gradient bound,
     L1 bound on psi(f), and the induced lower barrier on min f."""
-    return GlobalBoundsResult(
-        prandtl=_suite("prandtl", _slack_pairs(series, "slack_prandtl"), tol=tol),
-        psi_l1=_suite("psi_l1_bound", _slack_pairs(series, "slack_psi_l1"), tol=tol),
-        barrier=_suite("f_min_barrier", _slack_pairs(series, "slack_barrier"), tol=0.0),
-    )
+    return {
+        "prandtl": _suite(_slack_pairs(series, "slack_prandtl"), tol=tol),
+        "psi_l1_bound": _suite(_slack_pairs(series, "slack_psi_l1"), tol=tol),
+        "f_min_barrier": _suite(_slack_pairs(series, "slack_barrier"), tol=0.0),
+    }

@@ -465,7 +465,6 @@ def simulate(config: RunConfig) -> tuple[RunSummary, list]:
         gap, summary_f, summary_u, series_f, series_u = run_crossval(config)
         checks = dict(summary_f.checks)
         checks["crossval_gap"] = diag.CheckResult(
-            name="crossval_gap",
             passed=gap <= 0.02,
             min_slack=0.02 - gap,
             note=f"relative L1 gap {gap:.6g} between formulations at t_max",

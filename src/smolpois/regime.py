@@ -23,12 +23,13 @@ limit at the open end and the value at the critical point, with divergence
 decided by the exponents.  Every other supremum (gamma, and every
 supremum of an expression coefficient) is estimated on a 2048-point log
 grid with golden-section refinement around the maximizer; divergence at
-the corner of the interval is decided exactly for power products and by
-decade-growth heuristics (flagged "numeric") otherwise; one estimator,
-``_sup_estimate``, serves every grid supremum.  Grid values come from one
-array call (the numeric gamma's tail integrals from one ``integrate_cells``
-sweep), bit-identical to a point-by-point loop; only the refinement
-evaluates point by point.
+the corner of the interval is decided exactly where the exponents are
+known and by decade-growth heuristics (flagged "numeric") otherwise; one
+estimator, ``_sup_estimate``, serves every grid supremum.  Whatever the
+class of a, gamma's tail integrals come from its closed primitive when
+there is one and otherwise from one cumulative ``integrate_cells`` sweep.
+Grid values come from one array call, bit-identical to a point-by-point
+loop; only the refinement evaluates point by point.
 """
 
 from __future__ import annotations
@@ -158,17 +159,18 @@ def compute_gamma(c: Coefficient) -> float:
     diverges or the singularity of a near zero is stronger than 1/r^2."""
     if not c.tail_integrable:
         return math.inf
-    if isinstance(c, PowerProductCoefficient):
-        # -r A(r) ~ r^{p+2} near zero: divergent exactly when p < -2
-        if c.smallr_exponent < -2.0:
-            return math.inf
+    # -r A(r) ~ r^{p+2} near zero: divergent exactly when p < -2
+    if c.smallr_exponent is not None and c.smallr_exponent < -2.0:
+        return math.inf
+    if c.primitive(1.0) is not None:
         return _sup_on_grid(lambda r: -r * c.tail_integral(r), *_UNIT_INTERVAL)
     return _gamma_numeric(c)
 
 
 def _gamma_numeric(c: Coefficient) -> float:
-    """Numeric gamma: one cumulative sweep of the tail integral over the log
-    grid (2048 independent improper integrals would be needlessly slow)."""
+    """gamma without a closed primitive: one cumulative sweep of the tail
+    integral over the log grid (2048 independent improper integrals would
+    be needlessly slow)."""
     lo, hi, corner = _UNIT_INTERVAL
     grid = np.geomspace(lo, hi, _GRID_POINTS)
     cells = integrate_cells(c, grid[:-1], grid[1:])
@@ -288,7 +290,7 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
     if alpha is not None:
         return theta, alpha
     alpha_floor = theta / (1.0 + theta)
-    if isinstance(c, PowerProductCoefficient):
+    if c.tail_exponent is not None:
         alpha = min(2.0, -c.tail_exponent)
         if alpha <= alpha_floor:
             alpha = 2.0  # no admissible choice keeps C_inf finite; report as such

@@ -714,21 +714,13 @@ def _assemble_checks(ctx: _RunContext, series, formulation: str) -> dict:
         return checks
     checks["lyapunov"] = diag.check_lyapunov(series)
     checks["sigma_comparison"] = diag.check_sigma_comparison(series)
-    checks["gex5"], checks["gex6"] = diag.check_energy_norm_series(series)
+    checks.update(diag.check_energy_norm_series(series))
     if ctx.tail_integrable:
-        checks["psi_tilde_bound_fixed"], checks["psi_tilde_bound_pertime"] = diag.check_corollary_bound(
-            series, ctx.M, ctx.mu_m
-        )
+        checks.update(diag.check_corollary_bound(series, ctx.M, ctx.mu_m))
     else:
-        bounds = diag.check_global_bounds(series)
-        checks["prandtl"] = bounds.prandtl
-        checks["psi_l1_bound"] = bounds.psi_l1
-        checks["f_min_barrier"] = bounds.barrier
+        checks.update(diag.check_global_bounds(series))
     if ctx.design is not None:
-        moment = diag.check_moment_ode(series, ctx.design)
-        checks["moment_ode"] = moment.ode_slack
-        checks["m_q_decreasing"] = moment.monotone
-        checks["lambda_chain"] = moment.lambda_chain
+        checks.update(diag.check_moment_ode(series, ctx.design))
     return checks
 
 

@@ -253,9 +253,9 @@ class TestSeriesChecks:
             m = m + 1e-2 * rate
             recs.append(DiagnosticsRecord(t=t, m_q=m))
         result = check_moment_ode(recs, StubDesign)
-        assert result.ode_slack.passed
-        assert result.monotone.passed
-        assert result.lambda_chain.passed
+        assert result["moment_ode"].passed
+        assert result["m_q_decreasing"].passed
+        assert result["lambda_chain"].passed
 
     def test_moment_ode_detects_too_slow_decrease(self):
         class StubDesign:
@@ -270,7 +270,7 @@ class TestSeriesChecks:
             DiagnosticsRecord(t=1.0, m_q=0.45),  # rate -0.05 > Lambda = -0.5
         ]
         result = check_moment_ode(recs, StubDesign)
-        assert not result.ode_slack.passed
+        assert not result["moment_ode"].passed
 
     def test_global_bounds_regime_guard(self):
         # the divergent-tail bound chain is recorded and checked only for a
@@ -290,9 +290,9 @@ class TestSeriesChecks:
             assert all((name in summary.checks) == divergent for name in chain), text
             assert all((getattr(rec, s) is not None) == divergent for rec in series for s in slacks), text
         bounds = check_global_bounds(series)
-        assert bounds.prandtl.min_slack == min(rec.slack_prandtl for rec in series)
-        assert bounds.psi_l1.min_slack == min(rec.slack_psi_l1 for rec in series)
-        assert bounds.barrier.min_slack == min(rec.slack_barrier for rec in series)
+        assert bounds["prandtl"].min_slack == min(rec.slack_prandtl for rec in series)
+        assert bounds["psi_l1_bound"].min_slack == min(rec.slack_psi_l1 for rec in series)
+        assert bounds["f_min_barrier"].min_slack == min(rec.slack_barrier for rec in series)
 
     def test_global_barrier_is_positive_and_small(self, pot_inv1):
         c7, floor = global_barrier(pot_inv1, 0.2, 1.0, sigma(1.0, 0.5, 5.0))

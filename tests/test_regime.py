@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smolpois import expr, quadrature, regime
+from smolpois import coefficient, expr, quadrature, regime
 from smolpois.coefficient import CoefficientError, Potentials, PowerProductCoefficient, coefficient_from_text
 from smolpois.diagnostics import lyapunov_L1, moment_mq
 from smolpois.quadrature import integrate
@@ -53,6 +53,40 @@ class TestGamma:
         # same r^{-1/2} blowup of -r A(r) but driven through the numeric path
         text = "(1+r)/r^2.5 + 1/(2+r)^3"
         assert compute_gamma(coefficient_from_text(text)) == math.inf
+
+
+def _count_tail_integrals(monkeypatch) -> list:
+    """A list that grows by one at every ``integrate_tail`` call."""
+    calls = []
+    real = coefficient.integrate_tail
+    monkeypatch.setattr(coefficient, "integrate_tail", lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+    return calls
+
+
+class TestGammaWithoutPrimitive:
+    """A power product with no closed primitive takes the one cumulative
+    sweep of an expression, not one improper integral per grid point."""
+
+    def test_one_sweep(self, monkeypatch):
+        c = coefficient_from_text("r^0.5*(3+r)^-2")
+        assert isinstance(c, PowerProductCoefficient) and c.primitive(1.0) is None
+        calls = _count_tail_integrals(monkeypatch)
+        assert compute_gamma(c) == 0.8545997880355279
+        # over 2,000 with one improper integral per grid point and refinement
+        assert len(calls) <= 2
+
+    def test_exponent_slice_budget(self, monkeypatch):
+        # classify and design of a (p, beta) slice of a = r^p (1+r)^beta:
+        # each cell needs psi(0) and the start of its gamma sweep, where it
+        # made about 2,116 calls with one per grid point
+        calls = _count_tail_integrals(monkeypatch)
+        for p in (-1.5, -0.5, 0.5):
+            for beta in (-3.5, -2.5, -1.7):
+                c = coefficient_from_text(f"r^{p}*(1+r)^{beta}")
+                assert c.primitive(1.0) is None
+                assert classify(c).clause == "blowup-via-(1)"
+                design_blowup(c, 1.0, *default_candidates(c, None, None))
+        assert len(calls) <= 18
 
 
 class TestDecrConstants:
@@ -498,7 +532,8 @@ def _regime_outputs(text, masses):
 class TestBatchedRegimePath:
     """The batched grid and cell sweeps give what the scalar loops gave."""
 
-    @pytest.mark.parametrize("text", CERTIFY)
+    # the certify coefficients, and a power product whose gamma takes the sweep
+    @pytest.mark.parametrize("text", CERTIFY + ("r^0.5*(3+r)^-2",))
     def test_equals_scalar_loops(self, text, monkeypatch):
         masses = (1.0, 0.93, 1.07)
         with monkeypatch.context() as m:

@@ -24,7 +24,8 @@ f- and u-form runs from ``initial.kind = samples`` and a
 two-formulation run from ``initial.kind = constant``)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
 ``certify`` benchmark coefficients, parser-sensitive spellings, a parse
-error and the error branches of recognition and evaluation), and
+error, the error branches of recognition and evaluation, and designs that
+fail), and
 also ``python -m smolpois validate``, so a bare ``python
 tools/golden_diff.py OLD/src src`` covers the regime layer and the
 validation battery (majorant check, psi inverse, energy/norm slacks) too.
