@@ -258,7 +258,7 @@ class FIterate:
         g += M * w
         g -= 1.0
         self.g = g
-        self.psi_max = float(np.abs(psi).max())
+        self.psi_max = float(max(psi.max(), -psi.min()))
         self.w_max = float(w.max())
 
     @cached_property
@@ -301,9 +301,10 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
     w = start.w
     for iteration in range(30):
         it = FIterate(pot, w, M, h) if iteration else start
-        residual = w - f_old
-        residual -= dt * it.g
-        res_norm = float(np.abs(residual).max())
+        # the negated residual dt g - (w - f_old), the Newton right-hand side
+        rhs = f_old - w
+        rhs += dt * it.g
+        res_norm = float(max(rhs.max(), -rhs.min()))
         w_max = it.w_max
         noise_floor = 16.0 * eps * (dt * (it.psi_max / h2 + M * w_max + 1.0) + w_max)
         tol = NEWTON_TOL * max(1.0, w_max) + noise_floor
@@ -331,13 +332,13 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
         main += diag_shift
         main[0] = diag_shift + off[0]
         main[-1] = diag_shift + off[-1]
-        np.negative(residual, out=residual)
         try:
-            dw = solve_banded(ab, residual)
+            dw = solve_banded(ab, rhs)
         except (np.linalg.LinAlgError, ValueError):
             return None
         w = w + dw
-        if not np.isfinite(w).all() or (w <= 0.0).any():
+        # rejects NaN (the comparisons are false), +-inf and values <= 0
+        if not (w.min() > 0.0 and w.max() < math.inf):
             return None
     return None
 
