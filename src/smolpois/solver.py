@@ -55,7 +55,13 @@ built by hand or by ``replace(field=...)`` gets its record recomputed.
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
 controller targets a 5% relative change of the monitored extremum per
-step by halving/doubling between 1e-12 and dt_max.
+step: it halves dt above that change and doubles it below a quarter of it,
+between 1e-12 and dt_max, but never right after a rejected trial.  A step
+whose accepted dt is below the dt it requested holds dt for the next
+``wait`` steps; ``wait`` starts at 1, doubles with each such step up to
+``HOLD_MAX`` and returns to 1 once a grown dt is accepted whole.  Near the
+steady state Newton stalls on the doubled dt every time, and without the
+hold every step would retry it.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ DT_FLOOR = 1e-12
 DT_UNDERFLOW = 1e-14
 NEWTON_TOL = 1e-13
 TARGET_REL_CHANGE = 0.05
+HOLD_MAX = 64  # longest hold of dt growth after a rejected trial, in steps
 
 
 class SolverFailure(RuntimeError):
@@ -655,12 +662,14 @@ def run(config, coeff: Optional[Coefficient] = None):
         blowup_time = 0.0
         notes.append(start_note.format(prev_monitor, threshold))
 
+    wait, hold = 1, 0
     try:
         while verdict is None:
             if state.t >= config.t_max:
                 verdict = "global-so-far"
                 break
             dt = min(dt, config.t_max - state.t)
+            prev_dt = state.dt
             state = stepper(state, dt)
             new_monitor = monitor(state.field)
             if state.t >= next_record or state.t >= config.t_max:
@@ -673,12 +682,18 @@ def run(config, coeff: Optional[Coefficient] = None):
                 break
             rel = abs(new_monitor - prev_monitor) / max(abs(prev_monitor), 1e-300)
             used = state.dt
+            if used < dt:
+                # cut: a trial was rejected; hold dt for the next `wait` steps
+                hold, wait = wait, min(2 * wait, HOLD_MAX)
+            elif used > prev_dt:
+                wait = 1
             if rel > TARGET_REL_CHANGE:
                 dt = max(used * 0.5, DT_FLOOR)
-            elif rel < 0.25 * TARGET_REL_CHANGE:
+            elif rel < 0.25 * TARGET_REL_CHANGE and not hold:
                 dt = min(used * 2.0, dt_max)
             else:
                 dt = min(used, dt_max)
+            hold = max(hold - 1, 0)
             prev_monitor = new_monitor
     except NearSingularity as err:
         verdict = "blowup"

@@ -721,8 +721,11 @@ class TestNewtonStall:
         assert np.array_equal(w, ref)
 
     def test_near_steady_run_regression(self, monkeypatch):
-        # the benchmark's global-fine run at its nominal inputs: every
-        # accepted step as before, only the rejected trials get cheaper
+        # the benchmark's global-fine run at its nominal inputs: 108 steps,
+        # and every accepted dt but the last two as when dt was regrown
+        # after each rejection; that controller's clipped last trial was
+        # rejected and halved, which left f_min at 0.9995435001852524.
+        # Holding dt after a rejection keeps 7 of the 95 rejected trials.
         calls = {"band": 0, "psi": 0, "psi_prime": 0}
 
         def counted(name, fn):
@@ -740,12 +743,101 @@ class TestNewtonStall:
         summary, _ = run(cfg)
         assert summary.verdict == "global-so-far"
         assert summary.final_state.steps == 108
-        assert abs(summary.final_state.field.min_value - 0.9995435001852524) <= 1e-12
-        # before the dt-free Newton data was reused: 794 band solves (bound
-        # 1000), 1044 psi and 814 psi' evaluations
-        assert calls["band"] <= 794
-        assert calls["psi"] <= 838
-        assert calls["psi_prime"] <= 643
+        assert abs(summary.final_state.field.min_value - 0.9995434993244247) <= 1e-12
+        # with dt regrown after every rejection: 794 band solves, 837 psi
+        # and 643 psi' evaluations
+        assert calls["band"] <= 442
+        assert calls["psi"] <= 485
+        assert calls["psi_prime"] <= 378
+
+
+class TestStepController:
+    """After a rejected trial dt is held for ``wait`` steps, ``wait``
+    doubling with each cut step up to HOLD_MAX and returning to 1 once a
+    grown dt is accepted."""
+
+    @staticmethod
+    def _trials(monkeypatch) -> list:
+        """Count, in the list returned, every trial ``_advance`` makes."""
+        trials = [0]
+        advance = solver._advance
+
+        def counting(state, dt, attempt, describe):
+            def counted(trial):
+                trials[0] += 1
+                return attempt(trial)
+            return advance(state, dt, counted, describe)
+
+        monkeypatch.setattr(solver, "_advance", counting)
+        return trials
+
+    def test_stalled_run_rejects_few_trials(self, monkeypatch):
+        # the global-fine run: Newton stalls on dt = 0.004096 at every step,
+        # and regrowing dt after each rejection retried it 95 times
+        trials = self._trials(monkeypatch)
+        cfg = preset_config("global-demo").with_overrides(
+            initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600, t_max=0.2
+        )
+        summary, _ = run(cfg)
+        steps = summary.final_state.steps
+        assert steps == 108
+        assert trials[0] - steps <= 10
+
+    @pytest.mark.parametrize(
+        "overrides, steps, dt, f_min, u_max",
+        [
+            (dict(initial_kind="cosine", amplitude=0.5, n=400, n_y=400, t_max=1.0),
+             212, 0.0018089999999991724, 0.9899600618151986, 1.0101417608366867),
+            (dict(formulation="u", n=400, dt_max="auto", t_max=0.05),
+             89, 0.00022699999999997028, None, 1.4328158993019444),
+        ],
+        ids=["f-form", "u-form"],
+    )
+    def test_run_without_rejection_unchanged(self, monkeypatch, overrides, steps, dt, f_min, u_max):
+        # no trial is rejected, so no dt is held: the steps and final values
+        # of the controller without a hold, bit for bit
+        trials = self._trials(monkeypatch)
+        summary, series = run(preset_config("global-demo").with_overrides(**overrides))
+        state = summary.final_state
+        assert trials[0] == state.steps == steps
+        assert state.t == overrides["t_max"] and state.dt == dt
+        assert series[-1].f_min == f_min and series[-1].u_max == u_max
+
+    def test_growth_resumes_after_stall_clears(self, monkeypatch):
+        # a stepper that cuts every trial above 0.0025 while t lies in a
+        # stall window, as a Newton stall on the grown dt does
+        windows = ((0.0, 0.6), (0.9, 1.0))
+        log = []
+        step = solver.step_f
+
+        def stalling(state, dt):
+            trial = dt
+            while any(lo <= state.t < hi for lo, hi in windows) and trial > 0.0025:
+                trial *= 0.5
+            new = step(state, trial)
+            log.append((state.t, dt, new.dt))
+            return new
+
+        monkeypatch.setattr(solver, "step_f", stalling)
+        cfg = preset_config("global-demo").with_overrides(
+            initial_kind="cosine", amplitude=1e-3, n=200, n_y=200, t_max=1.1
+        )
+        summary, _ = run(cfg)
+        assert summary.verdict == "global-so-far"
+        cuts = [i for i, (_, asked, used) in enumerate(log) if used < asked]
+        first = [i for i in cuts if log[i][0] < 0.6]
+        second = [i for i in cuts if log[i][0] >= 0.6]
+        # holds of 1, 2, 4, ..., 64 steps between cuts, then 64 each time
+        gaps = np.diff(first)
+        assert list(gaps[:7]) == [2, 3, 5, 9, 17, 33, 65]
+        assert set(gaps[6:]) == {solver.HOLD_MAX + 1}
+        # the stall clears at t = 0.6: the first grown dt is accepted within
+        # HOLD_MAX + 1 steps of the last cut, and dt regains dt_max
+        grown = next(i for i in range(first[-1] + 1, len(log)) if log[i][2] > log[i - 1][2])
+        assert grown - first[-1] <= solver.HOLD_MAX + 1
+        assert max(used for t, _, used in log if 0.6 <= t < 0.9) == cfg.resolved_dt_max()
+        # the accepted growth reset wait to 1: the second stall starts over
+        assert list(np.diff(second)[:3]) == [2, 3, 5]
 
 
 class TestNewtonReuse:

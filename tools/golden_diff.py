@@ -17,8 +17,10 @@ are the named presets and the INI files given with ``--config``.
 When none of PRESET, ``--config`` and ``--coeff`` is given, it runs all
 four presets, the runs of ``tools/golden/*.ini`` (u-form at n = 3200, an
 f-form with a shifted closed-form psi and one with a quadrature-backed
-psi, an integrable-tail u-form, and the stall-heavy
+psi, an integrable-tail u-form, the stall-heavy
 f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600,
+the step controller's hold, doubling and reset on ``global-demo``'s own
+data at n = n_y = 1600,
 the dt-underflow f-form path, the longest chain of dt-halving retries,
 f- and u-form runs from ``initial.kind = samples`` and a
 two-formulation run from ``initial.kind = constant``)
