@@ -7,9 +7,10 @@ reported on stderr only (the summary file stores null).
 
 Subcommands: classify, design, simulate, validate.  Exit status 0
 means the work completed (whatever the scientific verdict), 1 is a
-usage/config error, a rejected coefficient, an arithmetic failure of
-classify or design (one ``error: <Type>: <message>`` line) or a failed
-``validate`` check, 2 a
+usage/config error, a rejected coefficient, an initial profile that
+cannot be built (an unreadable ``initial.file``, samples that are not
+positive and finite), an arithmetic failure of classify or design (one
+``error: <Type>: <message>`` line) or a failed ``validate`` check, 2 a
 solver failure (inconclusive).
 """
 
@@ -30,19 +31,17 @@ from . import diagnostics as diag
 from .coefficient import CoefficientError, Potentials, PsiRangeError, TailDivergenceError, coefficient_from_text
 from .expr import ParseError, evaluate, parse_coefficient
 from .regime import (
-    BlowupDesign,
     CertificateUnavailable,
     DesignFailure,
     RegimeError,
-    RegimeReport,
     build_majorant,
     classify,
     default_candidates,
     design_blowup,
     verify_majorant,
 )
-from .solver import SolverFailure, run, run_crossval
-from .transform import FieldF
+from .solver import RunSummary, SolverFailure, run, run_crossval
+from .transform import FieldError, FieldF
 
 # series.csv columns: header name -> the DiagnosticsRecord attribute it holds
 _SERIES_COLUMNS = {
@@ -161,47 +160,6 @@ class RunConfig:
             ("coefficient" if f.name == "coefficient_text" else f.name): getattr(self, f.name)
             for f in fields(self)
             if f.name not in _NOT_ECHOED
-        }
-
-
-@dataclass
-class RunSummary:
-    verdict: Optional[str]
-    blowup_time: Optional[float]
-    final_time: float
-    regime: RegimeReport
-    design: Optional[BlowupDesign]
-    checks: dict
-    config_echo: dict
-    wall_clock_s: Optional[float]
-    notes: tuple = ()
-    final_state: object = None         # not serialized
-    crossval_gap: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        """The summary.json payload; the wall-clock time is left out (null)."""
-        if self.verdict == "blowup" and self.blowup_time is None:
-            raise ValueError("blowup verdict without a blowup time estimate")
-        checks = {
-            name: {
-                "passed": res.passed,
-                "min_slack": res.min_slack,
-                "first_violation_t": res.first_violation_t,
-                "note": res.note,
-            }
-            for name, res in sorted(self.checks.items())
-        }
-        return {
-            "verdict": self.verdict,
-            "blowup_time": self.blowup_time,
-            "final_time": self.final_time,
-            "regime": self.regime.to_dict() if self.regime is not None else None,
-            "design": self.design.to_dict() if self.design is not None else None,
-            "checks": checks,
-            "config": self.config_echo,
-            "crossval_gap": self.crossval_gap,
-            "wall_clock_s": None,
-            "notes": list(self.notes),
         }
 
 
@@ -660,7 +618,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ParseError, RegimeError, CoefficientError, TailDivergenceError, PsiRangeError) as err:
+    except (
+        ConfigError, FieldError, ParseError, RegimeError, CoefficientError, TailDivergenceError, PsiRangeError
+    ) as err:
         sys.stderr.write(f"error: {err}\n")
         return 1
     except ArithmeticError as err:  # an overflow, a quadrature that fails, ...

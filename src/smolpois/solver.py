@@ -81,8 +81,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from .coefficient import Coefficient, Potentials, coefficient_from_text
-from .regime import BlowupDesign, classify, default_candidates, design_blowup
-from .transform import TOUCHDOWN_FLOOR, FieldF, FieldU, f_to_u, pam_profile, u_to_f
+from .regime import BlowupDesign, RegimeReport, classify, default_candidates, design_blowup
+from .transform import TOUCHDOWN_FLOOR, FieldError, FieldF, FieldU, f_to_u, pam_profile, u_to_f
 
 
 def _load_flapack():
@@ -510,61 +510,99 @@ def _record_u(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
         t=state.t,
         dt=state.dt,
         u_max=field.max_value,
-        mass_err=field.mass_error(),
+        mass_err=field.integral_error(),
         sigma_t=diag.sigma(ctx.M, ctx.m0, state.t),
     )
 
 
-def build_initial_data(config, coeff, pot) -> tuple[Optional[FieldU], Optional[FieldF], Optional[BlowupDesign]]:
-    """Construct the initial fields named by the config (and, for 'auto'
-    spike parameters, the blowup design from the run's coeff and pot)."""
+@dataclass
+class RunSummary:
+    verdict: Optional[str]
+    blowup_time: Optional[float]
+    final_time: float
+    regime: RegimeReport
+    design: Optional[BlowupDesign]
+    checks: dict
+    config_echo: dict
+    wall_clock_s: Optional[float]
+    notes: tuple = ()
+    final_state: object = None         # not serialized
+    crossval_gap: Optional[float] = None
+
+    def to_dict(self) -> dict:
+        """The summary.json payload; the wall-clock time is left out (null)."""
+        if self.verdict == "blowup" and self.blowup_time is None:
+            raise ValueError("blowup verdict without a blowup time estimate")
+        checks = {
+            name: {
+                "passed": res.passed,
+                "min_slack": res.min_slack,
+                "first_violation_t": res.first_violation_t,
+                "note": res.note,
+            }
+            for name, res in sorted(self.checks.items())
+        }
+        return {
+            "verdict": self.verdict,
+            "blowup_time": self.blowup_time,
+            "final_time": self.final_time,
+            "regime": self.regime.to_dict() if self.regime is not None else None,
+            "design": self.design.to_dict() if self.design is not None else None,
+            "checks": checks,
+            "config": self.config_echo,
+            "crossval_gap": self.crossval_gap,
+            "wall_clock_s": None,
+            "notes": list(self.notes),
+        }
+
+
+def build_initial_data(config, coeff, pot) -> tuple[FieldU | FieldF, Optional[BlowupDesign]]:
+    """The initial field of ``config.formulation`` and, for 'auto' spike
+    parameters, the blowup design from the run's coeff and pot."""
     M = config.mass
-    design = None
+    u_form = config.formulation == "u"
+    field_type = FieldU if u_form else FieldF
     kind = config.initial_kind
     if kind == "constant":
-        u0 = FieldU.from_samples(np.full(config.n, M), M)
-        f0 = FieldF.from_samples(np.full(config.n_y, 1.0 / M), M)
-        return u0, f0, None
+        n, level = (config.n, M) if u_form else (config.n_y, 1.0 / M)
+        return field_type.from_samples(np.full(n, level), M), None
     if kind == "cosine":
         amp = config.amplitude
         if not (0.0 <= amp < M):
             raise SolverFailure(f"cosine amplitude {amp!r} must lie in [0, M)")
         x = (np.arange(config.n) + 0.5) / config.n
         u0 = FieldU.from_samples(M + amp * np.cos(np.pi * x), M)
-        f0 = u_to_f(u0, config.n_y)
-        return u0, f0, None
+        return (u0 if u_form else u_to_f(u0, config.n_y)), None
     if kind == "pam":
-        theta, alpha = default_candidates(coeff, config.theta, config.alpha)
-        if config.pam_q == "auto" or config.pam_delta == "auto":
+        design = None
+        if config.pam_q == "auto":  # validation leaves q and delta both 'auto' or both set
+            theta, alpha = default_candidates(coeff, config.theta, config.alpha)
             design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y, potentials=pot)
-            q = design.q if config.pam_q == "auto" else float(config.pam_q)
-            delta = design.delta if config.pam_delta == "auto" else float(config.pam_delta)
+            q, delta = design.q, design.delta
         else:
-            q = float(config.pam_q)
-            delta = float(config.pam_delta)
+            q, delta = float(config.pam_q), float(config.pam_delta)
         f0 = pam_profile(M, q, delta, config.n_y)
-        return None, f0, design
+        if u_form and f0.min_value <= TOUCHDOWN_FLOOR:
+            raise SolverFailure("initial data does not define a u profile")
+        return (f_to_u(f0, config.n) if u_form else f0), design
     if kind == "samples":
         values = _read_samples(config.samples_file)
-        if config.formulation == "u":
-            return FieldU.from_samples(values, M), None, None
-        f0 = FieldF.from_samples(values, M)
-        return None, f0, None
+        return field_type.from_samples(values, M), None
     raise SolverFailure(f"unknown initial data kind {config.initial_kind!r}")
 
 
 def _read_samples(path: str) -> np.ndarray:
+    """The last comma-separated cell of each line of ``path`` that holds a number."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cell = line.split(",")[-1]
-            try:
-                values.append(float(cell))
-            except ValueError:
-                continue  # header line
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                try:
+                    values.append(float(line.split(",")[-1]))
+                except ValueError:
+                    continue  # a header or blank line
+    except OSError as err:
+        raise FieldError(f"cannot read initial.file {path!r}: {err.strerror}") from None
     return np.asarray(values, dtype=float)
 
 
@@ -579,8 +617,6 @@ def run(config, coeff: Optional[Coefficient] = None):
     touch-down of f / runaway of u / dt underflow, "global-so-far" at
     t_max, "inconclusive" on solver failure.
     """
-    from .harness import RunSummary  # deferred: harness imports this module
-
     t_start = time.perf_counter()
     formulation = config.formulation
     if formulation not in ("f", "u"):
@@ -589,15 +625,13 @@ def run(config, coeff: Optional[Coefficient] = None):
         coeff = coefficient_from_text(config.coefficient_text)
     pot = Potentials(coeff)
     regime_report = classify(coeff, config.theta, config.alpha)
-    u0, f0, design = build_initial_data(config, coeff, pot)
+    field0, design = build_initial_data(config, coeff, pot)
     M = config.mass
     eps_td = config.eps_touchdown
     notes = list(regime_report.notes)
 
     if formulation == "f":
-        if f0 is None:
-            raise SolverFailure("initial data does not define an f profile")
-        field0, m0 = f0, 1.0 / f0.max_value
+        m0 = 1.0 / field0.max_value
         monitor = attrgetter("min_value")
         threshold = eps_td
         crossed = partial(gt, threshold)        # touch-down: eps_td > min f
@@ -605,17 +639,12 @@ def run(config, coeff: Optional[Coefficient] = None):
         stepper, record = step_f, _record_f
         # psi(f0) is evaluated once: the t = 0 record and the first step
         # take it from this Newton record
-        start = FIterate(pot, f0.values, f0.mass, f0.h)
+        start = FIterate(pot, field0.values, field0.mass, field0.h)
         constants = dict(psi_inv_m=abs(pot.psi(1.0 / M)))
         if coeff.tail_integrable:
             constants["mu_m"] = diag.mu_mass(pot, M)
     else:
-        if u0 is None:
-            if f0 is not None and f0.min_value > TOUCHDOWN_FLOOR:
-                u0 = f_to_u(f0, config.n)
-            else:
-                raise SolverFailure("initial data does not define a u profile")
-        field0, m0 = u0, u0.min_value
+        m0 = field0.min_value
         monitor = attrgetter("max_value")
         threshold = 1.0 / eps_td
         crossed = partial(lt, threshold)        # runaway: 1/eps_td < max u
@@ -648,10 +677,10 @@ def run(config, coeff: Optional[Coefficient] = None):
     blowup_time = None
     if config.initial_kind == "pam":
         delta_used = design.delta if design is not None else float(config.pam_delta)
-        if f0 is not None and delta_used < f0.h:
+        if delta_used < M / config.n_y:
             notes.append(
                 f"spike width delta = {delta_used:.3e} is below the cell width "
-                f"{f0.h:.3e}; the discrete initial profile degenerates toward "
+                f"{M / config.n_y:.3e}; the discrete initial profile degenerates toward "
                 "the constant steady state"
             )
     dt = min(config.dt_init, dt_max)

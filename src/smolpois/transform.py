@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +37,42 @@ def _cell_centers(n: int, length: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Field:
-    """Cell-centered samples of a profile on a uniform grid; ``mass`` is M."""
+    """Cell-centered samples of a profile on a uniform grid; ``mass`` is M.
+
+    A subclass states its grid and integral through ``on_mass_axis``: the
+    grid spans [0, M] and the integral is 1 (f), or the grid spans [0, 1]
+    and the integral is M (u).  ``symbol`` names the profile in errors."""
 
     values: np.ndarray
     mass: float
+    on_mass_axis: ClassVar[bool]
+    symbol: ClassVar[str]
+
+    @classmethod
+    def from_samples(cls, values, mass: float):
+        """The samples rescaled by one factor to the target integral."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or values.size < 2:
+            raise FieldError(f"{cls.symbol} needs a 1D array of at least 2 samples")
+        if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
+            raise FieldError(f"{cls.symbol} samples must be positive and finite")
+        if mass <= 0.0:
+            raise FieldError("mass must be positive")
+        length, target = (mass, 1.0) if cls.on_mass_axis else (1.0, mass)
+        current = length / values.size * float(values.sum())
+        return cls(values=values * (target / current), mass=float(mass))
 
     @property
     def n(self) -> int:
         return self.values.size
+
+    @property
+    def h(self) -> float:
+        return (self.mass if self.on_mass_axis else 1.0) / self.values.size
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return _cell_centers(self.n, self.mass if self.on_mass_axis else 1.0)
 
     @property
     def min_value(self) -> float:
@@ -56,34 +85,18 @@ class _Field:
     def with_values(self, values: np.ndarray):
         return type(self)(values=values, mass=self.mass)
 
+    def integral_error(self) -> float:
+        """|discrete integral - target| / target."""
+        target = 1.0 if self.on_mass_axis else self.mass
+        return abs(self.h * float(self.values.sum()) - target) / target
+
 
 @dataclass(frozen=True)
 class FieldU(_Field):
     """Cell-centered samples of u on a uniform grid of [0,1] with mass M."""
 
-    @staticmethod
-    def from_samples(values, mass: float) -> "FieldU":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise FieldError("u needs a 1D array of at least 2 samples")
-        if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-            raise FieldError("u samples must be positive and finite")
-        if mass <= 0.0:
-            raise FieldError("mass must be positive")
-        h = 1.0 / values.size
-        current = h * float(values.sum())
-        return FieldU(values=values * (mass / current), mass=float(mass))
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.values.size
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return _cell_centers(self.n, 1.0)
-
-    def mass_error(self) -> float:
-        return abs(self.h * float(self.values.sum()) - self.mass) / self.mass
+    on_mass_axis = False
+    symbol = "u"
 
 
 @dataclass(frozen=True)
@@ -91,29 +104,8 @@ class FieldF(_Field):
     """Cell-centered samples of f on a uniform grid of [0,M] with integral 1;
     M is also the length of the y-domain."""
 
-    @staticmethod
-    def from_samples(values, mass: float) -> "FieldF":
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise FieldError("f needs a 1D array of at least 2 samples")
-        if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
-            raise FieldError("f samples must be positive and finite")
-        if mass <= 0.0:
-            raise FieldError("mass must be positive")
-        h = mass / values.size
-        current = h * float(values.sum())
-        return FieldF(values=values * (1.0 / current), mass=float(mass))
-
-    @property
-    def h(self) -> float:
-        return self.mass / self.values.size
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return _cell_centers(self.n, self.mass)
-
-    def integral_error(self) -> float:
-        return abs(self.h * float(self.values.sum()) - 1.0)
+    on_mass_axis = True
+    symbol = "f"
 
 
 # --- interpolation helpers ---------------------------------------------------

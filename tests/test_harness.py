@@ -388,6 +388,48 @@ class TestCli:
         assert "[FAIL]" not in out
 
 
+SAMPLES = BASIC.replace("kind = cosine\namplitude = 0.5", "kind = samples\nfile = samples.csv")
+
+
+class TestErrorContract:
+    """Bad input ends in one stderr line and an exit code, not a traceback."""
+
+    @pytest.mark.parametrize("argv, files, code, message", [
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": SAMPLES}, 1,
+                     "error: cannot read initial.file 'samples.csv': No such file or directory",
+                     id="missing-samples-file"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": SAMPLES, "samples.csv": "1.0\n"}, 1,
+                     "error: f needs a 1D array of at least 2 samples", id="one-sample"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": SAMPLES, "samples.csv": "1\n0\n3\n"}, 1,
+                     "error: f samples must be positive and finite", id="zero-sample"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": SAMPLES, "samples.csv": "1\nnan\n3\n"}, 1,
+                     "error: f samples must be positive and finite", id="nan-sample"),
+        pytest.param(["simulate", "--config", "run.ini", "--formulation", "u"],
+                     {"run.ini": SAMPLES, "samples.csv": "1\ninf\n3\n"}, 1,
+                     "error: u samples must be positive and finite", id="inf-sample-u-form"),
+        pytest.param(["design", "--coeff", "(1+r)^-2", "--grid", "1"], {}, 1,
+                     "error: f needs a 1D array of at least 2 samples", id="design-grid-1"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": BASIC + "[grid]\nn_z = 10\n"}, 1,
+                     "error: unknown config key 'grid.n_z'", id="unknown-key"),
+        pytest.param(["simulate", "--preset", "global-demo", "--grid", "1"], {}, 1,
+                     "error: grid.n and grid.n_y must be at least 2", id="simulate-grid-1"),
+        pytest.param(["simulate", "--config", "run.ini"],
+                     {"run.ini": BASIC.replace("amplitude = 0.5", "amplitude = 1.0")}, 2,
+                     "solver error: cosine amplitude 1.0 must lie in [0, M)", id="amplitude-at-mass"),
+        pytest.param(["simulate", "--preset", "blowup-demo", "--formulation", "u"], {}, 2,
+                     "solver error: initial data does not define a u profile", id="pam-without-u-profile"),
+    ])
+    def test_one_line_and_exit_code(self, tmp_path, monkeypatch, capsys, argv, files, code, message):
+        monkeypatch.chdir(tmp_path)
+        for name, body in files.items():
+            (tmp_path / name).write_text(body, encoding="utf-8")
+        out = ["--out", "out"] if argv[0] == "simulate" else []
+        assert main([*argv, *out]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+
 class TestSamplesInitialData:
     def test_f_profile_from_file(self, tmp_path):
         n = 64

@@ -150,6 +150,12 @@ class TestExports:
         assert {name for name in namespace if name != "__builtins__"} == set(EXPORTS)
         assert all(namespace[name] is getattr(smolpois, name) for name in EXPORTS)
 
+    def test_run_summary_is_defined_in_solver(self):
+        # harness imports solver, never the other way round
+        assert harness.RunSummary is solver.RunSummary
+        code = "import json, sys\nfrom smolpois import solver\nprint(json.dumps('smolpois.harness' in sys.modules))"
+        assert fresh(code) is False
+
     def test_dir_lists_exports(self):
         listed = dir(smolpois)
         assert set(EXPORTS) <= set(listed)

@@ -340,7 +340,7 @@ class TestStepU:
         state = SolverState(t=0.0, field=uf, potentials=pot_inv1)
         for _ in range(50):
             state = step_u(state, 5e-4)
-        assert state.field.mass_error() <= 1e-12
+        assert state.field.integral_error() <= 1e-12
 
     def test_positivity(self, pot_inv1):
         uf = cosine_u(200, amp=0.95)
@@ -613,6 +613,28 @@ class TestRunVerdictPaths:
             step_u(state, 1e-3)
 
 
+class TestInitialData:
+    @pytest.mark.parametrize("overrides, calls", [
+        pytest.param(dict(formulation="u"), {"u_to_f": 0, "f_to_u": 0}, id="u-form-cosine"),
+        pytest.param(dict(formulation="f"), {"u_to_f": 1, "f_to_u": 0}, id="f-form-cosine"),
+        pytest.param(dict(formulation="u", initial_kind="pam", pam_q=4.0, pam_delta=0.05),
+                     {"u_to_f": 0, "f_to_u": 1}, id="u-form-pam"),
+    ])
+    def test_only_the_run_formulation_is_built(self, monkeypatch, overrides, calls):
+        # a run converts its start profile only when its formulation needs it
+        counted = dict.fromkeys(calls, 0)
+        for name in counted:
+            def counting(*args, _convert=getattr(solver, name), _name=name):
+                counted[_name] += 1
+                return _convert(*args)
+
+            monkeypatch.setattr(solver, name, counting)
+        cfg = preset_config("global-demo").with_overrides(n=64, n_y=64, t_max=0.01, **overrides)
+        summary, _ = run(cfg)
+        assert summary.verdict == "global-so-far"
+        assert counted == calls
+
+
 class TestCrossFormulation:
     def test_formulations_agree_in_the_global_regime(self):
         cfg = preset_config("crossval").with_overrides(n=200, n_y=200)
@@ -702,7 +724,7 @@ class TestNewtonStall:
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
         )
         coeff = coefficient_from_text(cfg.coefficient_text)
-        return build_initial_data(cfg, coeff, Potentials(coeff))[1]
+        return build_initial_data(cfg, coeff, Potentials(coeff))[0]
 
     def test_stalled_solve_rejected_at_once(self, f0):
         pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
@@ -852,7 +874,7 @@ class TestNewtonReuse:
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
         )
         coeff = coefficient_from_text(cfg.coefficient_text)
-        return build_initial_data(cfg, coeff, Potentials(coeff))[1]
+        return build_initial_data(cfg, coeff, Potentials(coeff))[0]
 
     def test_carried_start_changes_no_bit(self, f0, monkeypatch):
         solve = solver._solve_f
@@ -896,7 +918,7 @@ class TestNewtonReuse:
             coefficient_text=text, initial_kind="cosine", amplitude=0.5, n=200, n_y=200, t_max=0.01
         )
         summary, series = run(cfg)
-        f0 = made[0][1]
+        f0 = made[0][0]
         pot = summary.final_state.potentials
         assert summary.final_state.steps > 0
         assert pot.calls_at(f0.values)[0] == 1

@@ -22,7 +22,7 @@ class TestFields:
         rng = np.random.default_rng(21)
         vals = 1.0 + rng.uniform(0.0, 2.0, 300)
         uf = FieldU.from_samples(vals, 2.5)
-        assert uf.mass_error() <= 1e-14
+        assert uf.integral_error() <= 1e-14
 
     def test_integral_normalization_exact(self):
         rng = np.random.default_rng(22)
@@ -104,7 +104,7 @@ class TestRoundTrip:
     def test_mass_preserved(self):
         uf = cosine_u(128, amp=0.3, mass=2.0)
         back = f_to_u(u_to_f(uf, 512), 128)
-        assert back.mass_error() <= 1e-14
+        assert back.integral_error() <= 1e-14
 
 
 class TestPamProfile:
