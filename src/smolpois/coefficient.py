@@ -208,10 +208,11 @@ class PowerProductCoefficient(Coefficient):
             self._terms = None
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float) if not np.isscalar(r) else r
+        r = np.asarray(r, dtype=float)
+        shifted = np.power(self.b + r, self.beta)
         if self.p == 0.0:  # r^0 = 1 at every r, and c * 1.0 * x == c * x
-            return self.c * np.power(self.b + np.asarray(r, dtype=float), self.beta)
-        return self.c * np.power(r, self.p) * np.power(self.b + np.asarray(r, dtype=float), self.beta)
+            return self.c * shifted
+        return self.c * np.power(r, self.p) * shifted
 
     @cached_property
     def tail_integrable(self) -> bool:

@@ -27,17 +27,19 @@ names the monitored extremum.  ``run`` has one step loop for both
 formulations; it chooses the stepper, the record function, the monitored
 extremum and its blowup test once, before the loop.
 
-Every tridiagonal solve takes one route: LAPACK ``dgtsv`` through
-``solve_banded``, for the Newton system, the diffusion system and the
-Poisson reference ``solve_poisson`` (kept public as the reference for the
-u-form drift, no longer called per step).  ``dgtsv`` runs the eliminations
-and pivots of ``scipy.linalg.solve_banded`` and gives its results bit for
-bit.  It comes from scipy's LAPACK extension ``_flapack``, which
-``_load_flapack`` loads from scipy's ``linalg`` directory when this module
-is imported, without running the ``scipy.linalg`` package ``__init__``
-(and the numpy.f2py and numpy.testing imports that it pulls in).  It is
-registered as ``scipy.linalg._flapack``, so a later ``import scipy.linalg``
-reuses it, and ``dgtsv`` is the object ``scipy.linalg.lapack`` exports.
+Every tridiagonal solve goes through ``solve_banded``, which sends a band
+by its storage to one of two LAPACK routines.  Three rows, a general band,
+go to ``dgtsv`` (pivoting; the bits of ``scipy.linalg.solve_banded``): the
+f-form Newton Jacobian is not symmetric, and the Poisson reference
+``solve_poisson`` (no longer called per step) has a gauge row.  Two rows,
+the upper form of ``scipy.linalg.solveh_banded``, go to ``dptsv`` (LDL^T,
+no pivoting; its bits): the u-form diffusion matrix I - dt/h^2 D is
+symmetric and, with positive couplings, strictly diagonally dominant, hence
+positive definite.  ``_load_flapack`` loads both from scipy's extension
+``_flapack`` at import, without running the ``scipy.linalg`` ``__init__``
+(and its numpy.f2py and numpy.testing imports), and registers it as
+``scipy.linalg._flapack``: a later ``import scipy.linalg`` reuses it, and
+``dgtsv`` and ``dptsv`` are the objects ``scipy.linalg.lapack`` exports.
 
 Nothing of the f-form Newton solve that does not depend on dt is computed
 twice for one iterate.  ``FIterate`` holds that data at an iterate w:
@@ -113,6 +115,7 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgtsv = _flapack.dgtsv
+dptsv = _flapack.dptsv
 
 DT_FLOOR = 1e-12
 DT_UNDERFLOW = 1e-14
@@ -150,13 +153,8 @@ def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
     while True:
         values = attempt(trial)
         if values is not None:
-            return replace(
-                state,
-                t=state.t + trial,
-                field=state.field.with_values(values),
-                dt=trial,
-                steps=state.steps + 1,
-            )
+            field = state.field.with_values(values)
+            return SolverState(state.t + trial, field, state.potentials, trial, state.steps + 1)
         trial *= 0.5
         if trial < DT_UNDERFLOW:
             raise NearSingularity(
@@ -168,18 +166,24 @@ def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system whose rows of ``ab`` are the super-diagonal
-    (``ab[0, 1:]``), the main diagonal and the sub-diagonal (``ab[2, :-1]``),
-    with LAPACK ``dgtsv`` (partial pivoting), the routine behind
-    ``scipy.linalg.solve_banded((1, 1), ...)``.  ``ab`` and ``rhs`` are
-    overwritten.  Raises ``LinAlgError`` on an exactly singular pivot and
-    ``ValueError`` on an illegal argument, as scipy does.
+    """Solve the tridiagonal system stored in ``ab``, overwriting ``ab`` and
+    ``rhs``.  Three rows, the super-diagonal (``ab[0, 1:]``), the diagonal and
+    the sub-diagonal (``ab[2, :-1]``), are solved by ``dgtsv`` as
+    ``scipy.linalg.solve_banded((1, 1), ...)`` does; two rows, the upper form
+    of a symmetric positive definite band, by ``dptsv`` as
+    ``scipy.linalg.solveh_banded`` does.  Raises scipy's ``LinAlgError`` when
+    the factorisation fails and ``ValueError`` on an illegal argument.
     """
-    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    if len(ab) == 2:
+        _, _, x, info = dptsv(ab[1], ab[0, 1:], rhs, 1, 1, 1)
+    else:
+        _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError(
+            f"{info}th leading minor not positive definite" if len(ab) == 2 else "singular matrix"
+        )
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        raise ValueError(f"illegal value in {-info}-th argument of internal tridiagonal solve")
     return x
 
 
@@ -389,38 +393,33 @@ def _face_velocity(uf: FieldU) -> np.ndarray:
 
 def _try_u_step(pot: Potentials, uf: FieldU, dt: float) -> Optional[np.ndarray]:
     u = uf.values
-    n = u.size
     h = uf.h
     velocity = _face_velocity(uf)
     a_vals = np.asarray(pot.coefficient(u), dtype=float)
-    # harmonic-mean diffusivity on interior faces, frozen at the current
-    # state, scaled in place to the coupling dt * a_face / h^2
-    coupling = np.multiply(a_vals[:-1], 2.0)
-    coupling *= a_vals[1:]
-    coupling /= a_vals[:-1] + a_vals[1:]
-    coupling *= dt
-    coupling /= h * h
-    # explicit upwind drift: the advective face flux u * d_x v, over h
-    face_div = np.where(velocity > 0.0, u[:-1], u[1:])
-    face_div *= velocity
-    face_div /= h
-    # right-hand side u_old - dt * div_adv, built in one buffer
-    rhs = np.empty(n)
-    rhs[:-1] = face_div
-    rhs[-1] = 0.0
-    rhs[1:] -= face_div
-    rhs *= dt
-    np.subtract(u, rhs, out=rhs)
-    # implicit diffusion: (I - dt/h^2 D) u_new = rhs; the corners ab[0, 0]
-    # and ab[2, -1] are never read
-    ab = np.empty((3, n))
-    np.negative(coupling, out=ab[0, 1:])
+    # implicit diffusion (I - dt/h^2 D) u_new = rhs as a symmetric band: row 0
+    # holds minus dt a_face / h^2, a_face the harmonic mean of a on the
+    # interior faces at the current state; ab[0, 0] is never read
+    ab = np.empty((2, u.size))
+    off = ab[0, 1:]
+    np.multiply(a_vals[:-1], a_vals[1:], out=off)
+    off /= a_vals[:-1] + a_vals[1:]
+    off *= -2.0 * dt / (h * h)
     main = ab[1]
-    main.fill(1.0)
-    main[:-1] += coupling
-    main[1:] += coupling
-    ab[2, :-1] = ab[0, 1:]
-    u_new = solve_banded(ab, rhs)
+    np.subtract(1.0, off, out=main[:-1])
+    main[-1] = 1.0
+    main[1:] -= off
+    # explicit upwind drift: dt / h times the face flux u d_x v moves from
+    # the cell left of each face to the cell right of it
+    flux = np.where(velocity > 0.0, u[:-1], u[1:])
+    flux *= velocity
+    flux *= dt / h
+    rhs = u.copy()
+    rhs[:-1] -= flux
+    rhs[1:] += flux
+    try:
+        u_new = solve_banded(ab, rhs)
+    except np.linalg.LinAlgError:  # a band that is not positive definite
+        return None
     # rejects NaN (the comparisons are false), +-inf and values <= 0
     if not (u_new.min() > 0.0 and u_new.max() < math.inf):
         return None
@@ -433,12 +432,8 @@ def step_u(state: SolverState, dt: float) -> SolverState:
     taken from the cumulative mass deficit (``_face_velocity``), not from a
     Poisson solve."""
     u = state.field
-    return _advance(
-        state,
-        dt,
-        lambda trial: _try_u_step(state.potentials, u, trial),
-        lambda: f"max u = {u.max_value:.3e}",
-    )
+    attempt = partial(_try_u_step, state.potentials, u)
+    return _advance(state, dt, attempt, lambda: f"max u = {u.max_value:.3e}")
 
 
 # --- run loop -------------------------------------------------------------------

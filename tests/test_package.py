@@ -90,11 +90,11 @@ class TestScipyDeferred:
         # one extension, initialised once, whichever module is imported first
         code = (
             f"import json, sys\n{first}\n{then}\n"
-            "same = [solver.dgtsv is lapack.dgtsv]\n"
+            "same = [solver.dgtsv is lapack.dgtsv, solver.dptsv is lapack.dptsv]\n"
             "same.append(solver._flapack is lapack._flapack is sys.modules['scipy.linalg._flapack'])\n"
             "print(json.dumps(same))"
         )
-        assert fresh(code) == [True] * 2
+        assert fresh(code) == [True] * 3
 
     def test_missing_extension_names_the_directory(self, tmp_path):
         # a scipy package without the extension, found first on the path

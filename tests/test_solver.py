@@ -150,6 +150,37 @@ class TestBandSolve:
         with pytest.raises(np.linalg.LinAlgError):
             solver.solve_banded(ab, np.ones(3))
 
+    @pytest.mark.parametrize("n", [2, 3, 400, 3200])
+    def test_symmetric_band_matches_solveh_banded(self, pot_inv2, n):
+        # two rows: the upper form of the u-form diffusion band
+        uf = cosine_u(n, amp=0.9)
+        a_vals = np.asarray(pot_inv2.coefficient(uf.values), dtype=float)
+        coupling = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:]) * (1e-4 / uf.h**2)
+        ab = np.zeros((2, n))
+        ab[0, 1:] = -coupling
+        ab[1] = 1.0
+        ab[1, :-1] += coupling
+        ab[1, 1:] += coupling
+        rhs = np.random.default_rng(n).normal(size=n)
+        expected = scipy.linalg.solveh_banded(ab, rhs)
+        got = solver.solve_banded(ab.copy(), rhs.copy())
+        assert np.array_equal(got, expected)
+
+    def test_symmetric_band_overwrites_its_inputs(self):
+        ab = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0]])
+        rhs = np.array([3.0, 2.0, 3.0])
+        x = solver.solve_banded(ab, rhs)
+        assert np.allclose(x, 1.0)
+        assert np.shares_memory(x, rhs)
+
+    def test_not_positive_definite_raises_as_scipy_does(self):
+        # symmetric, and its second leading minor 1 - 4 is negative
+        ab = np.array([[0.0, 2.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            scipy.linalg.solveh_banded(ab, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(want.value)) + "$"):
+            solver.solve_banded(ab.copy(), np.ones(3))
+
     def test_poisson_matches_assembled_solve(self):
         rng = np.random.default_rng(7)
         for n in (400, 2, 3200, 3, 2, 400, 3, 3200):
@@ -181,8 +212,10 @@ class TestBandSolve:
         assert summary.verdict == "global-so-far"
         assert summary.final_state.steps == 646
         # 1.432765562586791 while the velocity was differenced from a
-        # Poisson solve per step: the two agree to rounding (9.1e-15 relative)
-        assert summary.final_state.field.max_value == 1.432765562586778
+        # Poisson solve per step, and 1.432765562586778 while the diffusion
+        # band was solved by the general pivoting dgtsv: all agree to
+        # rounding (2.5e-14 relative)
+        assert summary.final_state.field.max_value == 1.4327655625867426
         assert calls == {"band": 646, "poisson": 0}
 
 
@@ -195,25 +228,24 @@ def _tail_sum_velocity(uf: FieldU) -> np.ndarray:
 
 
 def _unfused_u_step(pot, uf: FieldU, velocity: np.ndarray, dt: float):
-    """The u-form step before its buffers were fused, given the face
-    velocity: the reference for the bits of ``_try_u_step``."""
+    """The u-form step written out, given the face velocity: the reference
+    for the bits of ``_try_u_step``, whose symmetric positive definite
+    diffusion band scipy's ``solveh_banded`` solves."""
     u = uf.values
     n, h = u.size, uf.h
     a_vals = np.asarray(pot.coefficient(u), dtype=float)
-    a_face = 2.0 * a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:])
+    coupling = a_vals[:-1] * a_vals[1:] / (a_vals[:-1] + a_vals[1:]) * (2.0 * dt / (h * h))
     upwind = np.where(velocity > 0.0, u[:-1], u[1:])
-    face_div = upwind * velocity / h
-    div_adv = np.zeros(n)
-    div_adv[:-1] += face_div
-    div_adv[1:] -= face_div
-    coupling = dt * a_face / (h * h)
-    ab = np.zeros((3, n))
+    flux = upwind * velocity * (dt / h)
+    rhs = u.copy()
+    rhs[:-1] -= flux
+    rhs[1:] += flux
+    ab = np.zeros((2, n))
     ab[0, 1:] = -coupling
     ab[1] = 1.0
     ab[1, :-1] += coupling
     ab[1, 1:] += coupling
-    ab[2, :-1] = -coupling
-    u_new = scipy.linalg.solve_banded((1, 1), ab, u - dt * div_adv)
+    u_new = scipy.linalg.solveh_banded(ab, rhs)
     if not np.all(np.isfinite(u_new)) or np.any(u_new <= 0.0):
         return None
     return u_new
@@ -348,6 +380,22 @@ class TestStepU:
         for _ in range(20):
             state = step_u(state, 1e-3)
         assert state.field.min_value > 0.0
+
+    @pytest.mark.parametrize("text, level, dt", [
+        # exp(-u) underflows to 0 in the two cells at u = 800: the harmonic
+        # mean on the face between them is 0/0
+        ("exp(-r)", 800.0, 1e-3),
+        # a(u) < 0 near u = 1.5: the coupling is negative, and the band of a
+        # long trial is not positive definite
+        ("(r-1.5)^2+(-1e-4)", 1.5, 10.0),
+    ], ids=["nan coupling", "negative coupling"])
+    def test_trial_on_a_bad_band_is_rejected(self, text, level, dt):
+        pot = Potentials(coefficient_from_text(text))
+        values = np.full(64, 1.5)
+        values[20:22] = level
+        uf = FieldU.from_samples(values, float(values.mean()))
+        with np.errstate(invalid="ignore"):
+            assert solver._try_u_step(pot, uf, dt) is None
 
     def test_small_perturbation_decays_toward_mean(self, pot_inv1):
         # divergent-tail regime: u = M + 0.01 cos(pi x) relaxes to the mean,
@@ -811,7 +859,7 @@ class TestStepController:
             (dict(initial_kind="cosine", amplitude=0.5, n=400, n_y=400, t_max=1.0),
              212, 0.0018089999999991724, 0.9899600618151986, 1.0101417608366867),
             (dict(formulation="u", n=400, dt_max="auto", t_max=0.05),
-             89, 0.00022699999999997028, None, 1.4328158993019444),
+             89, 0.00022699999999997028, None, 1.4328158993019406),
         ],
         ids=["f-form", "u-form"],
     )
