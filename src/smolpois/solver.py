@@ -171,8 +171,8 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the sub-diagonal (``ab[2, :-1]``), are solved by ``dgtsv`` as
     ``scipy.linalg.solve_banded((1, 1), ...)`` does; two rows, the upper form
     of a symmetric positive definite band, by ``dptsv`` as
-    ``scipy.linalg.solveh_banded`` does.  Raises scipy's ``LinAlgError`` when
-    the factorisation fails and ``ValueError`` on an illegal argument.
+    ``scipy.linalg.solveh_banded`` does.  Raises ``LinAlgError`` when the
+    factorisation fails and ``ValueError`` on an illegal argument, as scipy does.
     """
     if len(ab) == 2:
         _, _, x, info = dptsv(ab[1], ab[0, 1:], rhs, 1, 1, 1)
@@ -183,7 +183,7 @@ def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             f"{info}th leading minor not positive definite" if len(ab) == 2 else "singular matrix"
         )
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal tridiagonal solve")
+        raise ValueError(f"illegal value in {-info}-th argument of internal {'ptsv' if len(ab) == 2 else 'gtsv'}")
     return x
 
 
