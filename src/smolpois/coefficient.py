@@ -13,11 +13,13 @@ criterion machinery.
 
 Coefficients c * r^p * (b+r)^beta, with a constant shift b > 0, are
 recognized structurally from the parsed expression and carry exact
-asymptotic exponents, and closed-form antiderivatives where they exist;
-anything else gets numeric integrability verdicts (so labelled).  Whatever
-the class, an integral with a closed primitive is read from it and one
-without falls back to quadrature: A(r) to ``integrate_tail``, psi and psi1
-to a cumulative table at the knots 2^(k/8) plus one panel per point.
+asymptotic exponents, and closed-form antiderivatives where they exist.
+Integrability has one rule, in ``Coefficient``: a ~ r^e is integrable at
+zero iff e > -1 and at infinity iff e < -1 where the exponent is known, and
+``dyadic_decay_probe`` decides where it is not, a verdict labelled numeric.
+Whatever the class, an integral with a closed primitive is read from it and
+one without falls back to quadrature: A(r) to ``integrate_tail``, psi and
+psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
 """
 
 from __future__ import annotations
@@ -141,11 +143,15 @@ class Coefficient:
 
     @cached_property
     def tail_integrable(self) -> bool:
-        raise NotImplementedError
+        if self.tail_exponent is not None:
+            return self.tail_exponent < -1.0
+        return dyadic_decay_probe(self.__call__, 1.0, "up")
 
     @cached_property
     def integrable_at_zero(self) -> bool:
-        raise NotImplementedError
+        if self.smallr_exponent is not None:
+            return self.smallr_exponent > -1.0
+        return dyadic_decay_probe(self.__call__, 1.0, "down")
 
     @cached_property
     def weighted_suprema(self) -> dict:
@@ -214,14 +220,6 @@ class PowerProductCoefficient(Coefficient):
             return self.c * shifted
         return self.c * np.power(r, self.p) * shifted
 
-    @cached_property
-    def tail_integrable(self) -> bool:
-        return self.tail_exponent < -1.0
-
-    @cached_property
-    def integrable_at_zero(self) -> bool:
-        return self.smallr_exponent > -1.0
-
     def primitive(self, r):
         if self._terms is not None:
             return _powersum_primitive(self._terms, r)
@@ -265,8 +263,6 @@ class PowerProductCoefficient(Coefficient):
 class ExpressionCoefficient(Coefficient):
     """Coefficient backed by a parsed expression; all verdicts numeric."""
 
-    verdict_source = NUMERIC
-
     def __init__(self, tree: expr.Node, text: str):
         self.tree = tree
         self.text = text
@@ -293,14 +289,6 @@ class ExpressionCoefficient(Coefficient):
 
     def __call__(self, r):
         return expr.evaluate(self.tree, r)
-
-    @cached_property
-    def tail_integrable(self) -> bool:
-        return dyadic_decay_probe(self.__call__, 1.0, direction="up")
-
-    @cached_property
-    def integrable_at_zero(self) -> bool:
-        return dyadic_decay_probe(self.__call__, 1.0, direction="down")
 
 
 # --- structural recognition of builtins --------------------------------------

@@ -36,6 +36,11 @@ def grad_norm_sq(h_vals: np.ndarray, dy: float) -> float:
     return dy * float(np.dot(d, d))
 
 
+def lyapunov_value(psi_f: np.ndarray, psi1_f: np.ndarray, dy: float, M: float, grad_sq: float) -> float:
+    """``lyapunov_L1`` from psi(f), psi1(f), cell width dy and grad_sq = ||d_y psi(f)||^2."""
+    return 0.5 * grad_sq + dy * float(np.sum(psi_f - M * psi1_f))
+
+
 def lyapunov_L1(p: Potentials, f: FieldF, M: float) -> float:
     """Lyapunov energy (1/2)||d_y psi(f)||^2 + int (psi(f) - M psi1(f)) dy.
 
@@ -44,9 +49,7 @@ def lyapunov_L1(p: Potentials, f: FieldF, M: float) -> float:
     """
     psi_f = np.asarray(p.psi(f.values), dtype=float)
     psi1_f = np.asarray(p.psi1(f.values), dtype=float)
-    grad = grad_norm_sq(psi_f, f.h)
-    bulk = f.h * float(np.sum(psi_f - M * psi1_f))
-    return 0.5 * grad + bulk
+    return lyapunov_value(psi_f, psi1_f, f.h, M, grad_norm_sq(psi_f, f.h))
 
 
 def energy_E1(h_vals, M: float) -> float:

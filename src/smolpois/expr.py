@@ -263,11 +263,6 @@ def _pow(base, exponent):
     return _check_finite(np.power(base_arr, exp_arr), "power")
 
 
-def _power(base, exponent):
-    """``_pow`` without its checks."""
-    return np.power(np.asarray(base, dtype=float), np.asarray(exponent, dtype=float))
-
-
 # name -> (checked operation, the same operation unchecked).  The checked one
 # raises EvalDomainError where the value leaves the reals or is not finite.
 OPERATIONS = {
@@ -276,11 +271,11 @@ OPERATIONS = {
     "-": (_checked_op(operator.sub, "subtraction"), operator.sub),
     "*": (_checked_op(operator.mul, "multiplication"), operator.mul),
     "/": (_checked_op(operator.truediv, "division", lambda x, y: y == 0.0, "division by zero"), operator.truediv),
-    "^": (_pow, _power),
+    "^": (_pow, np.power),
     "exp": (_checked_op(np.exp, "exp"), np.exp),
     "ln": (_checked_op(np.log, "ln", lambda x: np.asarray(x) <= 0.0, "ln of a non-positive value"), np.log),
     "sqrt": (_checked_op(np.sqrt, "sqrt", lambda x: np.asarray(x) < 0.0, "sqrt of a negative value"), np.sqrt),
-    "pow": (_pow, _power),
+    "pow": (_pow, np.power),
 }
 
 

@@ -23,23 +23,25 @@ M - u (``_face_velocity``), the gauged discrete system that
 
 Both steppers share one halve-and-retry loop (``_advance``): a rejected
 trial halves dt, and dt underflow raises ``NearSingularity``, whose message
-names the monitored extremum.  ``run`` has one step loop for both
-formulations; it chooses the stepper, the record function, the monitored
-extremum and its blowup test once, before the loop.
+names the monitored extremum; it returns the accepted dt and the trial's
+result, from which each stepper builds its accepted ``SolverState`` once.
+``run`` has one step loop for both formulations; it chooses the stepper,
+the record function, the monitored extremum and its blowup test once,
+before the loop.
 
 Every tridiagonal solve goes through ``solve_banded``, which sends a band
 by its storage to one of two LAPACK routines.  Three rows, a general band,
 go to ``dgtsv`` (pivoting; the bits of ``scipy.linalg.solve_banded``): the
 f-form Newton Jacobian is not symmetric, and the Poisson reference
-``solve_poisson`` (no longer called per step) has a gauge row.  Two rows,
-the upper form of ``scipy.linalg.solveh_banded``, go to ``dptsv`` (LDL^T,
-no pivoting; its bits): the u-form diffusion matrix I - dt/h^2 D is
-symmetric and, with positive couplings, strictly diagonally dominant, hence
-positive definite.  ``_load_flapack`` loads both from scipy's extension
-``_flapack`` at import, without running the ``scipy.linalg`` ``__init__``
-(and its numpy.f2py and numpy.testing imports), and registers it as
-``scipy.linalg._flapack``: a later ``import scipy.linalg`` reuses it, and
-``dgtsv`` and ``dptsv`` are the objects ``scipy.linalg.lapack`` exports.
+``solve_poisson`` has a gauge row.  Two rows, the upper form of
+``scipy.linalg.solveh_banded``, go to ``dptsv`` (LDL^T, no pivoting; its
+bits): the u-form diffusion matrix I - dt/h^2 D is symmetric and, with
+positive couplings, strictly diagonally dominant, hence positive definite.
+``_load_flapack`` loads both from scipy's extension ``_flapack`` at import,
+without running the ``scipy.linalg`` ``__init__`` (and its numpy.f2py and
+numpy.testing imports), and registers it as ``scipy.linalg._flapack``: a
+later ``import scipy.linalg`` reuses it, and ``dgtsv`` and ``dptsv`` are
+the objects ``scipy.linalg.lapack`` exports.
 
 Nothing of the f-form Newton solve that does not depend on dt is computed
 twice for one iterate.  ``FIterate`` holds that data at an iterate w:
@@ -52,7 +54,7 @@ and the record of the accepted iterate is carried to the next step in
 from it.  A carried record is used only while it belongs to the state: its
 w must be the very array ``state.field.values`` (an identity test, not an
 equality test), and its potentials and mass those of the state; a state
-built by hand or by ``replace(field=...)`` gets its record recomputed.
+built by hand, or copied with another field, gets its record recomputed.
 
 Blowup is detected as touch-down of f (min f < 1e-6) or runaway of u
 (max u > 1e6); dt underflow counts as touch-down evidence.  The adaptive
@@ -71,7 +73,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
@@ -142,19 +144,18 @@ class SolverState:
     start: Optional[FIterate] = None  # Newton data at field.values (f-form)
 
 
-def _advance(state: SolverState, dt: float, attempt, describe) -> SolverState:
-    """The state advanced by the first of dt, dt/2, dt/4, ... for which
-    ``attempt(trial)`` returns new field values.
+def _advance(state: SolverState, dt: float, attempt, describe) -> tuple:
+    """(trial, result) for the first trial of dt, dt/2, dt/4, ... for which
+    ``attempt(trial)`` returns a result that is not None.
 
     Raises ``NearSingularity`` once dt underflows (touch-down evidence);
     ``describe()`` names the monitored extremum and is called only then.
     """
     trial = dt
     while True:
-        values = attempt(trial)
-        if values is not None:
-            field = state.field.with_values(values)
-            return SolverState(state.t + trial, field, state.potentials, trial, state.steps + 1)
+        result = attempt(trial)
+        if result is not None:
+            return trial, result
         trial *= 0.5
         if trial < DT_UNDERFLOW:
             raise NearSingularity(
@@ -361,15 +362,10 @@ def step_f(state: SolverState, dt: float) -> SolverState:
     the accepted iterate."""
     f: FieldF = state.field
     start = _carried_start(state) or FIterate(state.potentials, f.values, f.mass, f.h)
-    accepted = None
-
-    def attempt(trial):
-        nonlocal accepted
-        accepted = _solve_f(start, f.values, f.mass, f.h, trial)
-        return None if accepted is None else accepted.w
-
-    new = _advance(state, dt, attempt, lambda: f"min f = {f.min_value:.3e}")
-    return replace(new, start=accepted)
+    attempt = partial(_solve_f, start, f.values, f.mass, f.h)
+    trial, accepted = _advance(state, dt, attempt, lambda: f"min f = {f.min_value:.3e}")
+    field = f.with_values(accepted.w)
+    return SolverState(state.t + trial, field, state.potentials, trial, state.steps + 1, accepted)
 
 
 # --- u-form step ---------------------------------------------------------------
@@ -433,7 +429,8 @@ def step_u(state: SolverState, dt: float) -> SolverState:
     Poisson solve."""
     u = state.field
     attempt = partial(_try_u_step, state.potentials, u)
-    return _advance(state, dt, attempt, lambda: f"max u = {u.max_value:.3e}")
+    trial, values = _advance(state, dt, attempt, lambda: f"max u = {u.max_value:.3e}")
+    return SolverState(state.t + trial, u.with_values(values), state.potentials, trial, state.steps + 1)
 
 
 # --- run loop -------------------------------------------------------------------
@@ -445,7 +442,6 @@ class _RunContext:
     M: float
     m0: float
     q: Optional[float]
-    tail_integrable: bool
     psi_inv_m: Optional[float] = None              # |psi(1/M)|
     mu_m: Optional[float] = None
     l1_0: Optional[float] = None                   # L1(f0), set by the first record
@@ -465,8 +461,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
     psi_f = start.psi if start is not None else np.asarray(pot.psi(field.values), dtype=float)
     psi1_f = np.asarray(pot.psi1(field.values), dtype=float)
     grad_sq, psi_l1, slack5, slack6 = diag.energy_norm_terms(psi_f, field.h, M, ctx.psi_inv_m)
-    # the expression of diag.lyapunov_L1, on the same arrays
-    l1 = 0.5 * grad_sq + field.h * float(np.sum(psi_f - M * psi1_f))
+    l1 = diag.lyapunov_value(psi_f, psi1_f, field.h, M, grad_sq)
     if ctx.l1_0 is None:
         ctx.l1_0 = l1
     rec = diag.DiagnosticsRecord(
@@ -488,7 +483,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
             if t > t0:
                 rec.slack_moment_ode = diag.moment_interval_slack(ctx.design, t0, mq0, t, rec.m_q)
         ctx.prev_mq = (t, rec.m_q)
-    if ctx.tail_integrable:
+    if ctx.pot.coefficient.tail_integrable:
         rec.psi_tilde_max = float(np.max(psi_f)) - pot.psi0
         rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.l1_0, M, ctx.mu_m) - rec.psi_tilde_max
     else:
@@ -652,7 +647,6 @@ def run(config, coeff: Optional[Coefficient] = None):
         M=M,
         m0=min(m0, M),
         q=design.q if design is not None else (None if config.pam_q == "auto" else float(config.pam_q)),
-        tail_integrable=coeff.tail_integrable,
         design=design,
         **constants,
     )
@@ -755,7 +749,7 @@ def _assemble_checks(ctx: _RunContext, series, formulation: str) -> dict:
     checks["lyapunov"] = diag.check_lyapunov(series)
     checks["sigma_comparison"] = diag.check_sigma_comparison(series)
     checks.update(diag.check_energy_norm_series(series))
-    if ctx.tail_integrable:
+    if ctx.pot.coefficient.tail_integrable:
         checks.update(diag.check_corollary_bound(series, ctx.M, ctx.mu_m))
     else:
         checks.update(diag.check_global_bounds(series))

@@ -17,7 +17,7 @@ from smolpois.coefficient import (
     coefficient_from_text,
 )
 from smolpois import coefficient, expr
-from smolpois.quadrature import integrate, integrate_tail
+from smolpois.quadrature import dyadic_decay_probe, integrate, integrate_tail
 
 GOLDEN_COEFFICIENTS = Path(__file__).resolve().parents[1] / "tools" / "golden" / "coefficients.txt"
 
@@ -655,6 +655,58 @@ class TestPartialFractionCrossover:
         f = np.geomspace(1e-3, 1e3, 400)
         psi1 = Potentials(coefficient_from_text("(1+r)^-100000")).psi1(f)
         assert np.all(np.isfinite(psi1)) and np.all(np.diff(psi1) >= 0.0)
+
+
+class _Bare(coefficient.Coefficient):
+    """The least a ``Coefficient`` subclass states: its exponents, None
+    when unknown, and a(r), which raises when ``law`` is None."""
+
+    def __init__(self, smallr_exponent=None, tail_exponent=None, law=None):
+        self.text = "bare"
+        self.smallr_exponent = smallr_exponent
+        self.tail_exponent = tail_exponent
+        self.law = law
+
+    def __call__(self, r):
+        if self.law is None:
+            raise AssertionError("a evaluated although its exponents are known")
+        return self.law(np.asarray(r, dtype=float))
+
+
+class TestIntegrabilityRule:
+    """``Coefficient`` decides both integrability facts for every subclass:
+    from the exponents when they are known, from ``dyadic_decay_probe``
+    otherwise."""
+
+    @pytest.mark.parametrize(
+        "smallr, tail, at_zero, at_infinity",
+        [
+            (0.0, -2.0, True, True),
+            (-0.5, -1.5, True, True),
+            (-1.0, -1.0, False, False),  # both boundaries are divergent
+            (-1.5, 0.5, False, False),
+            (math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0), True, True),
+        ],
+    )
+    def test_known_exponents_decide_without_evaluating(self, smallr, tail, at_zero, at_infinity):
+        c = _Bare(smallr, tail)
+        assert c.integrable_at_zero is at_zero
+        assert c.tail_integrable is at_infinity
+        assert c.verdict_source == "numeric"
+
+    @pytest.mark.parametrize(
+        "law, at_zero, at_infinity",
+        [
+            (lambda r: (1.0 + r) ** -2.0, True, True),
+            (lambda r: 1.0 / (1.0 + r), True, False),
+            (lambda r: r**-1.5, False, True),
+            (lambda r: r**-0.5, True, False),
+        ],
+    )
+    def test_unknown_exponents_take_the_probe(self, law, at_zero, at_infinity):
+        c = _Bare(law=law)
+        assert c.integrable_at_zero is dyadic_decay_probe(law, 1.0, "down") is at_zero
+        assert c.tail_integrable is dyadic_decay_probe(law, 1.0, "up") is at_infinity
 
 
 class TestLimits:

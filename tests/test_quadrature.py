@@ -45,6 +45,30 @@ class TestFiniteIntervals:
         value = integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
         assert value == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("a, b, sign", [(1e-300, 1.0, 1.0), (1.0, 1e-300, -1.0)])
+    def test_panel_budget_exhausted(self, monkeypatch, a, b, sign):
+        # 1/sqrt(x) needs far more than 5 bisections at the default atol; the
+        # error carries the signed sum of the panel values and the sum of
+        # their errors, both in the order integrate keeps its panels
+        f = lambda x: 1.0 / np.sqrt(x)
+        value, error = quadrature._panel(f, 1e-300, 1.0)
+        panels = [(error, 1e-300, 1.0, value)]  # (error, a, b, value), as integrate keeps them
+        bisect = quadrature._bisect
+
+        def recording(f, pa, mid, pb):
+            halves = bisect(f, pa, mid, pb)
+            panels.remove(next(p for p in panels if p[1:3] == (pa, pb)))
+            panels.extend(halves)
+            return halves
+
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
+        monkeypatch.setattr(quadrature, "_bisect", recording)
+        with pytest.raises(QuadratureError, match=r"^panel budget exhausted \(estimate ") as err:
+            integrate(f, a, b)
+        assert len(panels) == 6
+        assert err.value.estimate == sign * sum(p[3] for p in panels)
+        assert err.value.error == sum(p[0] for p in panels)
+
     def test_zero_width(self):
         assert integrate(np.exp, 1.0, 1.0) == 0.0
 

@@ -28,10 +28,15 @@ and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
 ``certify`` benchmark coefficients, parser-sensitive spellings, a parse
 error, the error branches of recognition and evaluation, and designs that
 fail), and
-also ``python -m smolpois validate``, so a bare ``python
-tools/golden_diff.py OLD/src src`` covers the regime layer and the
-validation battery (majorant check, psi inverse, energy/norm slacks) too.
-``--grid`` and ``--t-max`` are passed through to every simulation.
+also ``python -m smolpois validate`` and the usage error of ``classify``
+without ``--coeff``, so a bare ``python tools/golden_diff.py OLD/src src``
+covers the regime layer, the validation battery (majorant check, psi
+inverse, energy/norm slacks) and the CLI's usage errors too.  ``--grid``
+and ``--t-max`` are passed through to every simulation.
+
+The runs are independent, and up to ``os.cpu_count()`` of them run at a
+time on worker threads, each child with its BLAS and OpenMP pools pinned
+to one thread; the results print in the order the runs are listed here.
 
 For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
@@ -42,7 +47,7 @@ and absolute gap over the records the two series have in common.
 Each ``--coeff TEXT`` adds two runs, ``python -m smolpois classify --coeff
 TEXT`` and ``design --coeff TEXT`` (these take the numeric regime path
 for a coefficient that is not a power product, which no preset does).
-They, and the ``validate`` run, are IDENTICAL when stdout, the exit code
+They, and the other commands, are IDENTICAL when stdout, the exit code
 and the last line of stderr (the error message, if any; tracebacks name
 the tree's paths) match.
 
@@ -66,12 +71,21 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 PRESETS = ("blowup-demo", "crossval", "decr-demo", "global-demo")
 GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden"
 GOLDEN_COEFFICIENTS = GOLDEN_CONFIGS / "coefficients.txt"
 OUTPUTS = ("series.csv", "summary.json")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(src: Path) -> dict:
+    """The environment of a child run from ``src``: BLAS and OpenMP on one
+    thread each, as the runs share the machine's cores."""
+    return dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
 
 
 def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
@@ -81,11 +95,10 @@ def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
     workdir.mkdir(parents=True)
     for path in GOLDEN_CONFIGS.glob("*.csv"):
         shutil.copy(path, workdir)
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "smolpois", "simulate", *run_args, "--out", "out"],
         cwd=workdir,
-        env=env,
+        env=child_env(src),
         capture_output=True,
         text=True,
     )
@@ -99,25 +112,22 @@ def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
 
 def regime_command(src: Path, run_args: list[str]) -> tuple[str, int, str]:
     """stdout, exit code and last stderr line of one ``smolpois`` command."""
-    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-m", "smolpois", *run_args], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "smolpois", *run_args], env=child_env(src), capture_output=True, text=True
     )
     lines = proc.stderr.strip().splitlines()
     return proc.stdout, proc.returncode, lines[-1] if lines else ""
 
 
-def compare_command(label: str, old_src: Path, new_src: Path, run_args: list[str]) -> int:
+def compare_command(label: str, old_src: Path, new_src: Path, run_args: list[str]) -> tuple[int, list[str]]:
+    """The status of one command and the text to print for it."""
     old = regime_command(old_src, run_args)
     new = regime_command(new_src, run_args)
     if old == new:
-        print(f"{label}: IDENTICAL")
-        return 0
-    print(f"{label}: DIFFERENT")
+        return 0, [f"{label}: IDENTICAL"]
     lines = describe_json("stdout", old[0], new[0]) if old[0] != new[0] else []
     lines += [f"{part}: old {a!r}, new {b!r}" for part, a, b in zip(("exit code", "error"), old[1:], new[1:]) if a != b]
-    print("\n".join(f"  {line}" for line in lines))
-    return 1
+    return 1, [f"{label}: DIFFERENT", "\n".join(f"  {line}" for line in lines)]
 
 
 def golden_coefficients() -> list[str]:
@@ -189,27 +199,25 @@ def describe_json(name: str, old, new) -> list[str]:
     return [f"{name}: differs in {', '.join(keys)}"]
 
 
-def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scratch: Path) -> int:
+def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scratch: Path) -> tuple[int, list[str]]:
+    """The status of one simulation and the text to print for it."""
     old = simulate(old_src, run_args, scratch / label / "old")
     new = simulate(new_src, run_args, scratch / label / "new")
     missing = [side for side, files in (("old", old), ("new", new)) if None in (files[n] for n in OUTPUTS)]
     if missing:
-        print(f"{label}: ERROR, no outputs from {' and '.join(missing)}")
+        text = [f"{label}: ERROR, no outputs from {' and '.join(missing)}"]
         for side in missing:
             tail = (old if side == "old" else new)["stderr"].strip().splitlines()[-3:]
-            print("\n".join(f"  {side}: {line}" for line in tail))
-        return 2
+            text.append("\n".join(f"  {side}: {line}" for line in tail))
+        return 2, text
     if all(old[n] == new[n] for n in OUTPUTS):
-        print(f"{label}: IDENTICAL")
-        return 0
-    print(f"{label}: DIFFERENT")
+        return 0, [f"{label}: IDENTICAL"]
     lines = []
     if old["series.csv"] != new["series.csv"]:
         lines += describe_series(old["series.csv"], new["series.csv"])
     if old["summary.json"] != new["summary.json"]:
         lines += describe_json("summary.json", old["summary.json"], new["summary.json"])
-    print("\n".join(f"  {line}" for line in lines))
-    return 1
+    return 1, [f"{label}: DIFFERENT", "\n".join(f"  {line}" for line in lines)]
 
 
 def line_counts(src: Path) -> dict[str, int]:
@@ -257,18 +265,22 @@ def main(argv=None) -> int:
         runs = [(name, ["--preset", name]) for name in PRESETS]
         runs += [(path.stem, ["--config", str(path)]) for path in sorted(GOLDEN_CONFIGS.glob("*.ini"))]
         args.coeff = golden_coefficients()
-        commands.append(("validate", ["validate"]))
+        commands += [("validate", ["validate"]), ("classify without --coeff", ["classify"])]
     old_src, new_src = args.old_src.resolve(), args.new_src.resolve()
-    worst = 0
-    with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
-        for i, (label, run_args) in enumerate(runs):
-            status = compare(label, old_src, new_src, run_args + overrides, Path(tmp) / str(i))
-            worst = max(worst, status)
     for text in args.coeff:
         for command in ("classify", "design"):
             commands.append((f"{command} {text!r}", [command, f"--coeff={text}"]))
-    for label, command_args in commands:
-        worst = max(worst, compare_command(label, old_src, new_src, command_args))
+    worst = 0
+    # the pool is shut down, every run done, before the directory is removed
+    with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp, ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        jobs = [
+            partial(compare, label, old_src, new_src, run_args + overrides, Path(tmp) / str(i))
+            for i, (label, run_args) in enumerate(runs)
+        ]
+        jobs += [partial(compare_command, label, old_src, new_src, command_args) for label, command_args in commands]
+        for status, text in pool.map(lambda job: job(), jobs):
+            print("\n".join(text))
+            worst = max(worst, status)
     print("\n".join(line_count_report(old_src, new_src)))
     return worst
 
