@@ -99,8 +99,10 @@ def psi_tilde_sup_bound(lyap_f0: float, M: float, mu_m: float) -> float:
     return math.sqrt(32.0 * M * max(lyap_f0, 0.0) + mu_m)
 
 
-def psi_tilde_max(p: Potentials, f: FieldF) -> float:
-    return float(np.max(p.psi_tilde(f.values)))
+def psi_tilde_max(psi_f: np.ndarray, psi0: float) -> float:
+    """max psi~(f) from psi(f) and psi(0): x -> fl(x - psi0) is monotone, so
+    this is the maximum of psi~ = psi - psi0 taken cell by cell, bit for bit."""
+    return float(np.max(psi_f)) - psi0
 
 
 # --- per-record slacks ---------------------------------------------------------

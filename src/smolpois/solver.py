@@ -5,11 +5,12 @@ homogeneous Neumann conditions; advanced by backward Euler with a Newton
 solve of the nonlinear tridiagonal system (Jacobian through
 psi'(f) = a(1/f)/f^2, Neumann via ghost-cell reflection).  A step is
 accepted only if Newton converges and the iterate stays positive;
-otherwise dt halves, and dt underflow is touch-down evidence.  A Newton
-solve whose residual stops halving after the fourth iterate, while still
-above 64 times its target, is rejected at that iterate: near the steady
-state the residual stalls at the rounding floor of psi, and further
-iterates do not bring it down.
+otherwise dt halves, and dt underflow is touch-down evidence.  Near the
+steady state the residual stalls at the rounding floor of psi, often from
+the first update on, and further iterates do not bring it down.  A Newton
+solve whose residual stops halving returns the better of that iterate and
+the best one so far as soon as its residual is within 64 times the target,
+at any iteration; after the fourth iterate it is rejected while still above.
 
 u-form (original system): d_t u = d_x(a(u) d_x u - u d_x v) coupled to
 the Neumann Poisson problem v'' = M - u with zero mean.  Conservative
@@ -294,11 +295,12 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
 
     Convergence target is NEWTON_TOL plus the rounding floor of the stiff
     Laplacian term (eps * |psi| / h^2 scales far above eps for fine grids).
-    After the fourth iterate a residual that no longer halves against the
-    best one so far has stalled: the solve is accepted when that iterate or
-    the best one lies within 64 times the target, and rejected at once
-    otherwise, so that the caller halves dt without grinding through the
-    remaining iterations.
+    A residual that does not halve against the best one so far has stalled.
+    At any iteration a stalled solve returns the better of that iterate and
+    the best one as soon as the better residual lies within 64 times the
+    current target; after the fourth iterate a stalled solve still above
+    that is rejected at once, so that the caller halves dt without grinding
+    through the remaining iterations.
     """
     pot = start.pot
     h2 = h * h
@@ -322,14 +324,13 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
         tol = NEWTON_TOL * max(1.0, w_max) + noise_floor
         if res_norm <= tol:
             return it
+        stalled = not res_norm < best_res or res_norm > 0.5 * best_res
         if res_norm < best_res:
-            if res_norm > 0.5 * best_res and iteration > 3:
-                # stalled: at the rounding floor of the residual evaluation,
-                # or above it where further iterates cannot get below it
-                return it if res_norm <= 64.0 * tol else None
             best_res = res_norm
             best = it
-        elif iteration > 3:
+        if stalled and (best_res <= 64.0 * tol or iteration > 3):
+            # stalled: at the rounding floor of the residual evaluation,
+            # or above it where further iterates cannot get below it
             return best if best_res <= 64.0 * tol else None
         dpsi = it.dpsi
         # J = I - dt (T diag(psi') / h^2 + M I), T the Neumann Laplacian
@@ -484,7 +485,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
                 rec.slack_moment_ode = diag.moment_interval_slack(ctx.design, t0, mq0, t, rec.m_q)
         ctx.prev_mq = (t, rec.m_q)
     if ctx.pot.coefficient.tail_integrable:
-        rec.psi_tilde_max = float(np.max(psi_f)) - pot.psi0
+        rec.psi_tilde_max = diag.psi_tilde_max(psi_f, pot.psi0)
         rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.l1_0, M, ctx.mu_m) - rec.psi_tilde_max
     else:
         x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, rec.sigma_t, ctx.psi_inv_m)

@@ -152,7 +152,7 @@ class TestMuAndCorollary:
         f = flat_field(1.0, 1.0)
         lyap = lyapunov_L1(pot_inv2, f, 1.0)
         bound = psi_tilde_sup_bound(lyap, 1.0, mu_mass(pot_inv2, 1.0))
-        observed = psi_tilde_max(pot_inv2, f)
+        observed = psi_tilde_max(pot_inv2.psi(f.values), pot_inv2.psi0)
         assert observed == pytest.approx(0.5, rel=1e-9)
         assert bound >= 14.4
         assert bound - observed > 13.9
