@@ -706,11 +706,11 @@ def _residual_and_target(pot, f_old, M, h, dt, w):
 
 
 def _grinding_newton_f(pot, f_old, M, h, dt, fourth_iterate_rule=False):
-    """The f-form Newton loop before stalls were rejected: it runs all 30
-    iterations unless it converges, and accepts a stall, a residual that does
-    not halve against the best one so far, at any iteration once the better
-    of the two lies within 64 times the target.  Reference for what an
-    accepted solve must return.
+    """The f-form Newton loop without the early rejection of stalls: it runs
+    all 30 iterations unless it converges, and accepts a stall (a residual
+    that does not halve against the best one so far) at any iteration once
+    the better of the two lies within 64 times the target.  Reference for
+    what an accepted solve must return.
 
     ``fourth_iterate_rule`` is the rule stalls followed before they were
     accepted at any iteration: a stall decides the solve only after the
