@@ -18,8 +18,8 @@ Integrability has one rule, in ``Coefficient``: a ~ r^e is integrable at
 zero iff e > -1 and at infinity iff e < -1 where the exponent is known, and
 ``dyadic_decay_probe`` decides where it is not, a verdict labelled numeric.
 Whatever the class, an integral with a closed primitive is read from it and
-one without falls back to quadrature: A(r) to ``integrate_tail``, psi and
-psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
+one without falls back to quadrature: A(r) to ``integrate_tail``, int_0^1 a
+to ``integrate``, psi and psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
 """
 
 from __future__ import annotations
@@ -145,13 +145,13 @@ class Coefficient:
     def tail_integrable(self) -> bool:
         if self.tail_exponent is not None:
             return self.tail_exponent < -1.0
-        return dyadic_decay_probe(self.__call__, 1.0, "up")
+        return dyadic_decay_probe(self.__call__, "up")
 
     @cached_property
     def integrable_at_zero(self) -> bool:
         if self.smallr_exponent is not None:
             return self.smallr_exponent > -1.0
-        return dyadic_decay_probe(self.__call__, 1.0, "down")
+        return dyadic_decay_probe(self.__call__, "down")
 
     @cached_property
     def weighted_suprema(self) -> dict:
@@ -172,7 +172,11 @@ class Coefficient:
         return -integrate_tail(self.__call__, r)
 
     def integral_zero_to_one(self) -> float:
-        """int_0^1 a(s) ds for a integrable at zero, by quadrature."""
+        """int_0^1 a(s) ds for a integrable at zero: the closed ``primitive``
+        where there is one, else by quadrature."""
+        prim = self.primitive(1.0)
+        if prim is not None:
+            return float(prim) - float(self.primitive(0.0))
         return integrate(self.__call__, 1e-300, 1.0)
 
     def primitive(self, r):
@@ -251,13 +255,6 @@ class PowerProductCoefficient(Coefficient):
                 out = np.where(np.power(x, float(m)) < 1e-3, -(b**-m) * tail, out)
             return self.c * out
         return None
-
-    def integral_zero_to_one(self) -> float:
-        if self._terms is not None and all(e > -1.0 for _, e in self._terms):
-            return float(self.primitive(1.0))  # primitive vanishes at 0 termwise
-        if self.p == 0.0:
-            return float(self.primitive(1.0)) - float(self.primitive(1e-300))
-        return super().integral_zero_to_one()
 
 
 class ExpressionCoefficient(Coefficient):

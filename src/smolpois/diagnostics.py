@@ -9,10 +9,12 @@ inequality and is reported verbatim, never clipped.
 
 The solver's per-record pass computes every functional and slack of a
 profile from one evaluation of psi(f) (``energy_norm_terms``,
-``global_bound_chain``) and stores them on its ``DiagnosticsRecord``; the
-suite checks over a series read those records and evaluate no potential.
-A suite check returns one ``CheckResult``, or, when it checks several
-inequalities, a dict of them keyed by their names in ``summary.json``.
+``global_bound_chain``) and from the previous record (the interval
+slacks), and stores them on its ``DiagnosticsRecord``.  A suite check is
+the minimum of one record slack over the series: it reads the records and
+evaluates nothing.  A suite check returns one ``CheckResult``, or, when it
+checks several inequalities, a dict of them keyed by their names in
+``summary.json``.
 """
 
 from __future__ import annotations
@@ -94,9 +96,14 @@ def mu_mass(p: Potentials, M: float) -> float:
     )
 
 
+def corollary_square(l1: float, M: float, mu_m: float) -> float:
+    """32 M max(L1, 0) + mu_M, the square of the corollary bound on psi~."""
+    return 32.0 * M * max(l1, 0.0) + mu_m
+
+
 def psi_tilde_sup_bound(lyap_f0: float, M: float, mu_m: float) -> float:
     """sqrt(32 M max(L1(f0), 0) + mu_M), the uniform bound on psi~(f(t))."""
-    return math.sqrt(32.0 * M * max(lyap_f0, 0.0) + mu_m)
+    return math.sqrt(corollary_square(lyap_f0, M, mu_m))
 
 
 def psi_tilde_max(psi_f: np.ndarray, psi0: float) -> float:
@@ -131,6 +138,16 @@ def energy_norm_slacks(p: Potentials, f: FieldF, M: float) -> tuple[float, float
     ``energy_norm_terms`` for h = psi(f)."""
     h = np.asarray(p.psi(f.values), dtype=float)
     return energy_norm_terms(h, f.h, M, abs(p.psi(1.0 / M)))[2:]
+
+
+LYAPUNOV_RATE_TOL = 1e-8  # allowed rise of L1 per unit time
+SIGMA_TOL = 1e-8          # allowed excess of max f over Sigma(t)
+
+
+def lyapunov_interval_slack(t0: float, l1_0: float, t1: float, l1_1: float) -> float:
+    """Slack of L1(t1) <= L1(t0) + LYAPUNOV_RATE_TOL (t1 - t0) over one
+    recorded interval."""
+    return l1_0 + LYAPUNOV_RATE_TOL * (t1 - t0) - l1_1
 
 
 def moment_interval_slack(design, t0: float, mq0: float, t1: float, mq1: float) -> float:
@@ -181,10 +198,15 @@ class DiagnosticsRecord:
     m_q: Optional[float] = None
     sigma_t: Optional[float] = None
     psi_tilde_max: Optional[float] = None
+    slack_lyapunov: Optional[float] = None
+    slack_sigma: Optional[float] = None
     slack_corollary: Optional[float] = None
+    slack_corollary_pertime: Optional[float] = None
     slack_gex5: Optional[float] = None
     slack_gex6: Optional[float] = None
     slack_moment_ode: Optional[float] = None
+    slack_m_q_decreasing: Optional[float] = None
+    slack_lambda_chain: Optional[float] = None
     slack_prandtl: Optional[float] = None
     slack_psi_l1: Optional[float] = None
     slack_barrier: Optional[float] = None
@@ -212,93 +234,61 @@ def _suite(pairs: Sequence[tuple[float, float]], tol: float) -> CheckResult:
 # --- suite checks over a series -------------------------------------------------
 
 
-def check_lyapunov(series: Sequence[DiagnosticsRecord], tol_rate: float = 1e-8) -> CheckResult:
-    """L1 must not increase by more than tol_rate per unit time."""
-    pairs = []
-    for prev, cur in zip(series, series[1:]):
-        if prev.l1 is None or cur.l1 is None:
-            continue
-        dt = cur.t - prev.t
-        pairs.append((cur.t, prev.l1 + tol_rate * dt - cur.l1))
-    return _suite(pairs, tol=0.0)
-
-
-def check_sigma_comparison(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> CheckResult:
-    """Pointwise comparison f(t, .) <= Sigma(t) + tol via the recorded max."""
-    pairs = [
-        (rec.t, rec.sigma_t + tol - rec.f_max)
-        for rec in series
-        if rec.sigma_t is not None and rec.f_max is not None
-    ]
-    return _suite(pairs, tol=0.0)
-
-
-def check_corollary_bound(
-    series: Sequence[DiagnosticsRecord], M: float, mu_m: float, tol: float = 1e-6
-) -> dict[str, CheckResult]:
-    """Uniform bound on psi~ along the trajectory (integrable-tail regime).
-
-    Returns the trajectory-level check against the fixed bound from L1(f0),
-    read from the records' slack, and the sharper per-time variant using
-    L1(f(t)).
-    """
-    pertime_pairs = [
-        (rec.t, 32.0 * M * max(rec.l1, 0.0) + mu_m - rec.psi_tilde_max**2)
-        for rec in series
-        if rec.psi_tilde_max is not None and rec.l1 is not None
-    ]
-    return {
-        "psi_tilde_bound_fixed": _suite(_slack_pairs(series, "slack_corollary"), tol=tol),
-        "psi_tilde_bound_pertime": _suite(pertime_pairs, tol=tol),
-    }
-
-
 def _slack_pairs(series: Sequence[DiagnosticsRecord], name: str) -> list[tuple[float, float]]:
     """(t, slack) of every record that carries the slack ``name``."""
     return [(r.t, getattr(r, name)) for r in series if getattr(r, name) is not None]
 
 
-def check_energy_norm_series(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> dict[str, CheckResult]:
+def check_lyapunov(series: Sequence[DiagnosticsRecord]) -> CheckResult:
+    """L1 must not increase by more than LYAPUNOV_RATE_TOL per unit time."""
+    return _suite(_slack_pairs(series, "slack_lyapunov"), tol=0.0)
+
+
+def check_sigma_comparison(series: Sequence[DiagnosticsRecord]) -> CheckResult:
+    """Pointwise comparison f(t, .) <= Sigma(t) + SIGMA_TOL via the recorded max."""
+    return _suite(_slack_pairs(series, "slack_sigma"), tol=0.0)
+
+
+def check_corollary_bound(series: Sequence[DiagnosticsRecord]) -> dict[str, CheckResult]:
+    """Uniform bound on psi~ along the trajectory (integrable-tail regime):
+    the fixed bound from L1(f0), and the sharper per-time variant, on the
+    square, from L1(f(t))."""
     return {
-        "gex5": _suite(_slack_pairs(series, "slack_gex5"), tol=tol),
-        "gex6": _suite(_slack_pairs(series, "slack_gex6"), tol=tol),
+        "psi_tilde_bound_fixed": _suite(_slack_pairs(series, "slack_corollary"), tol=1e-6),
+        "psi_tilde_bound_pertime": _suite(_slack_pairs(series, "slack_corollary_pertime"), tol=1e-6),
     }
 
 
-def check_moment_ode(
-    series: Sequence[DiagnosticsRecord], design, tol: Optional[float] = None
-) -> dict[str, CheckResult]:
-    """Verify dm_q/dt <= Lambda(m_q) over recorded intervals, strict decrease
-    of m_q, and the chain Lambda(m_q(t)) <= Lambda(m_q(0)) < 0."""
+def check_energy_norm_series(series: Sequence[DiagnosticsRecord]) -> dict[str, CheckResult]:
+    return {
+        "gex5": _suite(_slack_pairs(series, "slack_gex5"), tol=1e-8),
+        "gex6": _suite(_slack_pairs(series, "slack_gex6"), tol=1e-8),
+    }
+
+
+def check_moment_ode(series: Sequence[DiagnosticsRecord], design) -> dict[str, CheckResult]:
+    """dm_q/dt <= Lambda(m_q) over recorded intervals, strict decrease of
+    m_q, and the chain Lambda(m_q(t)) <= Lambda(m_q(0)) < 0, at a tolerance
+    of 1e-3 |Lambda(m_q(0))|."""
     if design is None:
         raise ValueError("moment ODE check needs a blowup design")
-    records = [r for r in series if r.m_q is not None]
     lam0 = design.lambda_value(design.m_q0)
-    if tol is None:
-        tol = 1e-3 * abs(lam0)
-    ode_pairs = []
-    mono_pairs = []
-    chain_pairs = []
-    for prev, cur in zip(records, records[1:]):
-        ode_pairs.append((cur.t, moment_interval_slack(design, prev.t, prev.m_q, cur.t, cur.m_q)))
-        mono_pairs.append((cur.t, prev.m_q - cur.m_q))
-    for rec in records:
-        chain_pairs.append((rec.t, lam0 - design.lambda_value(rec.m_q)))
-    chain = _suite(chain_pairs, tol=max(tol, 1e-12))
+    tol = 1e-3 * abs(lam0)
+    chain = _suite(_slack_pairs(series, "slack_lambda_chain"), tol=max(tol, 1e-12))
     if lam0 >= 0.0:
         chain = CheckResult(passed=False, min_slack=chain.min_slack, note=f"Lambda(m_q(0)) = {lam0!r} not negative")
     return {
-        "moment_ode": _suite(ode_pairs, tol=tol),
-        "m_q_decreasing": _suite(mono_pairs, tol=0.0),
+        "moment_ode": _suite(_slack_pairs(series, "slack_moment_ode"), tol=tol),
+        "m_q_decreasing": _suite(_slack_pairs(series, "slack_m_q_decreasing"), tol=0.0),
         "lambda_chain": chain,
     }
 
 
-def check_global_bounds(series: Sequence[DiagnosticsRecord], tol: float = 1e-8) -> dict[str, CheckResult]:
+def check_global_bounds(series: Sequence[DiagnosticsRecord]) -> dict[str, CheckResult]:
     """Divergent-tail bound chain from the records' slacks: gradient bound,
     L1 bound on psi(f), and the induced lower barrier on min f."""
     return {
-        "prandtl": _suite(_slack_pairs(series, "slack_prandtl"), tol=tol),
-        "psi_l1_bound": _suite(_slack_pairs(series, "slack_psi_l1"), tol=tol),
+        "prandtl": _suite(_slack_pairs(series, "slack_prandtl"), tol=1e-8),
+        "psi_l1_bound": _suite(_slack_pairs(series, "slack_psi_l1"), tol=1e-8),
         "f_min_barrier": _suite(_slack_pairs(series, "slack_barrier"), tol=0.0),
     }

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -467,87 +468,80 @@ def _cmd_validate(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+def _parser_golden() -> tuple[bool, str]:
+    ok = (
+        abs(evaluate(parse_coefficient("(1+r)^-2"), 1.0) - 0.25) < 1e-15
+        and abs(evaluate(parse_coefficient("2^3^2"), 1.0) - 512.0) < 1e-12
+        and abs(evaluate(parse_coefficient("1/(1+r)"), 1.0) - 0.5) < 1e-15
+    )
+    return ok, "precedence and arithmetic"
+
+
+def _regime_clauses() -> tuple[bool, str]:
+    """Regime clauses of the canonical coefficients."""
+    canon = {
+        "(1+r)^-1": "global",
+        "1": "global",
+        "(1+r)^-2": "blowup-via-(1)",
+        "(1+r)*r^-2.5": "blowup-via-(decr)",
+    }
+    got = {text: classify(coefficient_from_text(text)).clause for text in canon}
+    return got == canon, str(got)
+
+
+def _potentials_check(text: str, rng) -> tuple[bool, str]:
+    """Derivative consistency and inverse round-trip of the potentials of text."""
+    pot = Potentials(coefficient_from_text(text))
+    rs = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 12))
+    worst = 0.0
+    for r in rs:
+        hstep = 1e-6 * r
+        fd = (pot.psi(r + hstep) - pot.psi(r - hstep)) / (2.0 * hstep)
+        worst = max(worst, abs(fd - pot.psi_prime(r)) / abs(pot.psi_prime(r)))
+    inv_worst = 0.0
+    for r in rs:
+        inv_worst = max(inv_worst, abs(pot.psi_inverse(pot.psi(r)) - r) / r)
+    return worst < 1e-6 and inv_worst < 1e-8, f"dpsi rel err {worst:.2e}, inverse rel err {inv_worst:.2e}"
+
+
+def _majorant_check() -> tuple[bool, str]:
+    """Majorant domination for the integrable-tail example."""
+    coeff = coefficient_from_text("(1+r)^-2")
+    report = verify_majorant(coeff, build_majorant(coeff))
+    return report.passed, (
+        f"min domination slack {report.domination_min_slack:.3e}, "
+        f"B(r)/r surrogate {report.sublinear_value:.3e}, "
+        f"breakpoint gap {report.continuity_gap:.1e}"
+    )
+
+
+def _energy_norm_random(rng) -> tuple[bool, str]:
+    """Energy/norm inequalities on random unit-integral profiles."""
+    worst = math.inf
+    for text in ("(1+r)^-1", "(1+r)^-2"):
+        pot = Potentials(coefficient_from_text(text))
+        for _ in range(20):
+            f = FieldF.from_samples(_random_profile(rng, 1.0, 200), 1.0)
+            worst = min(worst, *diag.energy_norm_slacks(pot, f, 1.0))
+    return worst >= -1e-8, f"min slack {worst:.3e}"
+
+
 def validation_suite() -> list[tuple[str, bool, str]]:
     """Invariant battery over the builtin coefficients; returns
-    (name, passed, detail) triples."""
-    results = []
+    (name, passed, detail) triples, in order, from one shared rng.  A check
+    that raises fails with the error as its detail."""
     rng = np.random.default_rng(20240817)
-
-    # parser goldens
-    try:
-        ok = (
-            abs(evaluate(parse_coefficient("(1+r)^-2"), 1.0) - 0.25) < 1e-15
-            and abs(evaluate(parse_coefficient("2^3^2"), 1.0) - 512.0) < 1e-12
-            and abs(evaluate(parse_coefficient("1/(1+r)"), 1.0) - 0.5) < 1e-15
-        )
-        results.append(("parser_golden", ok, "precedence and arithmetic"))
-    except Exception as err:  # pragma: no cover - report, don't crash
-        results.append(("parser_golden", False, repr(err)))
-
-    # regime clauses for the canonical coefficients
-    try:
-        canon = {
-            "(1+r)^-1": "global",
-            "1": "global",
-            "(1+r)^-2": "blowup-via-(1)",
-            "(1+r)*r^-2.5": "blowup-via-(decr)",
-        }
-        got = {text: classify(coefficient_from_text(text)).clause for text in canon}
-        ok = got == canon
-        results.append(("regime_clauses", ok, str(got)))
-    except Exception as err:
-        results.append(("regime_clauses", False, repr(err)))
-
-    # potentials: derivative consistency and inverse round-trip
+    checks = [("parser_golden", _parser_golden), ("regime_clauses", _regime_clauses)]
     for text in ("(1+r)^-1", "(1+r)^-2", "(1+r)*r^-2.5"):
+        checks.append((f"potentials[{text}]", partial(_potentials_check, text, rng)))
+    checks += [("majorant", _majorant_check), ("energy_norm_random", partial(_energy_norm_random, rng))]
+    results = []
+    for name, check in checks:
         try:
-            pot = Potentials(coefficient_from_text(text))
-            rs = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 12))
-            worst = 0.0
-            for r in rs:
-                hstep = 1e-6 * r
-                fd = (pot.psi(r + hstep) - pot.psi(r - hstep)) / (2.0 * hstep)
-                worst = max(worst, abs(fd - pot.psi_prime(r)) / abs(pot.psi_prime(r)))
-            inv_worst = 0.0
-            for r in rs:
-                inv_worst = max(inv_worst, abs(pot.psi_inverse(pot.psi(r)) - r) / r)
-            ok = worst < 1e-6 and inv_worst < 1e-8
-            results.append(
-                (f"potentials[{text}]", ok, f"dpsi rel err {worst:.2e}, inverse rel err {inv_worst:.2e}")
-            )
-        except Exception as err:
-            results.append((f"potentials[{text}]", False, repr(err)))
-
-    # majorant domination for the integrable-tail example
-    try:
-        coeff = coefficient_from_text("(1+r)^-2")
-        report = verify_majorant(coeff, build_majorant(coeff, i_max=40))
-        results.append(
-            (
-                "majorant",
-                report.passed,
-                f"min domination slack {report.domination_min_slack:.3e}, "
-                f"B(r)/r surrogate {report.sublinear_value:.3e}, "
-                f"breakpoint gap {report.continuity_gap:.1e}",
-            )
-        )
-    except Exception as err:
-        results.append(("majorant", False, repr(err)))
-
-    # energy/norm inequalities on random unit-integral profiles
-    try:
-        worst = math.inf
-        for text in ("(1+r)^-1", "(1+r)^-2"):
-            pot = Potentials(coefficient_from_text(text))
-            for _ in range(20):
-                vals = _random_profile(rng, 1.0, 200)
-                f = FieldF.from_samples(vals, 1.0)
-                s5, s6 = diag.energy_norm_slacks(pot, f, 1.0)
-                worst = min(worst, s5, s6)
-        results.append(("energy_norm_random", worst >= -1e-8, f"min slack {worst:.3e}"))
-    except Exception as err:
-        results.append(("energy_norm_random", False, repr(err)))
-
+            passed, detail = check()
+        except Exception as err:  # pragma: no cover - report, don't crash
+            passed, detail = False, repr(err)
+        results.append((name, passed, detail))
     return results
 
 

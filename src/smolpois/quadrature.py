@@ -26,7 +26,7 @@ K15 and G7 agree, so callers keep cells short (``coefficient.Potentials``).
 
 Integrability of a tail is *decided* separately (``dyadic_decay_probe``)
 by checking geometric decay of the integral over 40 dyadic blocks
-[r 2^k, r 2^{k+1}], swept as one ``integrate_cells`` call; the verdict is
+[2^k, 2^{k+1}] (or [2^{-k-1}, 2^{-k}] toward zero), swept as one ``integrate_cells`` call; the verdict is
 a numeric heuristic and callers label it as such.
 """
 
@@ -196,7 +196,7 @@ def integrate_cells(f: Callable, left, right, atol: float = DEFAULT_ATOL) -> np.
     return out
 
 
-def integrate_tail(f: Callable, r: float, atol: float = DEFAULT_ATOL) -> float:
+def integrate_tail(f: Callable, r: float) -> float:
     """Integrate a vectorized ``f`` over [r, inf) via the s = r/t substitution.
 
     Assumes the tail is integrable; use ``dyadic_decay_probe`` first when in
@@ -211,13 +211,13 @@ def integrate_tail(f: Callable, r: float, atol: float = DEFAULT_ATOL) -> float:
 
     # Avoid evaluating exactly at t = 0 (Kronrod nodes are interior, but the
     # bisection can push the left endpoint arbitrarily close).
-    return integrate(mapped, 1e-300, 1.0, atol=atol)
+    return integrate(mapped, 1e-300, 1.0)
 
 
-def dyadic_decay_probe(f: Callable, r: float, direction: str = "up") -> bool:
+def dyadic_decay_probe(f: Callable, direction: str = "up") -> bool:
     """Decide integrability of ``f`` toward infinity (``direction='up'``,
-    blocks [r 2^k, r 2^{k+1}]) or toward zero (``'down'``, blocks
-    [r 2^{-k-1}, r 2^{-k}]) by testing geometric decay of block integrals.
+    blocks [2^k, 2^{k+1}]) or toward zero (``'down'``, blocks
+    [2^{-k-1}, 2^{-k}]) by testing geometric decay of block integrals.
 
     Declares integrable when the later block ratios all stay below
     ``_PROBE_RATIO_MAX``; everything else is divergent.  Purely numeric, it
@@ -228,7 +228,7 @@ def dyadic_decay_probe(f: Callable, r: float, direction: str = "up") -> bool:
     at kappa = 2, where it is).
     """
     step = 1 if direction == "up" else -1
-    edges = [r * 2.0 ** (step * k) for k in range(_PROBE_BLOCKS + 1)]
+    edges = [2.0 ** (step * k) for k in range(_PROBE_BLOCKS + 1)]
     blocks = np.abs(integrate_cells(f, edges[:-1], edges[1:], atol=_PROBE_ATOL)).tolist()
     ratios = []
     for prev, cur in zip(blocks, blocks[1:]):

@@ -48,7 +48,7 @@ from .coefficient import (
     PowerProductCoefficient,
     TailDivergenceError,
 )
-from .diagnostics import lyapunov_L1, mu_mass
+from .diagnostics import corollary_square, lyapunov_L1, mu_mass
 from .quadrature import integrate, integrate_cells
 from .transform import delta_cap, pam_profile
 
@@ -380,17 +380,20 @@ class ConcaveMajorant:
         return self.slopes[i] * r + self.offsets[i] + self.gamma
 
 
-def build_majorant(c: Coefficient, i_max: int = 40) -> ConcaveMajorant:
-    """Assemble the dyadic-slope concave majorant; requires an integrable
-    tail and finite gamma."""
+MAJORANT_I_MAX = 40  # the majorant's last dyadic slope is b_40, at r = 2^40
+
+
+def build_majorant(c: Coefficient) -> ConcaveMajorant:
+    """Assemble the dyadic-slope concave majorant with slopes b_0 ..
+    b_MAJORANT_I_MAX; requires an integrable tail and finite gamma."""
     if not c.tail_integrable:
         raise TailDivergenceError("majorant needs a integrable at infinity")
     gamma = compute_gamma(c)
     if not math.isfinite(gamma):
         raise RegimeError("majorant needs gamma < inf")
-    slopes = [-c.tail_integral(2.0**i) for i in range(i_max + 1)]
+    slopes = [-c.tail_integral(2.0**i) for i in range(MAJORANT_I_MAX + 1)]
     offsets = [0.0]
-    for j in range(i_max):
+    for j in range(MAJORANT_I_MAX):
         offsets.append(offsets[-1] + (slopes[j] - slopes[j + 1]) * 2.0 ** (j + 1))
     return ConcaveMajorant(gamma=gamma, slopes=tuple(slopes), offsets=tuple(offsets))
 
@@ -577,7 +580,7 @@ def select_delta(
             )
         f0 = pam_profile(M, q, delta, n_y)
         lyap = lyapunov_L1(p, f0, M)
-        k0 = (32.0 * M * max(lyap, 0.0) + mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
+        k0 = corollary_square(lyap, M, mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
         mq0 = moment_at_start(M, q, delta)
         lam = _lambda(M, q, theta, c2, k0, mq0)
         trace.append((delta, k0, lam))

@@ -447,16 +447,17 @@ class _RunContext:
     mu_m: Optional[float] = None
     l1_0: Optional[float] = None                   # L1(f0), set by the first record
     design: Optional[BlowupDesign] = None
-    prev_mq: Optional[tuple[float, float]] = None  # (t, m_q)
+    prev: Optional[diag.DiagnosticsRecord] = None  # the last record
 
 
 def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
     """The one functional pass over the f profile of ``state``: psi(f) and
     psi1(f) are evaluated once (psi(f) is taken from the state's Newton
     record when it carries one of this profile), and every functional and
-    slack of the record is derived from them and from the run's constants.
-    The first record is of f0, and its L1 becomes the run's L1(f0)."""
-    pot, M = ctx.pot, ctx.M
+    slack of the record is derived from them, from the run's constants and
+    from the previous record.  The first record is of f0, and its L1
+    becomes the run's L1(f0)."""
+    pot, M, prev, design = ctx.pot, ctx.M, ctx.prev, ctx.design
     t, dt, field = state.t, state.dt, state.field
     start = _carried_start(state)
     psi_f = start.psi if start is not None else np.asarray(pot.psi(field.values), dtype=float)
@@ -465,6 +466,7 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
     l1 = diag.lyapunov_value(psi_f, psi1_f, field.h, M, grad_sq)
     if ctx.l1_0 is None:
         ctx.l1_0 = l1
+    sigma_t = diag.sigma(M, ctx.m0, t)
     rec = diag.DiagnosticsRecord(
         t=t,
         dt=dt,
@@ -473,25 +475,30 @@ def _record_f(ctx: _RunContext, state: SolverState) -> diag.DiagnosticsRecord:
         u_max=1.0 / field.min_value,
         mass_err=field.integral_error(),
         l1=l1,
-        sigma_t=diag.sigma(M, ctx.m0, t),
+        sigma_t=sigma_t,
+        slack_sigma=sigma_t + diag.SIGMA_TOL - field.max_value,
         slack_gex5=slack5,
         slack_gex6=slack6,
     )
+    if prev is not None:
+        rec.slack_lyapunov = diag.lyapunov_interval_slack(prev.t, prev.l1, t, l1)
     if ctx.q is not None:
         rec.m_q = diag.moment_mq(field, ctx.q)
-        if ctx.design is not None and ctx.prev_mq is not None:
-            t0, mq0 = ctx.prev_mq
-            if t > t0:
-                rec.slack_moment_ode = diag.moment_interval_slack(ctx.design, t0, mq0, t, rec.m_q)
-        ctx.prev_mq = (t, rec.m_q)
+        if design is not None:
+            rec.slack_lambda_chain = design.lambda_value(design.m_q0) - design.lambda_value(rec.m_q)
+            if prev is not None:  # records come at strictly increasing t
+                rec.slack_m_q_decreasing = prev.m_q - rec.m_q
+                rec.slack_moment_ode = diag.moment_interval_slack(design, prev.t, prev.m_q, t, rec.m_q)
     if ctx.pot.coefficient.tail_integrable:
         rec.psi_tilde_max = diag.psi_tilde_max(psi_f, pot.psi0)
         rec.slack_corollary = diag.psi_tilde_sup_bound(ctx.l1_0, M, ctx.mu_m) - rec.psi_tilde_max
+        rec.slack_corollary_pertime = diag.corollary_square(l1, M, ctx.mu_m) - rec.psi_tilde_max**2
     else:
-        x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, rec.sigma_t, ctx.psi_inv_m)
+        x, rhs_l1, _, f_floor = diag.global_bound_chain(pot, ctx.l1_0, M, sigma_t, ctx.psi_inv_m)
         rec.slack_prandtl = x - 0.25 * grad_sq
         rec.slack_psi_l1 = rhs_l1 - psi_l1
         rec.slack_barrier = rec.f_min - f_floor
+    ctx.prev = rec
     return rec
 
 
@@ -751,7 +758,7 @@ def _assemble_checks(ctx: _RunContext, series, formulation: str) -> dict:
     checks["sigma_comparison"] = diag.check_sigma_comparison(series)
     checks.update(diag.check_energy_norm_series(series))
     if ctx.pot.coefficient.tail_integrable:
-        checks.update(diag.check_corollary_bound(series, ctx.M, ctx.mu_m))
+        checks.update(diag.check_corollary_bound(series))
     else:
         checks.update(diag.check_global_bounds(series))
     if ctx.design is not None:

@@ -178,7 +178,8 @@ def test_criterion_6_energy_norm_inequalities():
 
 def test_criterion_7_majorant_suite():
     coeff = coefficient_from_text("(1+r)^-2")
-    majorant = build_majorant(coeff, i_max=40)
+    majorant = build_majorant(coeff)
+    assert majorant.i_max == 40
     slopes_ok = all(
         abs(b - 1.0 / (1.0 + 2.0**i)) <= 1e-10 for i, b in enumerate(majorant.slopes)
     )

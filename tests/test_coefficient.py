@@ -39,16 +39,6 @@ PARSED_GOLDEN = [
 
 
 @pytest.fixture(scope="module")
-def pot_inv1():
-    return Potentials(coefficient_from_text("(1+r)^-1"))
-
-
-@pytest.fixture(scope="module")
-def pot_inv2():
-    return Potentials(coefficient_from_text("(1+r)^-2"))
-
-
-@pytest.fixture(scope="module")
 def pot_decr():
     return Potentials(coefficient_from_text("(1+r)*r^-2.5"))
 
@@ -705,8 +695,8 @@ class TestIntegrabilityRule:
     )
     def test_unknown_exponents_take_the_probe(self, law, at_zero, at_infinity):
         c = _Bare(law=law)
-        assert c.integrable_at_zero is dyadic_decay_probe(law, 1.0, "down") is at_zero
-        assert c.tail_integrable is dyadic_decay_probe(law, 1.0, "up") is at_infinity
+        assert c.integrable_at_zero is dyadic_decay_probe(law, "down") is at_zero
+        assert c.tail_integrable is dyadic_decay_probe(law, "up") is at_infinity
 
 
 class TestLimits:
@@ -723,6 +713,12 @@ class TestLimits:
         # int_0^1 (1+s)^-1 ds = ln 2; the decr coefficient diverges at 0
         assert pot_inv1.psi_sup == pytest.approx(math.log(2.0), rel=1e-12)
         assert pot_decr.psi_sup == math.inf
+
+    def test_psi_sup_reads_the_primitive_at_zero(self):
+        # int_0^1 (b+s)^-0.999 ds = 1000 ((1+b)^0.001 - b^0.001) with b = 1e-300;
+        # a primitive read at 1e-300 instead of 0 would give 498.465
+        pot = Potentials(coefficient_from_text("(1e-300+r)^-0.999"))
+        assert pot.psi_sup == pytest.approx(1000.0 * (1.0 - 1e-300**0.001), rel=1e-12)
 
     def test_numeric_verdict_labelled(self):
         c = coefficient_from_text("(1+r)/(2+r)")

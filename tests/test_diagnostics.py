@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from smolpois.coefficient import Potentials, TailDivergenceError, coefficient_from_text
+from smolpois.coefficient import TailDivergenceError
 from smolpois.diagnostics import (
+    SIGMA_TOL,
     DiagnosticsRecord,
     check_global_bounds,
     check_lyapunov,
@@ -15,24 +16,16 @@ from smolpois.diagnostics import (
     global_barrier,
     energy_norm_slacks,
     lyapunov_L1,
+    lyapunov_interval_slack,
+    moment_interval_slack,
     moment_mq,
     mu_mass,
     psi_tilde_max,
     sigma,
 )
-from smolpois.harness import RunConfig
+from smolpois.harness import RunConfig, preset_config
 from smolpois.solver import run
 from smolpois.transform import FieldF, pam_profile, u_to_f, FieldU
-
-
-@pytest.fixture(scope="module")
-def pot_inv2():
-    return Potentials(coefficient_from_text("(1+r)^-2"))
-
-
-@pytest.fixture(scope="module")
-def pot_inv1():
-    return Potentials(coefficient_from_text("(1+r)^-1"))
 
 
 def flat_field(value: float, mass: float, n: int = 400) -> FieldF:
@@ -208,26 +201,75 @@ class TestLemma4:
             assert s6 >= -1e-8
 
 
+def lyapunov_series(l1s):
+    """Records at t = 0, 1, 2, ... with the given L1 values and, after the
+    first, the interval slack a run records."""
+    recs = [DiagnosticsRecord(t=0.0, l1=l1s[0])]
+    for l1 in l1s[1:]:
+        prev = recs[-1]
+        t = prev.t + 1.0
+        recs.append(DiagnosticsRecord(t=t, l1=l1, slack_lyapunov=lyapunov_interval_slack(prev.t, prev.l1, t, l1)))
+    return recs
+
+
+def sigma_record(t, f_max, sigma_t):
+    return DiagnosticsRecord(t=t, f_max=f_max, sigma_t=sigma_t, slack_sigma=sigma_t + SIGMA_TOL - f_max)
+
+
+def moment_series(design, points):
+    """Records of (t, m_q) with the three moment slacks a run records."""
+    lam0 = design.lambda_value(design.m_q0)
+    recs = []
+    for t, m in points:
+        rec = DiagnosticsRecord(t=t, m_q=m, slack_lambda_chain=lam0 - design.lambda_value(m))
+        if recs:
+            prev = recs[-1]
+            rec.slack_m_q_decreasing = prev.m_q - m
+            rec.slack_moment_ode = moment_interval_slack(design, prev.t, prev.m_q, t, m)
+        recs.append(rec)
+    return recs
+
+
+class StubDesign:
+    # the stand-in bound Lambda(m) = m - 1 is monotone with Lambda(m_q0) < 0
+    # like the real certificate
+    m_q0 = 0.5
+
+    @staticmethod
+    def lambda_value(m):
+        return m - 1.0
+
+
+# every check of summary.checks and the record slack it is the minimum of
+CHECK_SLACKS = {
+    "lyapunov": "slack_lyapunov",
+    "sigma_comparison": "slack_sigma",
+    "gex5": "slack_gex5",
+    "gex6": "slack_gex6",
+    "psi_tilde_bound_fixed": "slack_corollary",
+    "psi_tilde_bound_pertime": "slack_corollary_pertime",
+    "moment_ode": "slack_moment_ode",
+    "m_q_decreasing": "slack_m_q_decreasing",
+    "lambda_chain": "slack_lambda_chain",
+    "prandtl": "slack_prandtl",
+    "psi_l1_bound": "slack_psi_l1",
+    "f_min_barrier": "slack_barrier",
+}
+
+
 class TestSeriesChecks:
     def test_lyapunov_monotone_detects_violation(self):
-        good = [
-            DiagnosticsRecord(t=0.0, l1=1.0),
-            DiagnosticsRecord(t=1.0, l1=0.5),
-            DiagnosticsRecord(t=2.0, l1=0.25),
-        ]
+        good = lyapunov_series([1.0, 0.5, 0.25])
         assert check_lyapunov(good).passed
-        bad = good + [DiagnosticsRecord(t=3.0, l1=0.9)]
+        bad = lyapunov_series([1.0, 0.5, 0.25, 0.9])
         result = check_lyapunov(bad)
         assert not result.passed
         assert result.first_violation_t == 3.0
 
     def test_sigma_comparison(self):
-        recs = [
-            DiagnosticsRecord(t=0.0, f_max=2.0, sigma_t=2.0),
-            DiagnosticsRecord(t=1.0, f_max=1.2, sigma_t=3.7),
-        ]
+        recs = [sigma_record(0.0, 2.0, 2.0), sigma_record(1.0, 1.2, 3.7)]
         assert check_sigma_comparison(recs).passed
-        recs.append(DiagnosticsRecord(t=2.0, f_max=9.0, sigma_t=8.0))
+        recs.append(sigma_record(2.0, 9.0, 8.0))
         assert not check_sigma_comparison(recs).passed
 
     def test_moment_ode_requires_design(self):
@@ -236,41 +278,47 @@ class TestSeriesChecks:
 
     def test_moment_ode_inequality_holds_on_synthetic_series(self):
         # a series decreasing strictly faster than its bound passes all three
-        # sub-checks; the stand-in bound Lambda(m) = m - 1 is monotone with
-        # Lambda(m_q0) < 0 like the real certificate
-        class StubDesign:
-            m_q0 = 0.5
-
-            @staticmethod
-            def lambda_value(m):
-                return m - 1.0
-
+        # sub-checks, each over five intervals
         m, t = 0.5, 0.0
-        recs = [DiagnosticsRecord(t=t, m_q=m)]
+        points = [(t, m)]
         for _ in range(5):
             rate = 1.2 * StubDesign.lambda_value(m)
             t += 1e-2
             m = m + 1e-2 * rate
-            recs.append(DiagnosticsRecord(t=t, m_q=m))
-        result = check_moment_ode(recs, StubDesign)
+            points.append((t, m))
+        result = check_moment_ode(moment_series(StubDesign, points), StubDesign)
         assert result["moment_ode"].passed
         assert result["m_q_decreasing"].passed
         assert result["lambda_chain"].passed
+        assert result["moment_ode"].min_slack > 0.0
+        assert result["m_q_decreasing"].min_slack > 0.0
+        assert result["lambda_chain"].min_slack == 0.0  # the t = 0 record
 
     def test_moment_ode_detects_too_slow_decrease(self):
-        class StubDesign:
-            m_q0 = 0.5
-
-            @staticmethod
-            def lambda_value(m):
-                return m - 1.0
-
-        recs = [
-            DiagnosticsRecord(t=0.0, m_q=0.5),
-            DiagnosticsRecord(t=1.0, m_q=0.45),  # rate -0.05 > Lambda = -0.5
-        ]
-        result = check_moment_ode(recs, StubDesign)
+        # rate -0.05 > Lambda = -0.5
+        result = check_moment_ode(moment_series(StubDesign, [(0.0, 0.5), (1.0, 0.45)]), StubDesign)
         assert not result["moment_ode"].passed
+        assert result["moment_ode"].first_violation_t == 1.0
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            preset_config("blowup-demo").with_overrides(t_max=0.5),
+            preset_config("global-demo"),
+            preset_config("decr-demo").with_overrides(t_max=0.5, n=100, n_y=100),
+            RunConfig(coefficient_text="(1+r)^-2", initial_kind="cosine", t_max=0.5, output_interval=0.05).validate(),
+        ],
+        ids=["blowup-demo", "global-demo", "decr-demo-100", "cosine-inv2"],
+    )
+    def test_each_check_is_the_minimum_of_its_record_slack(self, cfg):
+        summary, series = run(cfg)
+        assert summary.checks and set(summary.checks) <= set(CHECK_SLACKS)
+        for name, res in summary.checks.items():
+            slacks = [getattr(rec, CHECK_SLACKS[name]) for rec in series]
+            slacks = [s for s in slacks if s is not None]
+            assert res.min_slack == (min(slacks) if slacks else None), name
+        assert all(rec.slack_lyapunov is not None for rec in series[1:])
+        assert series[0].slack_lyapunov is None
 
     def test_global_bounds_regime_guard(self):
         # the divergent-tail bound chain is recorded and checked only for a

@@ -104,21 +104,21 @@ class TestTails:
 
 class TestDecayProbe:
     def test_integrable_power(self):
-        assert dyadic_decay_probe(lambda s: (1.0 + s) ** -2.0, 1.0)
+        assert dyadic_decay_probe(lambda s: (1.0 + s) ** -2.0)
 
     def test_harmonic_divergent(self):
-        assert not dyadic_decay_probe(lambda s: 1.0 / (1.0 + s), 1.0)
+        assert not dyadic_decay_probe(lambda s: 1.0 / (1.0 + s))
 
     def test_constant_divergent(self):
-        assert not dyadic_decay_probe(lambda s: np.ones_like(np.asarray(s)), 1.0)
+        assert not dyadic_decay_probe(lambda s: np.ones_like(np.asarray(s)))
 
     def test_slow_but_integrable(self):
-        assert dyadic_decay_probe(lambda s: s**-1.5, 1.0)
+        assert dyadic_decay_probe(lambda s: s**-1.5)
 
     def test_toward_zero(self):
         # r^-1/2 integrable at 0, r^-2 not
-        assert dyadic_decay_probe(lambda s: s**-0.5, 1.0, direction="down")
-        assert not dyadic_decay_probe(lambda s: s**-2.0, 1.0, direction="down")
+        assert dyadic_decay_probe(lambda s: s**-0.5, direction="down")
+        assert not dyadic_decay_probe(lambda s: s**-2.0, direction="down")
 
 
 def _per_cell(f, edges, atol=quadrature.DEFAULT_ATOL):

@@ -189,7 +189,7 @@ class TestClassify:
 
 @pytest.fixture(scope="module")
 def majorant():
-    return build_majorant(coefficient_from_text("(1+r)^-2"), i_max=40)
+    return build_majorant(coefficient_from_text("(1+r)^-2"))
 
 
 @pytest.fixture(scope="module")

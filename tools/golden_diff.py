@@ -22,8 +22,10 @@ f-form Newton path of near-flat ``global-demo`` data at n = n_y = 1600,
 the step controller's hold, doubling and reset on ``global-demo``'s own
 data at n = n_y = 1600,
 the dt-underflow f-form path, the longest chain of dt-halving retries,
-f- and u-form runs from ``initial.kind = samples`` and a
-two-formulation run from ``initial.kind = constant``)
+f- and u-form runs from ``initial.kind = samples``, a
+two-formulation run from ``initial.kind = constant``, and two f-form
+divergent-tail runs whose lower barrier reads sup psi = int_0^1 a from a
+power-sum primitive and by quadrature)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
 ``certify`` benchmark coefficients, parser-sensitive spellings, a parse
 error, the error branches of recognition and evaluation, and designs that
