@@ -267,9 +267,9 @@ def check_energy_norm_series(series: Sequence[DiagnosticsRecord]) -> dict[str, C
 
 
 def check_moment_ode(series: Sequence[DiagnosticsRecord], design) -> dict[str, CheckResult]:
-    """dm_q/dt <= Lambda(m_q) over recorded intervals, strict decrease of
-    m_q, and the chain Lambda(m_q(t)) <= Lambda(m_q(0)) < 0, at a tolerance
-    of 1e-3 |Lambda(m_q(0))|."""
+    """dm_q/dt <= Lambda(m_q) over recorded intervals, m_q not increasing
+    between records (a constant m_q passes), and the chain Lambda(m_q(t)) <=
+    Lambda(m_q(0)) < 0, at a tolerance of 1e-3 |Lambda(m_q(0))|."""
     if design is None:
         raise ValueError("moment ODE check needs a blowup design")
     lam0 = design.lambda_value(design.m_q0)

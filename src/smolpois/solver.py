@@ -7,10 +7,10 @@ psi'(f) = a(1/f)/f^2, Neumann via ghost-cell reflection).  A step is
 accepted only if Newton converges and the iterate stays positive;
 otherwise dt halves, and dt underflow is touch-down evidence.  Near the
 steady state the residual stalls at the rounding floor of psi, often from
-the first update on, and further iterates do not bring it down.  A Newton
-solve whose residual stops halving returns the better of that iterate and
-the best one so far as soon as its residual is within 64 times the target,
-at any iteration; after the fourth iterate it is rejected while still above.
+the first update on, and further iterates do not bring it down.  So a
+Newton update is accepted within 64 times the target, f_old only within
+it; a solve that stops halving returns f_old if f_old is within 64 times
+the target, and after the fourth iterate it is rejected.
 
 u-form (original system): d_t u = d_x(a(u) d_x u - u d_x v) coupled to
 the Neumann Poisson problem v'' = M - u with zero mean.  Conservative
@@ -295,12 +295,13 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
 
     Convergence target is NEWTON_TOL plus the rounding floor of the stiff
     Laplacian term (eps * |psi| / h^2 scales far above eps for fine grids).
-    A residual that does not halve against the best one so far has stalled.
-    At any iteration a stalled solve returns the better of that iterate and
-    the best one as soon as the better residual lies within 64 times the
-    current target; after the fourth iterate a stalled solve still above
-    that is rejected at once, so that the caller halves dt without grinding
-    through the remaining iterations.
+    Every Newton update is accepted once its residual lies within 64 times
+    the target, ``start`` (f_old itself) only within the target: accepted
+    at the allowance, f_old made runs near touch-down take null steps at a
+    tiny dt instead of reaching dt underflow.  A residual that does not
+    halve against the best one so far has stalled: the solve returns
+    ``start`` if that lies within 64 times the current target, and after
+    the fourth iterate it is rejected at once, so that the caller halves dt.
     """
     pot = start.pot
     h2 = h * h
@@ -310,7 +311,6 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
     # corners ab[0, 0] and ab[2, -1] are never read
     ab = np.empty((3, f_old.size))
     main = ab[1]
-    best = None
     best_res = math.inf
     w = start.w
     for iteration in range(30):
@@ -322,16 +322,15 @@ def _solve_f(start: FIterate, f_old: np.ndarray, M: float, h: float, dt: float) 
         w_max = it.w_max
         noise_floor = 16.0 * eps * (dt * (it.psi_max / h2 + M * w_max + 1.0) + w_max)
         tol = NEWTON_TOL * max(1.0, w_max) + noise_floor
-        if res_norm <= tol:
+        if res_norm <= (64.0 * tol if iteration else tol):
             return it
-        stalled = not res_norm < best_res or res_norm > 0.5 * best_res
-        if res_norm < best_res:
-            best_res = res_norm
-            best = it
-        if stalled and (best_res <= 64.0 * tol or iteration > 3):
-            # stalled: at the rounding floor of the residual evaluation,
-            # or above it where further iterates cannot get below it
-            return best if best_res <= 64.0 * tol else None
+        if not iteration:
+            start_res = res_norm
+        # stalled (not halved against the best so far, or NaN): at the rounding
+        # floor of the residual, or above it where iterates cannot get below
+        if not res_norm <= 0.5 * best_res and (start_res <= 64.0 * tol or iteration > 3):
+            return start if start_res <= 64.0 * tol else None
+        best_res = min(best_res, res_norm)
         dpsi = it.dpsi
         # J = I - dt (T diag(psi') / h^2 + M I), T the Neumann Laplacian
         # stencil; the off-diagonals are -(dt psi' / h^2), the main row keeps

@@ -294,6 +294,13 @@ class TestSeriesChecks:
         assert result["m_q_decreasing"].min_slack > 0.0
         assert result["lambda_chain"].min_slack == 0.0  # the t = 0 record
 
+    def test_constant_moment_is_not_increasing(self):
+        # m_q_decreasing tests that m_q does not increase between records:
+        # a series whose m_q never moves passes it at slack 0
+        points = [(0.1 * k, StubDesign.m_q0) for k in range(4)]
+        result = check_moment_ode(moment_series(StubDesign, points), StubDesign)["m_q_decreasing"]
+        assert result.passed and result.min_slack == 0.0
+
     def test_moment_ode_detects_too_slow_decrease(self):
         # rate -0.05 > Lambda = -0.5
         result = check_moment_ode(moment_series(StubDesign, [(0.0, 0.5), (1.0, 0.45)]), StubDesign)

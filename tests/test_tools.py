@@ -84,6 +84,19 @@ class TestGoldenDiffLineCount:
             "smolpois/*.py lines: old 5, new 4, difference -1",
         ]
 
+    def test_run_past_the_limit_times_out(self, tmp_path, monkeypatch, capsys):
+        # a child that loops is killed at the limit and reported, with
+        # status 2, for a simulation and for a regime command alike
+        for side in ("old", "new"):
+            self._tree(tmp_path / side, {"__init__.py": "", "__main__.py": "import time\ntime.sleep(60)\n"})
+        monkeypatch.setattr(golden_diff, "RUN_TIMEOUT_S", 0.5)
+        assert golden_diff.main([str(tmp_path / "old"), str(tmp_path / "new"), "global-demo", "--coeff", "r"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            f"{label}: ERROR, timed out after 0.5 s on old and new"
+            for label in ("global-demo", "classify 'r'", "design 'r'")
+        ]
+
 
 class TestBenchFile:
     def test_records_every_workload_and_seed(self, tmp_path, monkeypatch):

@@ -58,8 +58,12 @@ OLD_SRC and in NEW_SRC and their difference, new minus old.  Just before
 it comes one line for each ``smolpois/*.py`` whose count differs, with
 "absent" for a file that only one tree holds.
 
+Every child run is killed after ``RUN_TIMEOUT_S`` seconds and reported as
+``ERROR, timed out``, so that one run that loops cannot stall the diff.
+
 The exit code is 0 when every run is identical, 1 when any differs and 2
-when a simulation wrote no outputs.  Standard library only.
+when a simulation wrote no outputs or a run timed out.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden"
 GOLDEN_COEFFICIENTS = GOLDEN_CONFIGS / "coefficients.txt"
 OUTPUTS = ("series.csv", "summary.json")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# seconds one child run may take: each golden run takes under a second,
+# and this leaves room for a larger --grid or --t-max
+RUN_TIMEOUT_S = 300.0
 
 
 def child_env(src: Path) -> dict:
@@ -90,20 +97,33 @@ def child_env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
 
 
-def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
+def run_child(src: Path, args: list[str], **kwargs):
+    """The finished ``python -m smolpois ARGS`` from ``src``, or None when it
+    was killed after ``RUN_TIMEOUT_S`` seconds."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "smolpois", *args],
+            env=child_env(src),
+            capture_output=True,
+            text=True,
+            timeout=RUN_TIMEOUT_S,
+            **kwargs,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def simulate(src: Path, run_args: list[str], workdir: Path):
     """Run one simulation from ``src`` in ``workdir``, which first gets a
     copy of each ``tools/golden/*.csv``; the bytes of each output, or None
-    where the run wrote none, and the run's stderr."""
+    where the run wrote none, and the run's stderr.  None when the run timed
+    out."""
     workdir.mkdir(parents=True)
     for path in GOLDEN_CONFIGS.glob("*.csv"):
         shutil.copy(path, workdir)
-    proc = subprocess.run(
-        [sys.executable, "-m", "smolpois", "simulate", *run_args, "--out", "out"],
-        cwd=workdir,
-        env=child_env(src),
-        capture_output=True,
-        text=True,
-    )
+    proc = run_child(src, ["simulate", *run_args, "--out", "out"], cwd=workdir)
+    if proc is None:
+        return None
     files = {}
     for name in OUTPUTS:
         path = workdir / "out" / name
@@ -112,11 +132,12 @@ def simulate(src: Path, run_args: list[str], workdir: Path) -> dict:
     return files
 
 
-def regime_command(src: Path, run_args: list[str]) -> tuple[str, int, str]:
-    """stdout, exit code and last stderr line of one ``smolpois`` command."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "smolpois", *run_args], env=child_env(src), capture_output=True, text=True
-    )
+def regime_command(src: Path, run_args: list[str]):
+    """stdout, exit code and last stderr line of one ``smolpois`` command;
+    None when it timed out."""
+    proc = run_child(src, run_args)
+    if proc is None:
+        return None
     lines = proc.stderr.strip().splitlines()
     return proc.stdout, proc.returncode, lines[-1] if lines else ""
 
@@ -125,6 +146,8 @@ def compare_command(label: str, old_src: Path, new_src: Path, run_args: list[str
     """The status of one command and the text to print for it."""
     old = regime_command(old_src, run_args)
     new = regime_command(new_src, run_args)
+    if None in (old, new):
+        return timed_out(label, old, new)
     if old == new:
         return 0, [f"{label}: IDENTICAL"]
     lines = describe_json("stdout", old[0], new[0]) if old[0] != new[0] else []
@@ -201,10 +224,19 @@ def describe_json(name: str, old, new) -> list[str]:
     return [f"{name}: differs in {', '.join(keys)}"]
 
 
+def timed_out(label: str, old, new) -> tuple[int, list[str]]:
+    """The status and text of a run that timed out on one side or both,
+    where that side's result is None."""
+    sides = " and ".join(side for side, result in (("old", old), ("new", new)) if result is None)
+    return 2, [f"{label}: ERROR, timed out after {RUN_TIMEOUT_S:g} s on {sides}"]
+
+
 def compare(label: str, old_src: Path, new_src: Path, run_args: list[str], scratch: Path) -> tuple[int, list[str]]:
     """The status of one simulation and the text to print for it."""
     old = simulate(old_src, run_args, scratch / label / "old")
     new = simulate(new_src, run_args, scratch / label / "new")
+    if None in (old, new):
+        return timed_out(label, old, new)
     missing = [side for side, files in (("old", old), ("new", new)) if None in (files[n] for n in OUTPUTS)]
     if missing:
         text = [f"{label}: ERROR, no outputs from {' and '.join(missing)}"]
