@@ -19,7 +19,7 @@ zero iff e > -1 and at infinity iff e < -1 where the exponent is known, and
 ``dyadic_decay_probe`` decides where it is not, a verdict labelled numeric.
 Whatever the class, an integral with a closed primitive is read from it and
 one without falls back to quadrature: A(r) to ``integrate_tail``, int_0^1 a
-to ``integrate``, psi and psi1 to a cumulative table at the knots 2^(k/8) plus one panel per point.
+to ``integrate``, psi and psi1 to a cumulative table at the knots 2^(k/8) plus one panel per distinct point.
 """
 
 from __future__ import annotations
@@ -390,7 +390,7 @@ def coefficient_from_text(text: str) -> Coefficient:
 _KNOTS, _ONE = np.arange(-1075.0, 1075.0625, 0.125), 8600
 with np.errstate(over="ignore"):
     np.exp2(_KNOTS, out=_KNOTS)  # in place: a quarter of the peak memory
-_TABLE_CHUNK = 64  # cells per integrand call as a table grows, and at most past an overflow
+_TABLE_CHUNK = 64  # cells per call of a table's exact growth, and at most past an overflow
 
 
 class Potentials:
@@ -446,10 +446,12 @@ class Potentials:
         return float(value) if np.ndim(r) == 0 else np.asarray(value, dtype=float)
 
     def _tabulated(self, name: str, g, r_arr: np.ndarray) -> np.ndarray:
-        """int_{1/r}^1 g = -(C(p_k) + int_{p_k}^p g) at p = 1/r, with p_k the
-        last knot from 1 toward p, C from ``_table`` and the panels of all
-        points from one ``integrate_cells`` call; -C past a table's end."""
-        p = 1.0 / r_arr.ravel()
+        """int_{1/r}^1 g = -(C(p_k) + int_{p_k}^p g) at p = 1/r, -C past a table's
+        end, with p_k the last knot from 1 toward p, C from ``_table`` and the panels
+        of the distinct p, as they first occur, from one ``integrate_cells`` call."""
+        p_all = 1.0 / r_arr.ravel()
+        _, first, inverse = np.unique(p_all, return_index=True, return_inverse=True)
+        p = p_all[np.sort(first)]
         up = p >= 1.0
         i = np.searchsorted(_KNOTS, p, side="right") - 1
         i += ~up & (_KNOTS[i] < p)  # below 1, the knot at or above p
@@ -460,17 +462,27 @@ class Potentials:
             base[at] = table[np.minimum(k[at], table.size - 1)]
         inside = np.isfinite(base)
         base[inside] += integrate_cells(g, _KNOTS[i[inside]], p[inside])
-        return -base.reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
+        return -base[np.argsort(np.argsort(first))[inverse]].reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
 
     def _table(self, name: str, g, direction: int, last: int) -> np.ndarray:
-        """C(p_k) = int_1^{p_k} g at p_k = 2^(direction k/8), grown out to k = last
-        one cell per knot, summed onto C_last by one ``np.add.accumulate`` (the same
-        bits whatever was asked before) and ended by its first overflow."""
+        """C(p_k) = int_1^{p_k} g at p_k = 2^(direction k/8), grown one cell per
+        knot to at least twice its size and k = last in one silenced call, or
+        to k = last in calls of ``_TABLE_CHUNK`` cells, raising what they raise,
+        if that call raises; summed onto C_last by ``np.add.accumulate`` (the
+        same bits whatever was asked before) and ended by its first overflow."""
         values = self._tables.get((name, direction), np.zeros(1))
         knots = _KNOTS[_ONE::direction]
+        ahead = True
         while values.size <= last and np.isfinite(values[-1]):
-            ks = slice(values.size - 1, min(last, values.size - 1 + _TABLE_CHUNK) + 1)
-            cells = integrate_cells(g, knots[ks][:-1], knots[ks][1:])
+            end = min(max(last, 2 * values.size - 1), _ONE) if ahead else min(last, values.size - 1 + _TABLE_CHUNK)
+            try:
+                with np.errstate(all="ignore" if ahead else None):
+                    cells = integrate_cells(g, knots[values.size - 1:end], knots[values.size:end + 1])
+            except Exception:
+                if not ahead:
+                    raise
+                ahead = False
+                continue
             with np.errstate(over="ignore", invalid="ignore"):
                 sums = np.add.accumulate(np.concatenate((values[-1:], cells)))
             self._tables[name, direction] = values = np.concatenate((values, sums[1:]))

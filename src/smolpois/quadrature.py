@@ -170,8 +170,8 @@ def integrate_cells(f: Callable, left, right, atol: float = DEFAULT_ATOL) -> np.
     ``integrate`` on its first pass (its error within tolerance, or its
     value overflowed) takes that panel's value; a cell that misses it, and
     every cell of a block whose evaluation raises an ``ArithmeticError`` or
-    is not finite go to ``integrate`` itself, in order.  Every value, and
-    every error raised, is the one the per-cell ``integrate`` calls give.
+    is not finite go to ``integrate`` itself, in order.  So each cell has
+    the bits of ``integrate`` on it alone, and raises what it raises.
     """
     left = np.asarray(left, dtype=float).ravel()
     right = np.asarray(right, dtype=float).ravel()

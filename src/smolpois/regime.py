@@ -22,14 +22,14 @@ c r^p (b+r)^beta are closed forms: the largest of the value at r = 1, the
 limit at the open end and the value at the critical point, with divergence
 decided by the exponents.  Every other supremum (gamma, and every
 supremum of an expression coefficient) is estimated on a 2048-point log
-grid with golden-section refinement around the maximizer; divergence at
-the corner of the interval is decided exactly where the exponents are
-known and by decade-growth heuristics (flagged "numeric") otherwise; one
-estimator, ``_sup_estimate``, serves every grid supremum.  Whatever the
-class of a, gamma's tail integrals come from its closed primitive when
-there is one and otherwise from one cumulative ``integrate_cells`` sweep.
-Grid values come from one array call, bit-identical to a point-by-point
-loop; only the refinement evaluates point by point.
+grid, refined around the maximizer in rounds of 65 evenly spaced points;
+divergence at the corner of the interval is decided exactly where the
+exponents are known and by decade-growth heuristics (flagged "numeric")
+otherwise; one estimator, ``_sup_estimate``, serves every grid supremum.
+Whatever the class of a, gamma's tail integrals come from its closed
+primitive when there is one and otherwise from one cumulative
+``integrate_cells`` sweep.  The grid and each round are one array call of
+phi, each value bit-identical to phi at that point alone.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .coefficient import (
     TailDivergenceError,
 )
 from .diagnostics import corollary_square, lyapunov_L1, mu_mass
-from .quadrature import integrate, integrate_cells
+from .quadrature import integrate_cells
 from .transform import delta_cap, pam_profile
 
 _GRID_POINTS = 2048
-_GSS_ITERS = 140
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_STEPS = np.arange(65) / 64  # a refinement round's points, as fractions of its bracket
+_REFINE_ROUNDS = 24  # the refinement's cap
 
 
 class RegimeError(ValueError):
@@ -77,47 +77,35 @@ class DesignFailure(RuntimeError):
 # --- supremum estimation -------------------------------------------------------
 
 
-def _gss_max(phi, lo: float, hi: float) -> float:
-    """Best value of phi seen by a golden-section maximum search on [lo, hi].
-
-    The search stops once every float strictly inside the bracket (a, b) is
-    c or d: each later iterate would evaluate c, d or an end of the bracket,
-    and an end is lo, hi or a point already evaluated.
-    """
+def _refine_max(phi, lo: float, hi: float) -> float:
+    """Best value of phi seen on [lo, hi] by rounds of 65 evenly spaced
+    points (``np.linspace``'s, bit for bit), one array call each, the next
+    round on the two cells around the best point, until no float inside them
+    is unseen: 8-10 rounds on two cells of a supremum grid (under 2^49 floats)."""
     best = -math.inf
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = phi(c), phi(d)
-    best = max(best, fc, fd)
-    for _ in range(_GSS_ITERS):
-        inside = math.nextafter(a, b)
-        while inside < b and (inside == c or inside == d):
-            inside = math.nextafter(inside, b)
-        if inside >= b:
+    for _ in range(_REFINE_ROUNDS):
+        x = lo + (hi - lo) * _REFINE_STEPS
+        x[-1] = hi
+        vals = np.asarray(phi(x), dtype=float)
+        j = int(np.argmax(vals))
+        best = max(best, float(vals[j]))
+        cells = x[max(j - 1, 0):j + 2]
+        if np.all(np.nextafter(cells[:-1], math.inf) >= cells[1:]):
             break
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = phi(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = phi(c)
-        best = max(best, fc, fd)
+        lo, hi = cells[0], cells[-1]
     return best
 
 
 def _sup_on_grid(phi, lo: float, hi: float, corner: str) -> float:
     """Supremum of phi over the open interval via log grid plus refinement;
-    phi is evaluated once on the whole grid, then point by point."""
+    phi is evaluated once on the whole grid, then once per refinement round."""
     grid = np.geomspace(lo, hi, _GRID_POINTS)
     return _sup_estimate(grid, np.asarray(phi(grid), dtype=float), phi, corner)
 
 
 def _sup_estimate(grid: np.ndarray, vals: np.ndarray, phi, corner: str) -> float:
-    """Supremum from the values ``vals`` of phi on a log grid, refined by a
-    golden-section search on the two cells around the grid maximizer.
+    """Supremum from the values ``vals`` of phi on a log grid, refined by
+    ``_refine_max`` on the two cells around the grid maximizer.
 
     ``corner`` names the potentially divergent end ("left" or "right");
     returns math.inf when decade growth heuristics flag divergence: growth
@@ -142,7 +130,7 @@ def _sup_estimate(grid: np.ndarray, vals: np.ndarray, phi, corner: str) -> float
         return math.inf
     a = grid[max(imax - 1, 0)]
     b = grid[min(imax + 1, grid.size - 1)]
-    return max(float(vals[imax]), _gss_max(phi, a, b))
+    return max(float(vals[imax]), _refine_max(phi, a, b))
 
 
 # sup over (0,1): grid on [1e-8, 1) with the divergence corner at 0
@@ -178,9 +166,9 @@ def _gamma_numeric(c: Coefficient) -> float:
     start = -c.tail_integral(float(grid[-1]))
     tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]
 
-    def phi(r: float) -> float:
-        k = int(np.searchsorted(grid, r))  # the search brackets are grid cells: r <= grid[-1]
-        return r * (tails[k] + integrate(c, r, float(grid[k])))
+    def phi(r: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(grid, r)  # the refinement brackets are grid cells: r <= grid[-1]
+        return r * (tails[k] + integrate_cells(c, r, grid[k]))
 
     return _sup_estimate(grid, grid * tails, phi, corner)
 
@@ -250,7 +238,7 @@ def _power_product_sup(c: PowerProductCoefficient, e: float, interval: tuple) ->
 
 def _weighted_a(c: Coefficient, e: float):
     """phi(r) = r^e a(r) on a scalar or an array, with r^e by Python's float
-    pow per element, so the grid values equal the refinement's bit for bit.
+    pow per element, so arrays equal ``_power_product_sup``'s scalars bit for bit.
 
     Kept on purpose: on the 2048-point supremum grids ``np.power`` differs
     from the scalar pow at 118 points for e = 2.5 on (1e-8, 1), at 82-131

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from smolpois.coefficient import (
     coefficient_from_text,
 )
 from smolpois import coefficient, expr
-from smolpois.quadrature import dyadic_decay_probe, integrate, integrate_tail
+from smolpois.quadrature import QuadratureError, dyadic_decay_probe, integrate, integrate_tail
+from smolpois.transform import pam_profile
 
 GOLDEN_COEFFICIENTS = Path(__file__).resolve().parents[1] / "tools" / "golden" / "coefficients.txt"
 
@@ -618,6 +620,66 @@ class TestKnotTable:
         assert len(calls) <= 70
         assert pot.psi(np.array([2.0**-930, 2.0**-600, 0.5])).tolist() == [-math.inf, -math.inf, pot.psi(0.5)]
         assert len(calls) <= 72
+
+
+class TestTableLookAhead:
+    """A table that must grow grows to at least twice its size in one call,
+    and falls back to growing exactly to the request when that call raises."""
+
+    def test_growth_order_does_not_change_the_bits(self):
+        points = np.geomspace(1e-30, 1e30, 61)
+        grown = []
+        for order in ("large", "small", "reverse"):
+            pot = Potentials(coefficient_from_text("1/(1+r^2)"))
+            if order == "large":
+                pot.psi1(points)
+            else:
+                for r in points if order == "small" else points[::-1]:
+                    pot.psi1(float(r))
+            grown.append(pot._tables)
+        for key in grown[0]:
+            tables = [tables[key] for tables in grown]
+            size = min(table.size for table in tables)
+            assert size > 8 * 30 * math.log2(10.0)  # every request is inside
+            for table in tables[1:]:
+                assert np.array_equal(table[:size], tables[0][:size]), key
+
+    def test_overflow_past_the_request_falls_back(self):
+        # g(s) = a(s)/s ~ s^-3 is not finite below about s = 1e-103: the
+        # look-ahead of psi1(1e95) crosses that point, and must give what
+        # growing exactly to the request gives, without a warning
+        pot = Potentials(coefficient_from_text("1/(r^2*(1+r))+exp(-r)"))
+        table = lambda: pot._tables["psi1", -1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # "error" would turn a warning into a fallback
+            pot.psi1(1e30)
+            assert table().size == 798  # a fresh table grows to the request
+            pot.psi1(1e40)
+            assert table().size == 2 * 798  # twice its size, past k = 1063 of 1e40
+            assert pot.psi1(1e60) == 4.9999999999999834e119
+            assert pot.psi1(1e95) == 4.999999999999985e189
+        assert caught == []
+        assert table().size == 2525  # to k = 2524 of 1e95: the look-ahead to 3191 raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the exact growth overflows np.dot, as it always has
+            with pytest.raises(QuadratureError, match="integrand not finite inside panel"):
+                pot.psi1(1e103)
+
+
+class TestDistinctPoints:
+    """A table-backed potential takes one panel per distinct point."""
+
+    @pytest.mark.parametrize("name", ["psi", "psi1"])
+    def test_profile_equals_pointwise_with_one_panel_per_value(self, name, monkeypatch):
+        f = pam_profile(1.0, 4.0, 0.0016, 400).values
+        assert f.size == 400 and np.unique(f).size == 2
+        evaluate = getattr(Potentials(coefficient_from_text("1/(1+r^2)")), name)
+        pointwise = np.array([evaluate(float(x)) for x in f])  # grows the tables too
+        nodes = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda tree, r: (nodes.append(np.size(r)), real(tree, r))[1])
+        assert evaluate(f).tobytes() == pointwise.tobytes()
+        assert nodes == [2 * 15]  # one 15-node Kronrod panel per distinct value
 
 
 class TestPartialFractionCrossover:

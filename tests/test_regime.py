@@ -425,6 +425,24 @@ def _scalar_cells(f, left, right, atol=quadrature.DEFAULT_ATOL):
     return np.array([integrate(f, a, b, atol=atol) for a, b in zip(left, right)])
 
 
+def _pointwise_refine_max(phi, lo, hi):
+    """The refinement's rounds with phi evaluated one point at a time: 65
+    evenly spaced points of the bracket, the best value kept, the next round
+    on the two cells around the first best point, until those two cells
+    hold no float that this round did not evaluate."""
+    best = -math.inf
+    for _ in range(regime._REFINE_ROUNDS):
+        xs = np.linspace(lo, hi, 65).tolist()
+        vals = [float(phi(x)) for x in xs]
+        j = vals.index(max(vals))
+        best = max(best, vals[j])
+        cells = xs[max(j - 1, 0):j + 2]
+        if all(math.nextafter(x, math.inf) >= y for x, y in zip(cells, cells[1:])):
+            break
+        lo, hi = cells[0], cells[-1]
+    return best
+
+
 def _scalar_sup_on_grid(phi, lo, hi, corner):
     grid = np.geomspace(lo, hi, 2048)
     vals = np.array([phi(r) for r in grid])
@@ -443,7 +461,7 @@ def _scalar_sup_on_grid(phi, lo, hi, corner):
         return math.inf
     a = grid[max(imax - 1, 0)]
     b = grid[min(imax + 1, grid.size - 1)]
-    return max(float(vals[imax]), regime._gss_max(phi, a, b))
+    return max(float(vals[imax]), _pointwise_refine_max(phi, float(a), float(b)))
 
 
 def _scalar_gamma_numeric(c):
@@ -472,7 +490,7 @@ def _scalar_gamma_numeric(c):
 
     a = grid[max(imax - 1, 0)]
     b = grid[min(imax + 1, grid.size - 1)]
-    return max(float(vals[imax]), regime._gss_max(phi, float(a), float(b)))
+    return max(float(vals[imax]), _pointwise_refine_max(phi, float(a), float(b)))
 
 
 # the knots 2^(k/8) and 2^(-k/8), k = 0 ... 8600, of the potentials' tables,
@@ -561,8 +579,10 @@ class TestBatchedRegimePath:
         design_blowup(c, 1.0, theta, alpha)
         # 12100 with one evaluate call per grid point and per cell; 971
         # (against a bound of 2000) with two calls per bisection; 644 with
-        # 64 cells per call and an adaptive quadrature per potential cell
-        assert len(calls) <= 284
+        # 64 cells per call and an adaptive quadrature per potential cell;
+        # 284 with a scalar golden-section search and knot tables grown to
+        # each request
+        assert len(calls) <= 91
 
     def test_certify_pass_evaluation_budget(self, monkeypatch):
         # the certify benchmark operation at M = 1; each callable is counted
@@ -590,55 +610,80 @@ class TestBatchedRegimePath:
         # calls (against a bound of 2077) with two calls per bisection; 754
         # and 183 with 64 cells per call and no knot table; 363 and 145
         # with every cell in one call, 2 more now that the 2047-cell gamma
-        # sweeps of exp(-r) and 1/(1+r^2) take two blocks of 1024 each
-        assert counts["evaluate"] <= 365
-        assert counts["integrate"] <= 145
+        # sweeps of exp(-r) and 1/(1+r^2) take two blocks of 1024 each;
+        # 114 and 12 with refinements in array rounds and knot tables that
+        # grow to twice their size
+        assert counts["evaluate"] <= 114
+        assert counts["integrate"] <= 12
 
 
-def _reference_gss_max(phi, lo, hi):
-    """The golden-section loop before its early stop: 140 iterations, which
-    keep evaluating adjacent floats once the bracket has collapsed."""
-    best = -math.inf
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(phi, lo, hi):
+    """The golden-section search the refinement replaced, kept as the
+    reference of its values: the best value seen, stopped once every float
+    strictly inside the bracket (a, b) is c or d."""
     a, b = lo, hi
-    c = b - regime._INV_GOLDEN * (b - a)
-    d = a + regime._INV_GOLDEN * (b - a)
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
     fc, fd = phi(c), phi(d)
-    best = max(best, fc, fd)
+    best = max(fc, fd)
     for _ in range(140):
-        if b - a < 1e-300:
+        inside = math.nextafter(a, b)
+        while inside < b and (inside == c or inside == d):
+            inside = math.nextafter(inside, b)
+        if inside >= b:
             break
         if fc < fd:
             a, c, fc = c, d, fd
-            d = a + regime._INV_GOLDEN * (b - a)
+            d = a + _INV_GOLDEN * (b - a)
             fd = phi(d)
         else:
             b, d, fd = d, c, fc
-            c = b - regime._INV_GOLDEN * (b - a)
+            c = b - _INV_GOLDEN * (b - a)
             fc = phi(c)
         best = max(best, fc, fd)
     return best
 
 
-# phi calls per refinement: 65-68 measured on the certify coefficients and
-# 69-70 on the brackets below, against 142 for the reference loop
-GSS_CALL_CAP = 80
+# array calls per refinement: 8-9 measured on the certify coefficients and
+# 8-10 on two-cell brackets of the supremum grids, against 65-70 scalar calls
+# of the golden section
+REFINE_CALL_CAP = 10
+
+_REFINE_MAX = regime._refine_max
 
 
-_GSS_MAX = regime._gss_max
+def _refine_checked(phi, lo, hi):
+    """(value, array calls) of one refinement, after checking its contract:
+    it returns the best value it saw, which is at least phi at both ends,
+    and its last round leaves no float inside the two cells around that
+    round's first best point that no round evaluated."""
+    rounds = []
 
+    def recorded(x):
+        vals = np.asarray(phi(x), dtype=float)
+        rounds.append((x.tolist(), vals.tolist()))
+        return vals
 
-def _gss_against_reference(phi, lo, hi):
-    """(value, whether it agrees with the reference, phi calls) of one
-    refinement.  Agreement: the search evaluates every point the reference
-    evaluates except the bracket ends, and the two give the same supremum
-    as ``_sup_estimate`` forms it; the ends are grid points whose values it
-    already maxes over."""
-    calls, reference_calls = [], []
-    value = _GSS_MAX(lambda r: (calls.append(r), phi(r))[1], lo, hi)
-    reference = _reference_gss_max(lambda r: (reference_calls.append(r), phi(r))[1], lo, hi)
-    unseen = set(reference_calls) - set(calls) - {lo, hi}
-    ends = max(phi(lo), phi(hi))
-    return value, not unseen and max(value, ends) == max(reference, ends), len(calls)
+    value = _REFINE_MAX(recorded, lo, hi)
+    assert len(rounds) <= regime._REFINE_ROUNDS
+    assert value == max(v for _, vals in rounds for v in vals)
+    assert value >= max(np.asarray(phi(np.array([lo, hi])), dtype=float).tolist())
+    xs, vals = rounds[-1]
+    j = vals.index(max(vals))
+    cells = xs[max(j - 1, 0):j + 2]
+    seen = {x for points, _ in rounds for x in points}
+    inside = math.nextafter(cells[0], math.inf)
+    for _ in range(1000):  # the last cells hold at most 2 floats each
+        if inside >= cells[-1]:
+            break
+        assert inside in seen, (lo, hi, inside)
+        inside = math.nextafter(inside, math.inf)
+    else:
+        raise AssertionError(f"more than 1000 floats inside the last cells of {(lo, hi)}")
+    return value, len(rounds)
 
 
 # power products of certify whose gamma is infinite: every supremum on their
@@ -647,26 +692,27 @@ CLOSED_FORM_ONLY = ("(1+r)*r^-2.5", "(1+r)^-1", "1/(2+r)")
 
 
 class TestGoldenSectionStop:
+    """The refinement in array rounds that replaced the golden-section
+    search: its stop contract, and its values against the search's."""
+
     @pytest.mark.parametrize("text", CERTIFY)
     def test_certify_refinements_equal_reference(self, text, monkeypatch):
         refinements = []
 
         def checked(phi, lo, hi):
-            value, agrees, calls = _gss_against_reference(phi, lo, hi)
-            refinements.append((agrees, calls))
+            value, calls = _refine_checked(phi, lo, hi)
+            reference = _golden_section_max(lambda r: float(np.asarray(phi(np.array([r])))[0]), lo, hi)
+            refinements.append((abs(value - reference) / math.ulp(reference), calls))
             return value
 
-        with monkeypatch.context() as m:
-            m.setattr(regime, "_gss_max", checked)
-            outputs = _regime_outputs(text, (1.0,))
-            m.setattr(regime, "_gss_max", _reference_gss_max)
-            assert _regime_outputs(text, (1.0,)) == outputs
+        monkeypatch.setattr(regime, "_refine_max", checked)
+        _regime_outputs(text, (1.0,))
         if text in CLOSED_FORM_ONLY:
             assert refinements == []
             return
         assert refinements
-        assert all(agrees for agrees, _ in refinements)
-        assert max(calls for _, calls in refinements) <= GSS_CALL_CAP
+        assert max(ulps for ulps, _ in refinements) <= 4.0
+        assert max(calls for _, calls in refinements) <= REFINE_CALL_CAP
 
     @pytest.mark.parametrize(
         "text", [t for t in CERTIFY if isinstance(coefficient_from_text(t), PowerProductCoefficient)]
@@ -677,25 +723,27 @@ class TestGoldenSectionStop:
 
         c = coefficient_from_text(text)
         expected = compute_decr_constants(c, 0.5, 2.0)
-        monkeypatch.setattr(regime, "_gss_max", refused)
+        monkeypatch.setattr(regime, "_refine_max", refused)
         monkeypatch.setattr(regime, "_sup_on_grid", refused)
         assert compute_decr_constants(coefficient_from_text(text), 0.5, 2.0) == expected
 
     @pytest.mark.parametrize(
-        "phi_of",
+        "phi, end",
         [
-            lambda lo: (lambda r: -r),                             # maximum at lo
-            lambda lo: (lambda r: r),                              # maximum at hi
-            lambda lo: (lambda r: (hash(r) % 1009) / 1009.0),      # differs at every float
+            (lambda r: -r, "lo"),                                                  # maximum at lo
+            (lambda r: r, "hi"),                                                   # maximum at hi
+            (lambda r: np.array([hash(x) % 1009 for x in r.tolist()]) / 1009.0, None),  # differs at every float
         ],
         ids=["max-at-lo", "max-at-hi", "float-noise"],
     )
-    def test_grid_brackets(self, phi_of):
+    def test_grid_brackets(self, phi, end):
         grid = np.geomspace(1e-8, 1e8, 2048)
         for k in range(1, 2047, 23):
             lo, hi = float(grid[k - 1]), float(grid[k + 1])
-            _, agrees, calls = _gss_against_reference(phi_of(lo), lo, hi)
-            assert agrees and calls <= GSS_CALL_CAP, (lo, hi)
+            value, calls = _refine_checked(phi, lo, hi)
+            assert calls <= REFINE_CALL_CAP, (lo, hi)
+            if end is not None:
+                assert value == phi(np.array({"lo": lo, "hi": hi}[end]))
 
 
 class TestWeightedA:

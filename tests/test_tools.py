@@ -98,6 +98,30 @@ class TestGoldenDiffLineCount:
         ]
 
 
+class TestGoldenDiffJson:
+    def test_differing_values_with_their_gaps(self, tmp_path, capsys):
+        # two fake trees whose classify prints JSON that differs by one ulp
+        # in gamma, in a nested value, and in a value that is not a number
+        reports = {
+            "old": {"clause": "blowup-via-(1)", "gamma": 0.125, "checks": {"a": 1.0, "b": 2.0}, "notes": []},
+            "new": {"clause": "blowup-via-(1)", "gamma": 0.12500000000000003, "checks": {"a": 1.0, "b": 2.5}, "notes": ["x"]},
+        }
+        for side, report in reports.items():
+            for name, text in (("__init__.py", ""), ("__main__.py", f"print({json.dumps(json.dumps(report))})\n")):
+                path = tmp_path / side / "smolpois" / name
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+        assert golden_diff.main([str(tmp_path / "old"), str(tmp_path / "new"), "--coeff", "r"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "classify 'r': DIFFERENT",
+            "  stdout: differs in checks, gamma, notes",
+            "  stdout checks.b: old 2.0, new 2.5, relative gap 2.00e-01",
+            "  stdout gamma: old 0.125, new 0.12500000000000003, relative gap 2.22e-16",
+            "  stdout notes: old [], new ['x'], relative gap inf",
+        ]
+
+
 class TestBenchFile:
     def test_records_every_workload_and_seed(self, tmp_path, monkeypatch):
         checkout = tmp_path / "checkout"

@@ -44,7 +44,11 @@ For each run it prints IDENTICAL when ``series.csv`` and ``summary.json``
 match byte for byte, and otherwise the first record of ``series.csv``
 that differs, the relative gap of every column of the final record that
 differs, and, for every column that differs anywhere, its largest relative
-and absolute gap over the records the two series have in common.
+and absolute gap over the records the two series have in common.  For a
+JSON output that differs (``summary.json``, or the stdout of a regime
+command) it prints the top-level keys that differ, then each differing
+value inside them by its dotted key path, with the old and new value and
+their relative gap.
 
 Each ``--coeff TEXT`` adds two runs, ``python -m smolpois classify --coeff
 TEXT`` and ``design --coeff TEXT`` (these take the numeric regime path
@@ -214,14 +218,31 @@ def describe_series(old: bytes, new: bytes) -> list[str]:
     return lines
 
 
+def _leaves(value, path: str) -> dict:
+    """Every value inside nested JSON objects, by its dotted key path; a
+    value that is not an object, a list included, is one leaf."""
+    if not isinstance(value, dict):
+        return {path: value}
+    return {leaf: item for key, inner in value.items() for leaf, item in _leaves(inner, f"{path}.{key}").items()}
+
+
 def describe_json(name: str, old, new) -> list[str]:
-    """The top-level keys of a JSON object whose values differ."""
+    """The top-level keys of a JSON object whose values differ, then, for
+    each value inside them that differs, its dotted key path, old and new
+    value and their relative gap (inf where one is not a number)."""
     try:
         a, b = json.loads(old), json.loads(new)
         keys = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     except (ValueError, AttributeError):
         return [f"{name} differs"]
-    return [f"{name}: differs in {', '.join(keys)}"]
+    lines = [f"{name}: differs in {', '.join(keys)}"]
+    for key in keys:
+        leaves_old, leaves_new = _leaves(a.get(key), key), _leaves(b.get(key), key)
+        for path in sorted(leaves_old.keys() | leaves_new.keys()):
+            x, y = leaves_old.get(path), leaves_new.get(path)
+            if x != y:
+                lines.append(f"{name} {path}: old {x!r}, new {y!r}, relative gap {_gaps(str(x), str(y))[0]:.2e}")
+    return lines
 
 
 def timed_out(label: str, old, new) -> tuple[int, list[str]]:
