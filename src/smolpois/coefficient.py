@@ -109,18 +109,18 @@ class Coefficient:
     def eval_a(self, r):
         """a(r) for r > 0 (scalar or array); guaranteed finite and positive.
 
-        On an array, the error names the first offending point and is the
-        one that evaluating point by point, in order, would raise.  A float
-        takes the same checks, in the same order, without numpy reductions.
+        On an array, the error names the first offending point (a plain float)
+        and is the one that evaluating point by point, in order, would raise.
+        A float takes the same checks, in the same order, without numpy reductions.
         """
         if isinstance(r, float):
             if r <= 0.0:
                 raise CoefficientError("coefficient evaluated at r <= 0")
             value = self(r)
             if not math.isfinite(value):
-                raise expr.EvalDomainError(f"coefficient not finite at r={r!r}")
+                raise expr.EvalDomainError(f"coefficient not finite at r={float(r)!r}")
             if value <= 0.0:
-                raise CoefficientError(f"coefficient not positive at r={r!r}")
+                raise CoefficientError(f"coefficient not positive at r={float(r)!r}")
             return value
         r_arr = np.asarray(r)
         if np.any(r_arr <= 0.0):
@@ -135,7 +135,7 @@ class Coefficient:
         bad = ~np.isfinite(v) | (v <= 0.0)
         if np.any(bad):
             first = np.flatnonzero(bad)[0]
-            at = r if r_arr.ndim == 0 else r_arr.flat[first]
+            at = float(r if r_arr.ndim == 0 else r_arr.flat[first])
             if not np.isfinite(v.flat[first]):
                 raise expr.EvalDomainError(f"coefficient not finite at r={at!r}")
             raise CoefficientError(f"coefficient not positive at r={at!r}")

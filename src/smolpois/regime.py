@@ -48,13 +48,14 @@ from .coefficient import (
     PowerProductCoefficient,
     TailDivergenceError,
 )
-from .diagnostics import corollary_square, lyapunov_L1, mu_mass
+from .diagnostics import corollary_square, grad_norm_sq, lyapunov_value, mu_mass
 from .quadrature import integrate_cells
 from .transform import delta_cap, pam_profile
 
 _GRID_POINTS = 2048
 _REFINE_STEPS = np.arange(65) / 64  # a refinement round's points, as fractions of its bracket
 _REFINE_ROUNDS = 24  # the refinement's cap
+_SEARCH_ROUND = 8  # levels of a design search (delta, eps_M) per array call
 
 
 class RegimeError(ValueError):
@@ -526,14 +527,29 @@ def _choose_q(theta: float, alpha: float) -> float:
     return math.ceil((q_floor + 0.5) * 10.0 - 1e-9) / 10.0
 
 
+def _first_accepted(levels: list, evaluate, judge):
+    """First ``judge(level, value)`` not None, levels in order, else None; ``evaluate`` takes
+    ``_SEARCH_ROUND`` levels per call, or one at a time where that call raises, so
+    the search raises what a level-by-level search raises, at the same level."""
+    for start in range(0, len(levels), _SEARCH_ROUND):
+        chunk = levels[start:start + _SEARCH_ROUND]
+        try:
+            values = evaluate(chunk)
+        except Exception:
+            values = (evaluate([level])[0] for level in chunk)
+        for level, value in zip(chunk, values):
+            if (result := judge(level, value)) is not None:
+                return result
+
+
 def _choose_eps(p: Potentials, M: float, q: float) -> float:
     """Largest dyadic 2^{-k} in (0,1) with q(q+1)/M^2 * psi~(eps) <= 1/2."""
     budget = 0.5 * M**2 / (q * (q + 1.0))
-    for k in range(1, 200):
-        eps = 2.0**-k
-        if p.psi_tilde(eps) <= budget:
-            return eps
-    raise RegimeError("no dyadic eps_M satisfied the tail-smallness condition")
+    levels = [2.0**-k for k in range(1, 200)]
+    eps = _first_accepted(levels, p.psi_tilde, lambda e, value: e if value <= budget else None)
+    if eps is None:
+        raise RegimeError("no dyadic eps_M satisfied the tail-smallness condition")
+    return eps
 
 
 DELTA_FLOOR = 1e-8  # the halving search gives up below this spike width
@@ -550,31 +566,35 @@ def select_delta(
 ):
     """Halving search for the spike width delta.
 
-    delta_k = delta_cap(M, q) * 2^{-k} / 2 for k = 1, 2, ...; each
-    candidate builds the discrete spike profile, evaluates its Lyapunov value
-    and the induced K0, and accepts the first delta whose certificate value
+    delta_k = delta_cap(M, q) * 2^{-k} / 2 for k = 1, 2, ... down to
+    DELTA_FLOOR; each candidate builds the discrete spike profile, evaluates
+    its Lyapunov value (psi and psi1 on eight profiles per call) and the
+    induced K0, and accepts the first delta whose certificate value
     Lambda(m_q(0)) is negative.  Returns (delta, k0, lyap_f0, m_q0,
     lambda_m_q0, trace).
     """
     cap = delta_cap(M, q)
+    levels = [d for d in (cap * 2.0**-k / 2.0 for k in range(1, 64)) if not d < DELTA_FLOOR]
     trace = []
-    k = 1
-    while True:
-        delta = cap * 2.0**-k / 2.0
-        if delta < DELTA_FLOOR:
-            raise DesignFailure(
-                f"no certificate delta above {DELTA_FLOOR:g}; Lambda stayed nonnegative",
-                tuple(trace),
-            )
-        f0 = pam_profile(M, q, delta, n_y)
-        lyap = lyapunov_L1(p, f0, M)
+
+    def evaluate(deltas):
+        profiles = [pam_profile(M, q, delta, n_y) for delta in deltas]
+        f = np.stack([f0.values for f0 in profiles])
+        return list(zip(profiles, p.psi(f), p.psi1(f)))
+
+    def judge(delta, value):
+        f0, psi_f, psi1_f = value
+        lyap = lyapunov_value(psi_f, psi1_f, f0.h, M, grad_norm_sq(psi_f, f0.h))
         k0 = corollary_square(lyap, M, mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
         mq0 = moment_at_start(M, q, delta)
         lam = _lambda(M, q, theta, c2, k0, mq0)
         trace.append((delta, k0, lam))
-        if lam < 0.0:
-            return delta, k0, lyap, mq0, lam, tuple(trace)
-        k += 1
+        return (delta, k0, lyap, mq0, lam, tuple(trace)) if lam < 0.0 else None
+
+    found = _first_accepted(levels, evaluate, judge)
+    if found is None:
+        raise DesignFailure(f"no certificate delta above {DELTA_FLOOR:g}; Lambda stayed nonnegative", tuple(trace))
+    return found
 
 
 def design_blowup(

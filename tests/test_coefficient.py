@@ -248,7 +248,8 @@ class TestEval:
 
 
 def _reference_eval_a(c, r):
-    """Coefficient.eval_a before its float path: numpy reductions on every r."""
+    """Coefficient.eval_a before its float path: numpy reductions on every r,
+    and the offending r named as a plain float."""
     r_arr = np.asarray(r)
     if np.any(r_arr <= 0.0):
         raise CoefficientError("coefficient evaluated at r <= 0")
@@ -262,7 +263,7 @@ def _reference_eval_a(c, r):
     bad = ~np.isfinite(v) | (v <= 0.0)
     if np.any(bad):
         first = np.flatnonzero(bad)[0]
-        at = r if r_arr.ndim == 0 else r_arr.flat[first]
+        at = float(r if r_arr.ndim == 0 else r_arr.flat[first])
         if not np.isfinite(v.flat[first]):
             raise expr.EvalDomainError(f"coefficient not finite at r={at!r}")
         raise CoefficientError(f"coefficient not positive at r={at!r}")
@@ -315,6 +316,13 @@ class TestEvalScalar:
             ("r^-40", 1e-8, expr.EvalDomainError, "coefficient not finite at r=1e-08"),
             ("exp(-r)", 1000.0, CoefficientError, "coefficient not positive at r=1000.0"),
             ("r-1e-7", 1e-8, CoefficientError, "coefficient not positive at r=1e-08"),
+            # numpy scalars and 0-d arrays are named as plain floats
+            pytest.param("r-1e-7", np.float64(1e-8), CoefficientError, "coefficient not positive at r=1e-08",
+                         id="np.float64-not-positive"),
+            pytest.param("exp(-r)", np.asarray(1000.0), CoefficientError, "coefficient not positive at r=1000.0",
+                         id="0-d-array-not-positive"),
+            pytest.param("r^-40", np.float64(1e-8), expr.EvalDomainError, "coefficient not finite at r=1e-08",
+                         id="np.float64-not-finite"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered")

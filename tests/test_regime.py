@@ -11,7 +11,7 @@ import pytest
 
 from smolpois import coefficient, expr, quadrature, regime
 from smolpois.coefficient import CoefficientError, Potentials, PowerProductCoefficient, coefficient_from_text
-from smolpois.diagnostics import lyapunov_L1, moment_mq
+from smolpois.diagnostics import corollary_square, lyapunov_L1, moment_mq
 from smolpois.quadrature import integrate
 from smolpois.regime import (
     ConcaveMajorant,
@@ -418,7 +418,7 @@ class TestDeltaCap:
 # --- the scalar loops the batched regime path replaced, kept as the reference ---
 
 CERTIFY = ("(1+r)^-2", "(1+r)*r^-2.5", "(1+r)^-1", "(2+r)^-2", "exp(-r)", "1/(2+r)", "1/(1+r^2)", "(1+r)^-3")
-EXP_ERROR = "coefficient not positive at r=np.float64(745.5835819317275)"
+EXP_ERROR = "coefficient not positive at r=745.5835819317275"
 
 
 def _scalar_cells(f, left, right, atol=quadrature.DEFAULT_ATOL):
@@ -581,8 +581,27 @@ class TestBatchedRegimePath:
         # (against a bound of 2000) with two calls per bisection; 644 with
         # 64 cells per call and an adaptive quadrature per potential cell;
         # 284 with a scalar golden-section search and knot tables grown to
-        # each request
-        assert len(calls) <= 91
+        # each request; 91 with one psi~ call per eps_M and one psi and one
+        # psi1 call per delta
+        assert len(calls) <= 60
+
+    def test_design_potential_calls(self, monkeypatch):
+        # eps_M takes one round of psi~, mu_M one psi~(2/M), and delta one
+        # round of psi and psi1: 15 and 8 calls with one call per level
+        c = coefficient_from_text("1/(1+r^2)")
+        theta, alpha = default_candidates(c, None, None)
+        calls = {"psi": 0, "psi1": 0}
+        for name in calls:
+            real = getattr(Potentials, name)
+
+            def counted(self, r, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, r)
+
+            monkeypatch.setattr(Potentials, name, counted)
+        design = design_blowup(c, 1.0, theta, alpha)
+        assert len(design.search_trace) == 8
+        assert calls == {"psi": 3, "psi1": 1}
 
     def test_certify_pass_evaluation_budget(self, monkeypatch):
         # the certify benchmark operation at M = 1; each callable is counted
@@ -612,9 +631,144 @@ class TestBatchedRegimePath:
         # with every cell in one call, 2 more now that the 2047-cell gamma
         # sweeps of exp(-r) and 1/(1+r^2) take two blocks of 1024 each;
         # 114 and 12 with refinements in array rounds and knot tables that
-        # grow to twice their size
-        assert counts["evaluate"] <= 114
+        # grow to twice their size; 83 and 12 with the eps_M and delta
+        # searches in rounds of eight levels
+        assert counts["evaluate"] <= 83
         assert counts["integrate"] <= 12
+
+
+# --- the level-by-level design searches the rounds replaced, kept as the reference ---
+
+
+def _sequential_choose_eps(p, M, q):
+    """regime._choose_eps with one psi~ call per dyadic eps."""
+    budget = 0.5 * M**2 / (q * (q + 1.0))
+    for k in range(1, 200):
+        eps = 2.0**-k
+        if p.psi_tilde(eps) <= budget:
+            return eps
+    raise RegimeError("no dyadic eps_M satisfied the tail-smallness condition")
+
+
+def _sequential_select_delta(p, M, q, theta, mu_m, c2, n_y=400):
+    """regime.select_delta with one psi and one psi1 call per halving level."""
+    cap = delta_cap(M, q)
+    trace = []
+    k = 1
+    while True:
+        delta = cap * 2.0**-k / 2.0
+        if delta < regime.DELTA_FLOOR:
+            raise DesignFailure(
+                f"no certificate delta above {regime.DELTA_FLOOR:g}; Lambda stayed nonnegative",
+                tuple(trace),
+            )
+        f0 = pam_profile(M, q, delta, n_y)
+        lyap = lyapunov_L1(p, f0, M)
+        k0 = corollary_square(lyap, M, mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
+        mq0 = moment_at_start(M, q, delta)
+        lam = regime._lambda(M, q, theta, c2, k0, mq0)
+        trace.append((delta, k0, lam))
+        if lam < 0.0:
+            return delta, k0, lyap, mq0, lam, tuple(trace)
+        k += 1
+
+
+def _design_outcome(text, M):
+    """repr of the design and its search trace, or the error raised and, for
+    a DesignFailure, its trace."""
+    c = coefficient_from_text(text)
+    try:
+        design = design_blowup(c, M, *default_candidates(c, None, None))
+    except DesignFailure as err:
+        return f"DesignFailure: {err}", repr(err.trace)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}", None
+    return repr(design), repr(design.search_trace)
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+class _PsiLimited(Potentials):
+    """Potentials whose psi raises on any point outside [lo, hi], naming the
+    point nearest the violated bound."""
+
+    def __init__(self, coefficient, lo=0.0, hi=math.inf):
+        super().__init__(coefficient)
+        self.lo, self.hi = lo, hi
+
+    def psi(self, r):
+        if np.min(r) < self.lo:
+            raise FloatingPointError(f"psi at r={float(np.min(r))!r}")
+        if np.max(r) > self.hi:
+            raise FloatingPointError(f"psi at r={float(np.max(r))!r}")
+        return super().psi(r)
+
+
+# select_delta's arguments for (1+r)^-2 at M = 1 (TestSelectDelta): the search
+# accepts its 7th level, inside the first round of eight
+_SEARCH_ARGS = (1.0, 4.0, 0.5, 207.47222222222223, 588.0)
+
+
+class TestSearchRounds:
+    """The eps_M and delta searches in rounds of eight levels give, bit for
+    bit, what one call per level gave, and raise what it raised."""
+
+    @pytest.mark.parametrize("M", (0.01, 0.1, 1.0, 10.0))
+    @pytest.mark.parametrize("text", CERTIFY + ("1/(2+r^2)", "r^0.5*(3+r)^-2", "(1+r)^-1.1"))
+    def test_equals_sequential_search(self, text, M, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(regime, "_choose_eps", _sequential_choose_eps)
+            m.setattr(regime, "select_delta", _sequential_select_delta)
+            reference = _design_outcome(text, M)
+        assert _design_outcome(text, M) == reference
+
+    def test_cases_cover_failures_and_two_rounds(self):
+        c = coefficient_from_text("(1+r)*r^-2.5")
+        assert len(design_blowup(c, 1.0, *default_candidates(c, None, None)).search_trace) == 10
+        c = coefficient_from_text("(1+r)^-2")
+        with pytest.raises(DesignFailure):
+            design_blowup(c, 0.01, *default_candidates(c, None, None))
+        c = coefficient_from_text("(1+r)^-1.1")
+        with pytest.raises(RegimeError, match="no dyadic eps_M"):
+            design_blowup(c, 0.01, *default_candidates(c, None, None))
+
+    def _profile_max(self, level):
+        M, q = _SEARCH_ARGS[:2]
+        return float(pam_profile(M, q, delta_cap(M, q) * 2.0**-level / 2.0, 400).values.max())
+
+    @pytest.mark.parametrize("raising", ("after", "at"))
+    def test_select_delta_fallback(self, raising):
+        c = coefficient_from_text("(1+r)^-2")
+        accepted = len(_sequential_select_delta(Potentials(c), *_SEARCH_ARGS)[-1])
+        assert accepted == 7
+        # psi raises from the level after the accepted one, or from the
+        # accepted one itself; the levels before it always evaluate
+        first_raising = accepted + 1 if raising == "after" else accepted
+        hi = 0.5 * (self._profile_max(first_raising - 1) + self._profile_max(first_raising))
+        got = _outcome(select_delta, _PsiLimited(c, hi=hi), *_SEARCH_ARGS)
+        assert got == _outcome(_sequential_select_delta, _PsiLimited(c, hi=hi), *_SEARCH_ARGS)
+        if raising == "after":
+            assert got == repr(_sequential_select_delta(Potentials(c), *_SEARCH_ARGS))
+        else:
+            assert got == f"FloatingPointError: psi at r={self._profile_max(accepted)!r}"
+
+    @pytest.mark.parametrize("raising", ("after", "at"))
+    def test_choose_eps_fallback(self, raising):
+        c = coefficient_from_text("(1+r)^-2")
+        M, q = _SEARCH_ARGS[:2]
+        eps = _sequential_choose_eps(Potentials(c), M, q)
+        assert eps == 2.0**-6
+        # psi~(eps) is psi(eps) - psi(0): psi raises below 2^-6.5 (from the
+        # level after the accepted one) or below 2^-5.5 (from the accepted one)
+        lo = eps * 2.0**-0.5 if raising == "after" else eps * 2.0**0.5
+        got = _outcome(regime._choose_eps, _PsiLimited(c, lo=lo), M, q)
+        assert got == _outcome(_sequential_choose_eps, _PsiLimited(c, lo=lo), M, q)
+        assert got == (repr(eps) if raising == "after" else f"FloatingPointError: psi at r={eps!r}")
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -148,3 +148,25 @@ class TestBenchFile:
         assert sorted(runs) == ["a", "b"] and all(sorted(runs[w]) == ["0", "9137"] for w in runs)
         assert runs["a"]["9137"]["args"] == ["--workload", "a", "--seed", "9137", "--trace", "0", "--seconds", "3.0"]
         assert runs["b"]["9137"] == {"error": "exit code 1: broken run"}
+        assert entry["source_sha256"] is None  # the stand-in has no src/smolpois
+
+    def test_source_digest_names_the_code(self, tmp_path):
+        def checkout(name, files):
+            for rel, text in files.items():
+                path = tmp_path / name / rel
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+            return tmp_path / name
+
+        code = {"src/smolpois/a.py": "x = 1\n", "src/smolpois/b.py": "y = 2\n"}
+        base = bench_file.source_digest(checkout("base", code))
+        assert len(base) == 64
+        # files outside src/smolpois/*.py do not count
+        extra = {**code, "src/smolpois/__pycache__/a.pyc": "?", "tests/t.py": "", "src/smolpois/n.txt": ""}
+        assert bench_file.source_digest(checkout("extra", extra)) == base
+        # one changed byte, a renamed file, or bytes moved across files do
+        assert bench_file.source_digest(checkout("edit", {**code, "src/smolpois/b.py": "y = 3\n"})) != base
+        renamed = {"src/smolpois/a.py": "x = 1\n", "src/smolpois/c.py": "y = 2\n"}
+        assert bench_file.source_digest(checkout("renamed", renamed)) != base
+        moved = {"src/smolpois/a.py": "x = 1\ny", "src/smolpois/b.py": " = 2\n"}
+        assert bench_file.source_digest(checkout("moved", moved)) != base

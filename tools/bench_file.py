@@ -18,16 +18,19 @@ sequential.
 ``BENCH_<PR>.json`` is written to the current directory.  It records the
 command, the host, and per checkout its commit (the output of ``git
 rev-parse HEAD``, marked ``-dirty`` when tracked files differ from it, or
-null outside a git repository) and the JSON object of the last line of
-each run's stdout, keyed by workload and then by seed.  A run that ends
-without one is recorded as ``{"error": ...}`` with its exit code and the
-last line of its stderr; the exit code is then 1, and 0 otherwise.
+null outside a git repository), the sha256 of its ``src/smolpois/*.py``
+(``source_digest``: it names the code measured even where the commit is
+dirty or null) and the JSON object of the last line of each run's stdout,
+keyed by workload and then by seed.  A run that ends without one is
+recorded as ``{"error": ...}`` with its exit code and the last line of its
+stderr; the exit code is then 1, and 0 otherwise.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -49,6 +52,18 @@ def commit_of(checkout: Path):
         return None
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
     return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def source_digest(checkout: Path):
+    """sha256 over the checkout's ``src/smolpois/*.py`` in sorted order, each
+    file as its name, its size and its bytes; None when there is none."""
+    paths = sorted((checkout / "src" / "smolpois").glob("*.py"))
+    digest = hashlib.sha256()
+    for path in paths:
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode())
+        digest.update(data)
+    return digest.hexdigest() if paths else None
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -75,7 +90,7 @@ def main(argv=None) -> int:
     spec = json.loads((checkouts[0] / "BENCHMARK.json").read_text(encoding="utf-8"))
     command, seconds = spec["command"], float(spec["run_seconds"])
     workloads = [w["name"] for w in spec["workloads"]]
-    entries = [{"commit": commit_of(path), "runs": {}} for path in checkouts]
+    entries = [{"commit": commit_of(path), "source_sha256": source_digest(path), "runs": {}} for path in checkouts]
     turn = 0
     for workload in workloads:
         for seed in SEEDS:
