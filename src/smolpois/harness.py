@@ -5,8 +5,9 @@ are errors, never ignored.  All outputs are byte-deterministic for a given
 config: CSV numbers carry 17 significant digits and the wall-clock time is
 reported on stderr only (the summary file stores null).
 
-Subcommands: classify, design, simulate, validate.  Exit status 0
-means the work completed (whatever the scientific verdict), 1 is a
+Subcommands: classify, design, simulate, validate; ``simulate()`` composes
+the two-formulation cross-check from two ``solver.run`` calls.  Exit status
+0 means the work completed (whatever the verdict or a failed check), 1 is a
 usage/config error, a rejected coefficient, an initial profile that
 cannot be built (an unreadable ``initial.file``, samples that are not
 positive and finite), an arithmetic failure of classify or design (one
@@ -41,8 +42,8 @@ from .regime import (
     design_blowup,
     verify_majorant,
 )
-from .solver import RunSummary, SolverFailure, run, run_crossval
-from .transform import FieldError, FieldF
+from .solver import RunSummary, SolverFailure, run
+from .transform import FieldError, FieldF, TouchDownError, f_to_u
 
 # series.csv columns: header name -> the DiagnosticsRecord attribute it holds
 _SERIES_COLUMNS = {
@@ -296,39 +297,24 @@ def _fmt(x) -> str:
 
 
 def _json_encode(obj, indent: int = 0) -> str:
+    """Floats at 17 significant digits ("nan", "inf" and "-inf" as strings)
+    and non-empty containers two spaces deeper per level; every other value
+    as ``json.dumps`` writes it."""
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            return '"nan"'
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return f"{x:.17g}"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+        return f"{x:.17g}" if math.isfinite(x) else json.dumps(str(x))
+    if isinstance(obj, dict) and obj:
         items = [
             f"{pad_in}{json.dumps(str(k))}: {_json_encode(v, indent + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple)) and obj:
         items = [f"{pad_in}{_json_encode(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
 
 
 def dumps_deterministic(obj) -> str:
@@ -356,14 +342,18 @@ def emit_outputs(summary: RunSummary, series, out_dir) -> list[Path]:
 # --- subcommands -----------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
-    coeff = coefficient_from_text(args.coeff)
-    report = classify(coeff, args.theta, args.alpha)
-    text = dumps_deterministic(report.to_dict())
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+def _write_json(payload, out) -> int:
+    """Print payload as JSON, and write the same text to ``out`` when given."""
+    text = dumps_deterministic(payload)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
+
+
+def _cmd_classify(args) -> int:
+    coeff = coefficient_from_text(args.coeff)
+    return _write_json(classify(coeff, args.theta, args.alpha).to_dict(), args.out)
 
 
 def _cmd_design(args) -> int:
@@ -390,11 +380,7 @@ def _cmd_design(args) -> int:
             "verdict": "blowup expected, certificate unavailable - verify by simulation",
             "reason": str(err),
         }
-    text = dumps_deterministic(payload)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-    return 0
+    return _write_json(payload, args.out)
 
 
 def _resolve_simulate_config(args) -> RunConfig:
@@ -419,30 +405,37 @@ def _resolve_simulate_config(args) -> RunConfig:
 
 
 def simulate(config: RunConfig) -> tuple[RunSummary, list]:
-    """Run one config (single formulation or the two-formulation cross-check)."""
-    if config.formulation == "both":
-        gap, summary_f, summary_u, series_f, series_u = run_crossval(config)
-        checks = dict(summary_f.checks)
-        checks["crossval_gap"] = diag.CheckResult(
-            passed=gap <= 0.02,
-            min_slack=0.02 - gap,
-            note=f"relative L1 gap {gap:.6g} between formulations at t_max",
-        )
-        notes = tuple(summary_f.notes)
-        if summary_u.verdict != summary_f.verdict:
-            notes = notes + (
-                f"formulations disagree: f={summary_f.verdict}, u={summary_u.verdict}",
-            )
-        summary = replace(
-            summary_f,
-            checks=checks,
-            config_echo=config.to_dict(),
-            wall_clock_s=(summary_f.wall_clock_s or 0.0) + (summary_u.wall_clock_s or 0.0),
-            notes=notes,
-            crossval_gap=gap,
-        )
-        return summary, series_f
-    return run(config)
+    """Run one formulation, or for ``both`` the cross-check: f, then u, from
+    the same data, compared by the relative L1 gap of their u at the end (no
+    gap, and a failed check, when f touched down).  Summary and series are
+    f's, with the gap check, a note if the verdicts differ and both wall times."""
+    if config.formulation != "both":
+        return run(config)
+    coeff = coefficient_from_text(config.coefficient_text)
+    summary_f, series_f = run(config.with_overrides(formulation="f"), coeff)
+    summary_u, _ = run(config.with_overrides(formulation="u"), coeff)
+    u_direct = summary_u.final_state.field.values
+    try:
+        u_from_f = f_to_u(summary_f.final_state.field, config.n).values
+    except TouchDownError as err:
+        gap = None
+        gap_check = diag.CheckResult(passed=False, note=f"no L1 gap at t_max: f touched down ({err})")
+    else:
+        gap = float(np.sum(np.abs(u_from_f - u_direct))) / float(np.sum(np.abs(u_direct)))
+        note = f"relative L1 gap {gap:.6g} between formulations at t_max"
+        gap_check = diag.CheckResult(passed=gap <= 0.02, min_slack=0.02 - gap, note=note)
+    notes = summary_f.notes
+    if summary_u.verdict != summary_f.verdict:
+        notes += (f"formulations disagree: f={summary_f.verdict}, u={summary_u.verdict}",)
+    summary = replace(
+        summary_f,
+        checks={**summary_f.checks, "crossval_gap": gap_check},
+        config_echo=config.to_dict(),
+        wall_clock_s=summary_f.wall_clock_s + summary_u.wall_clock_s,
+        notes=notes,
+        crossval_gap=gap,
+    )
+    return summary, series_f
 
 
 def _cmd_simulate(args) -> int:
@@ -619,7 +612,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ArithmeticError as err:  # an overflow, a quadrature that fails, ...
         if args.command not in ("classify", "design"):
-            raise  # a solver-side failure (a touch-down in crossval, ...) stays visible
+            raise  # an arithmetic failure inside a run is a bug; its traceback stays visible
         sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
         return 1
     except (SolverFailure, DesignFailure) as err:

@@ -28,7 +28,8 @@ names the monitored extremum; it returns the accepted dt and the trial's
 result, from which each stepper builds its accepted ``SolverState`` once.
 ``run`` has one step loop for both formulations; it chooses the stepper,
 the record function, the monitored extremum and its blowup test once,
-before the loop.
+before the loop.  It advances one formulation per call: the cross-check
+of both from the same data is ``harness.simulate``'s.
 
 Every tridiagonal solve goes through ``solve_banded``, which sends a band
 by its storage to one of two LAPACK routines.  Three rows, a general band,
@@ -74,7 +75,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
@@ -530,15 +531,7 @@ class RunSummary:
         """The summary.json payload; the wall-clock time is left out (null)."""
         if self.verdict == "blowup" and self.blowup_time is None:
             raise ValueError("blowup verdict without a blowup time estimate")
-        checks = {
-            name: {
-                "passed": res.passed,
-                "min_slack": res.min_slack,
-                "first_violation_t": res.first_violation_t,
-                "note": res.note,
-            }
-            for name, res in sorted(self.checks.items())
-        }
+        checks = {name: asdict(res) for name, res in sorted(self.checks.items())}
         return {
             "verdict": self.verdict,
             "blowup_time": self.blowup_time,
@@ -764,21 +757,3 @@ def _assemble_checks(ctx: _RunContext, series, formulation: str) -> dict:
         checks.update(diag.check_moment_ode(series, ctx.design))
     return checks
 
-
-def run_crossval(config):
-    """Run both formulations from the same data and compare at t_max.
-
-    Returns (relative L1 gap of the two u profiles at t_max, f summary,
-    u summary, f series, u series).
-    """
-    coeff = coefficient_from_text(config.coefficient_text)
-    summary_f, series_f = run(config.with_overrides(formulation="f"), coeff)
-    summary_u, series_u = run(config.with_overrides(formulation="u"), coeff)
-    state_f = summary_f.final_state
-    state_u = summary_u.final_state
-    u_from_f = f_to_u(state_f.field, config.n)
-    u_direct: FieldU = state_u.field
-    gap = float(np.sum(np.abs(u_from_f.values - u_direct.values))) / float(
-        np.sum(np.abs(u_direct.values))
-    )
-    return gap, summary_f, summary_u, series_f, series_u

@@ -14,9 +14,9 @@ import pytest
 from smolpois.coefficient import Potentials, coefficient_from_text
 from smolpois.diagnostics import energy_norm_slacks, mu_mass
 from smolpois.expr import evaluate, parse_coefficient
-from smolpois.harness import preset_config
+from smolpois.harness import preset_config, simulate
 from smolpois.regime import build_majorant, classify, verify_majorant
-from smolpois.solver import run, run_crossval
+from smolpois.solver import run
 from smolpois.transform import FieldF, FieldU, f_to_u, u_to_f
 
 
@@ -218,12 +218,13 @@ def test_criterion_7_majorant_suite():
 def test_criterion_8_cross_formulation():
     cfg = preset_config("crossval")
     t0 = time.perf_counter()
-    gap_400, summary_f, summary_u, _, _ = run_crossval(cfg)
-    gap_800, *_ = run_crossval(cfg.with_overrides(n=800, n_y=800))
+    summary, _ = simulate(cfg)
+    gap_400 = summary.crossval_gap
+    gap_800 = simulate(cfg.with_overrides(n=800, n_y=800))[0].crossval_gap
     wall = time.perf_counter() - t0
     ok = (
-        summary_f.verdict == "global-so-far"
-        and summary_u.verdict == "global-so-far"
+        summary.verdict == "global-so-far"
+        and not any(note.startswith("formulations disagree") for note in summary.notes)
         and gap_400 <= 0.02
         and gap_800 <= 0.6 * gap_400
     )

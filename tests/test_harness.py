@@ -145,6 +145,53 @@ class TestParseOnce:
         assert cfg.with_overrides(coefficient_text="(1+r)^-2").coefficient_text == "(1+r)^-2"
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden"
+
+
+class TestCrossCheck:
+    def test_disagreeing_formulations_merge_into_f_summary(self, monkeypatch):
+        # f touches down near t = 5.3e-6 while u stays bounded to t_max
+        runs = {}
+        real_run = harness.run
+
+        def recorded(config, coeff=None):
+            runs[config.formulation] = real_run(config, coeff)
+            return runs[config.formulation]
+
+        monkeypatch.setattr(harness, "run", recorded)
+        config = load_config(GOLDEN / "crossval-touchdown.ini")
+        summary, series = simulate(config)
+        (summary_f, series_f), (summary_u, _) = runs["f"], runs["u"]
+        assert (summary.verdict, summary.blowup_time) == (summary_f.verdict, summary_f.blowup_time)
+        assert (summary_f.verdict, summary_u.verdict) == ("blowup", "global-so-far")
+        assert summary.notes == summary_f.notes + ("formulations disagree: f=blowup, u=global-so-far",)
+        gap = summary.crossval_gap
+        assert gap == pytest.approx(1.6, abs=1e-3)
+        check = summary.checks["crossval_gap"]
+        assert not check.passed
+        assert check.min_slack == 0.02 - gap
+        assert check.note == f"relative L1 gap {gap:.6g} between formulations at t_max"
+        assert summary.config_echo == config.to_dict()
+        assert summary.config_echo["formulation"] == "both"
+        assert summary.wall_clock_s == summary_f.wall_clock_s + summary_u.wall_clock_s
+        assert series is series_f
+
+    def test_f_touch_down_fails_the_gap_check(self, tmp_path, capsys):
+        # at eps_touchdown = 1e-300 the f run ends in dt underflow at
+        # min f = 4.9e-15, where u = 1/f cannot be rebuilt for the gap
+        body = (GOLDEN / "f-underflow.ini").read_text(encoding="utf-8")
+        cfg_path = write_config(tmp_path, body.replace("formulation = f", "formulation = both"))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "series.csv").exists()
+        payload = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert payload == json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "blowup"
+        assert payload["crossval_gap"] is None
+        check = payload["checks"]["crossval_gap"]
+        assert check["passed"] is False and check["min_slack"] is None
+        assert check["note"].startswith("no L1 gap at t_max: f touched down (min f = 4.911e-15")
+
+
 class TestPresets:
     def test_known_presets(self):
         for name in ("blowup-demo", "global-demo", "decr-demo", "crossval"):
@@ -287,6 +334,13 @@ class TestJsonWriter:
         payload = json.loads(dumps_deterministic({"x": math.inf, "y": -math.inf, "z": math.nan}))
         assert payload == {"x": "inf", "y": "-inf", "z": "nan"}
 
+    def test_scalars_and_empty_containers_as_json_writes_them(self):
+        payload = {"i": np.int64(3), "f": np.float64(0.1), "s": "\u00e9", "b": False, "n": None, "e": {}, "l": [], "t": ()}
+        assert dumps_deterministic(payload) == (
+            '{\n  "i": 3,\n  "f": 0.10000000000000001,\n  "s": "\\u00e9",\n  "b": false,\n'
+            '  "n": null,\n  "e": {},\n  "l": [],\n  "t": []\n}\n'
+        )
+
 
 class TestCli:
     def test_classify_global(self, capsys):
@@ -343,7 +397,7 @@ class TestCli:
 
     def test_solver_arithmetic_error_is_not_a_usage_error(self, monkeypatch):
         # only classify and design report an ArithmeticError as one line;
-        # a touch-down raised on the solver side propagates
+        # one raised inside simulate is a bug and propagates
         from smolpois.transform import TouchDownError
 
         def touch_down(args):

@@ -21,13 +21,12 @@ from smolpois.solver import (
     _solve_f,
     build_initial_data,
     run,
-    run_crossval,
     solve_poisson,
     step_f,
     step_u,
 )
 from smolpois.transform import FieldF, FieldU, f_to_u, pam_profile, u_to_f
-from smolpois.harness import RunConfig, load_config, preset_config
+from smolpois.harness import RunConfig, load_config, preset_config, simulate
 
 
 def cosine_u(n: int, amp: float = 0.5) -> FieldU:
@@ -686,10 +685,10 @@ class TestInitialData:
 class TestCrossFormulation:
     def test_formulations_agree_in_the_global_regime(self):
         cfg = preset_config("crossval").with_overrides(n=200, n_y=200)
-        gap, summary_f, summary_u, _, _ = run_crossval(cfg)
-        assert summary_f.verdict == "global-so-far"
-        assert summary_u.verdict == "global-so-far"
-        assert gap <= 0.02
+        summary, _ = simulate(cfg)
+        assert summary.verdict == "global-so-far"
+        assert not any(note.startswith("formulations disagree") for note in summary.notes)
+        assert summary.crossval_gap <= 0.02
 
 
 def _residual_and_target(pot, f_old, M, h, dt, w):

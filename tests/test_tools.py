@@ -1,10 +1,14 @@
 """The standard-library tools under ``tools/``: the golden diff's series
-report and the bench file writer."""
+report, its INI files and the bench file writer."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
+
+from smolpois.harness import load_config
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -96,6 +100,12 @@ class TestGoldenDiffLineCount:
             f"{label}: ERROR, timed out after 0.5 s on old and new"
             for label in ("global-demo", "classify 'r'", "design 'r'")
         ]
+
+
+@pytest.mark.parametrize("path", sorted((TOOLS / "golden").glob("*.ini")), ids=lambda path: path.name)
+def test_golden_config_loads(path):
+    # a mistyped key or value fails here, not as an ERROR line of a golden diff
+    assert load_config(path).coefficient_text
 
 
 class TestGoldenDiffJson:

@@ -23,7 +23,9 @@ the step controller's hold, doubling and reset on ``global-demo``'s own
 data at n = n_y = 1600,
 the dt-underflow f-form path, the longest chain of dt-halving retries,
 f- and u-form runs from ``initial.kind = samples``, a
-two-formulation run from ``initial.kind = constant``, and two f-form
+two-formulation run from ``initial.kind = constant``, one whose f half
+touches down while its u half stays bounded (the formulations disagree
+and the gap check fails), and two f-form
 divergent-tail runs whose lower barrier reads sup psi = int_0^1 a from a
 power-sum primitive and by quadrature)
 and ``--coeff`` for every line of ``tools/golden/coefficients.txt`` (the
