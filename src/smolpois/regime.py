@@ -34,6 +34,8 @@ phi, each value bit-identical to phi at that point alone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -48,9 +50,9 @@ from .coefficient import (
     PowerProductCoefficient,
     TailDivergenceError,
 )
-from .diagnostics import corollary_square, grad_norm_sq, lyapunov_value, mu_mass
+from .diagnostics import corollary_square, mu_mass
 from .quadrature import integrate_cells
-from .transform import delta_cap, pam_profile
+from .transform import delta_cap, pam_profiles
 
 _GRID_POINTS = 2048
 _REFINE_STEPS = np.arange(65) / 64  # a refinement round's points, as fractions of its bracket
@@ -97,10 +99,19 @@ def _refine_max(phi, lo: float, hi: float) -> float:
     return best
 
 
+@functools.cache
+def _log_grid(lo: float, hi: float) -> np.ndarray:
+    """The 2048-point log grid of [lo, hi], built on first use and then
+    shared (read-only) by every supremum on that interval."""
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    grid.flags.writeable = False
+    return grid
+
+
 def _sup_on_grid(phi, lo: float, hi: float, corner: str) -> float:
     """Supremum of phi over the open interval via log grid plus refinement;
     phi is evaluated once on the whole grid, then once per refinement round."""
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    grid = _log_grid(lo, hi)
     return _sup_estimate(grid, np.asarray(phi(grid), dtype=float), phi, corner)
 
 
@@ -161,7 +172,7 @@ def _gamma_numeric(c: Coefficient) -> float:
     integral over the log grid (2048 independent improper integrals would
     be needlessly slow)."""
     lo, hi, corner = _UNIT_INTERVAL
-    grid = np.geomspace(lo, hi, _GRID_POINTS)
+    grid = _log_grid(lo, hi)
     cells = integrate_cells(c, grid[:-1], grid[1:])
     # tails[k] = tails[k + 1] + int_{grid[k]}^{grid[k+1]} a, summed downward
     start = -c.tail_integral(float(grid[-1]))
@@ -194,14 +205,15 @@ def _check_decr_pair(theta: float, alpha: float) -> None:
         )
 
 
-def _weighted_sup(c: Coefficient, e: float, interval: tuple) -> float:
+def _weighted_sup(c: Coefficient, e: float, interval: tuple, eval_a=None) -> float:
     """sup of r^e a(r) over ``interval``: in closed form for a power
-    product, otherwise estimated on the grid once per coefficient."""
+    product, otherwise estimated on the grid once per coefficient, with a
+    from ``eval_a`` (default ``c.eval_a``)."""
     if isinstance(c, PowerProductCoefficient):
         return _power_product_sup(c, e, interval)
     memo = c.weighted_suprema
     if (e, interval) not in memo:
-        memo[e, interval] = _sup_on_grid(_weighted_a(c, e), *interval)
+        memo[e, interval] = _sup_on_grid(_weighted_a(c, e, eval_a), *interval)
     return memo[e, interval]
 
 
@@ -237,9 +249,10 @@ def _power_product_sup(c: PowerProductCoefficient, e: float, interval: tuple) ->
     return float(max(candidates))
 
 
-def _weighted_a(c: Coefficient, e: float):
-    """phi(r) = r^e a(r) on a scalar or an array, with r^e by Python's float
-    pow per element, so arrays equal ``_power_product_sup``'s scalars bit for bit.
+def _weighted_a(c: Coefficient, e: float, eval_a=None):
+    """phi(r) = r^e a(r) on a scalar or an array, with a from ``eval_a``
+    (default ``c.eval_a``) and r^e by Python's float pow per element, so
+    arrays equal ``_power_product_sup``'s scalars bit for bit.
 
     Kept on purpose: on the 2048-point supremum grids ``np.power`` differs
     from the scalar pow at 118 points for e = 2.5 on (1e-8, 1), at 82-131
@@ -248,7 +261,8 @@ def _weighted_a(c: Coefficient, e: float):
     ``np.fromiter`` saves at most 0.09 ms of a 0.3 ms grid, within timing
     noise (2-vCPU shared host).
     """
-    return lambda r: (r**e if np.ndim(r) == 0 else np.fromiter((x**e for x in r.flat), float, r.size)) * c.eval_a(r)
+    eval_a = c.eval_a if eval_a is None else eval_a
+    return lambda r: (r**e if np.ndim(r) == 0 else np.fromiter((x**e for x in r.flat), float, r.size)) * eval_a(r)
 
 
 # --- classification --------------------------------------------------------------
@@ -274,7 +288,11 @@ class RegimeReport:
 
 def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[float]) -> tuple[float, float]:
     """Fill unspecified (theta, alpha): theta = 0.5 and alpha the largest
-    admissible value in (theta/(1+theta), 2] keeping C_inf finite."""
+    admissible value in (theta/(1+theta), 2] keeping C_inf finite.
+
+    The candidates' grid suprema share one evaluation of a on the
+    ``_FROM_ONE`` grid, made by the first that needs it and dropped on
+    return; only r^alpha and the refinement rounds differ between them."""
     theta = 0.5 if theta is None else theta
     if alpha is not None:
         return theta, alpha
@@ -284,10 +302,13 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
         if alpha <= alpha_floor:
             alpha = 2.0  # no admissible choice keeps C_inf finite; report as such
         return theta, alpha
+    grid = _log_grid(*_FROM_ONE[:2])
+    a_on_grid = functools.cache(lambda: c.eval_a(grid))  # evaluated by the first candidate that needs it
+    eval_a = lambda r: a_on_grid() if r is grid else c.eval_a(r)
     for candidate in np.arange(2.0, alpha_floor, -0.1):
         alpha = float(candidate)
         _check_decr_pair(theta, alpha)
-        if math.isfinite(_weighted_sup(c, alpha, _FROM_ONE)):
+        if math.isfinite(_weighted_sup(c, alpha, _FROM_ONE, eval_a)):
             return theta, alpha
     return theta, 2.0
 
@@ -527,12 +548,13 @@ def _choose_q(theta: float, alpha: float) -> float:
     return math.ceil((q_floor + 0.5) * 10.0 - 1e-9) / 10.0
 
 
-def _first_accepted(levels: list, evaluate, judge):
+def _first_accepted(levels, evaluate, judge):
     """First ``judge(level, value)`` not None, levels in order, else None; ``evaluate`` takes
     ``_SEARCH_ROUND`` levels per call, or one at a time where that call raises, so
-    the search raises what a level-by-level search raises, at the same level."""
-    for start in range(0, len(levels), _SEARCH_ROUND):
-        chunk = levels[start:start + _SEARCH_ROUND]
+    the search raises what a level-by-level search raises, at the same level.
+    ``levels`` is any iterable, drawn one round at a time."""
+    levels = iter(levels)
+    while chunk := list(itertools.islice(levels, _SEARCH_ROUND)):
         try:
             values = evaluate(chunk)
         except Exception:
@@ -542,10 +564,13 @@ def _first_accepted(levels: list, evaluate, judge):
                 return result
 
 
+EPS_LEVELS = 1022  # eps_M tries 2^-k for k <= 1022: 2^-1022 is the smallest normal double
+
+
 def _choose_eps(p: Potentials, M: float, q: float) -> float:
-    """Largest dyadic 2^{-k} in (0,1) with q(q+1)/M^2 * psi~(eps) <= 1/2."""
+    """Largest dyadic 2^{-k}, k = 1 ... EPS_LEVELS, with q(q+1)/M^2 * psi~(eps) <= 1/2."""
     budget = 0.5 * M**2 / (q * (q + 1.0))
-    levels = [2.0**-k for k in range(1, 200)]
+    levels = (2.0**-k for k in range(1, EPS_LEVELS + 1))
     eps = _first_accepted(levels, p.psi_tilde, lambda e, value: e if value <= budget else None)
     if eps is None:
         raise RegimeError("no dyadic eps_M satisfied the tail-smallness condition")
@@ -553,6 +578,18 @@ def _choose_eps(p: Potentials, M: float, q: float) -> float:
 
 
 DELTA_FLOOR = 1e-8  # the halving search gives up below this spike width
+
+
+def _spike_lyapunov(p: Potentials, M: float, q: float, deltas: list, n_y: int) -> list:
+    """L1 of the spike profile of each delta, from one psi and one psi1 call
+    on the stacked profiles: per row, ``lyapunov_value(psi, psi1, h, M,
+    grad_norm_sq(psi, h))`` bit for bit, with h = M/n_y (``FieldF.h``)."""
+    f = pam_profiles(M, q, deltas, n_y)
+    psi_f, psi1_f = p.psi(f), p.psi1(f)
+    h = M / n_y
+    slope = np.diff(psi_f, axis=1) / h
+    sums = np.sum(psi_f - M * psi1_f, axis=1).tolist()
+    return [0.5 * (h * grad) + h * total for grad, total in zip(np.vecdot(slope, slope).tolist(), sums)]
 
 
 def select_delta(
@@ -567,31 +604,25 @@ def select_delta(
     """Halving search for the spike width delta.
 
     delta_k = delta_cap(M, q) * 2^{-k} / 2 for k = 1, 2, ... down to
-    DELTA_FLOOR; each candidate builds the discrete spike profile, evaluates
-    its Lyapunov value (psi and psi1 on eight profiles per call) and the
-    induced K0, and accepts the first delta whose certificate value
-    Lambda(m_q(0)) is negative.  Returns (delta, k0, lyap_f0, m_q0,
-    lambda_m_q0, trace).
+    DELTA_FLOOR.  Each round of eight candidates is one array pass: the
+    spike profiles (``pam_profiles``), psi and psi1 on them in one call
+    each, and their Lyapunov values (``_spike_lyapunov``).  The candidates
+    are then judged in order, each with its induced K0, m_q(0) and
+    certificate value Lambda(m_q(0)), and the first negative one is
+    accepted.  Returns (delta, k0, lyap_f0, m_q0, lambda_m_q0, trace).
     """
     cap = delta_cap(M, q)
     levels = [d for d in (cap * 2.0**-k / 2.0 for k in range(1, 64)) if not d < DELTA_FLOOR]
     trace = []
 
-    def evaluate(deltas):
-        profiles = [pam_profile(M, q, delta, n_y) for delta in deltas]
-        f = np.stack([f0.values for f0 in profiles])
-        return list(zip(profiles, p.psi(f), p.psi1(f)))
-
-    def judge(delta, value):
-        f0, psi_f, psi1_f = value
-        lyap = lyapunov_value(psi_f, psi1_f, f0.h, M, grad_norm_sq(psi_f, f0.h))
+    def judge(delta, lyap):
         k0 = corollary_square(lyap, M, mu_m) ** (1.0 / (2.0 * (2.0 + theta)))
         mq0 = moment_at_start(M, q, delta)
         lam = _lambda(M, q, theta, c2, k0, mq0)
         trace.append((delta, k0, lam))
         return (delta, k0, lyap, mq0, lam, tuple(trace)) if lam < 0.0 else None
 
-    found = _first_accepted(levels, evaluate, judge)
+    found = _first_accepted(levels, lambda deltas: _spike_lyapunov(p, M, q, deltas, n_y), judge)
     if found is None:
         raise DesignFailure(f"no certificate delta above {DELTA_FLOOR:g}; Lambda stayed nonnegative", tuple(trace))
     return found

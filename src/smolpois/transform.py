@@ -13,6 +13,7 @@ integral constraint bit-tight after resampling.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -194,17 +195,39 @@ def pam_profile(M: float, q: float, delta: float, n_y: int) -> FieldF:
 
     The continuum integral is exactly 1 and the continuum sup is
     2(1 - M delta^q)/delta + delta^q <= 2/delta; midpoint sampling is
-    renormalized so the discrete integral is 1 as well.
+    renormalized so the discrete integral is 1 as well.  The one-row case
+    of ``pam_profiles``.
+    """
+    return FieldF(values=pam_profiles(M, q, [delta], n_y)[0], mass=float(M))
+
+
+def pam_profiles(M: float, q: float, deltas: list, n_y: int) -> np.ndarray:
+    """The samples of ``pam_profile`` for each delta, one row each, as a
+    (len(deltas), n_y) array.
+
+    delta^q, the slope and the rescale factor 1/(M/n_y * row sum) are
+    Python scalars per delta and the ramp is one broadcast, so every row
+    has the bits of ``FieldF.from_samples`` on that delta's samples.
+    The checks are those of a loop over the deltas, in order: delta in
+    (0, cap), at least 2 samples, positive and finite samples, and the
+    continuum sup bound; the first delta that fails one raises its error.
     """
     cap = delta_cap(M, q)
-    if not (0.0 < delta < cap):
-        raise FieldError(f"delta={delta!r} outside the admissible range (0, {cap!r})")
+    inside = list(itertools.takewhile(lambda delta: 0.0 < delta < cap, deltas))
+    if inside and n_y < 2:
+        raise FieldError("f needs a 1D array of at least 2 samples")
+    floors = [delta**q for delta in inside]
+    weights = [2.0 * (1.0 - M * floor) for floor in floors]
+    slopes = [weight / delta**2 for weight, delta in zip(weights, inside)]
     y = _cell_centers(n_y, M)
-    floor = delta**q
-    slope = 2.0 * (1.0 - M * floor) / delta**2
-    vals = slope * np.maximum(delta - y, 0.0) + floor
-    field = FieldF.from_samples(vals, mass=M)
-    sup_continuum = 2.0 * (1.0 - M * floor) / delta + floor
-    if sup_continuum > 2.0 / delta + 1e-12:
-        raise FieldError("spike profile exceeded its analytic sup bound")
-    return field
+    vals = np.array(slopes)[:, None] * np.maximum(np.array(inside)[:, None] - y, 0.0) + np.array(floors)[:, None]
+    sane = np.all((vals > 0.0) & np.isfinite(vals), axis=1)
+    for row_sane, weight, delta, floor in zip(sane, weights, inside, floors):
+        if not row_sane:
+            raise FieldError("f samples must be positive and finite")
+        if weight / delta + floor > 2.0 / delta + 1e-12:
+            raise FieldError("spike profile exceeded its analytic sup bound")
+    if len(inside) < len(deltas):
+        raise FieldError(f"delta={deltas[len(inside)]!r} outside the admissible range (0, {cap!r})")
+    scales = [1.0 / (M / n_y * total) for total in vals.sum(axis=1).tolist()]
+    return vals * np.array(scales)[:, None]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from smolpois import coefficient, expr, quadrature, regime
+from smolpois import coefficient, expr, quadrature, regime, transform
 from smolpois.coefficient import CoefficientError, Potentials, PowerProductCoefficient, coefficient_from_text
 from smolpois.diagnostics import corollary_square, lyapunov_L1, moment_mq
 from smolpois.quadrature import integrate
@@ -113,6 +113,25 @@ class TestDecrConstants:
         monkeypatch.setattr(regime, "_sup_on_grid", lambda *args: (calls.append(args[1:]), real(*args))[1])
         assert default_candidates(coefficient_from_text(text), None, None) == (0.5, 2.0)
         assert calls == [regime._FROM_ONE]
+
+    def test_candidates_evaluate_a_once_on_the_grid(self, monkeypatch):
+        # (1+r^2)^-0.6 ~ r^-1.2 tries alpha = 2.0, 1.9, ..., 1.2: nine grid
+        # suprema, which took nine evaluations of a on the same 2048 points
+        text = "(1+r^2)^-0.6"
+        reference = coefficient_from_text(text)
+        alphas = [float(a) for a in np.arange(2.0, 0.5 / 1.5, -0.1)[:9]]
+        expected = [regime._weighted_sup(reference, alpha, regime._FROM_ONE) for alpha in alphas]
+        assert [math.isfinite(v) for v in expected] == [False] * 8 + [True]
+        sizes = []
+        real = expr.evaluate
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "smolpois" and vars(module).get("evaluate") is real:
+                monkeypatch.setattr(module, "evaluate", lambda tree, r: (sizes.append(np.size(r)), real(tree, r))[1])
+        c = coefficient_from_text(text)
+        assert default_candidates(c, None, None) == (0.5, alphas[-1])
+        assert sizes.count(regime._GRID_POINTS) == 1
+        assert c.weighted_suprema == {(alpha, regime._FROM_ONE): v for alpha, v in zip(alphas, expected)}
+        assert repr(compute_decr_constants(c, 0.5, alphas[-1])[1]) == repr(expected[-1])
 
     @pytest.mark.parametrize("text", ["1/(1+r^2)", "1/(2+r^2)"])
     def test_design_reuses_the_candidate_suprema(self, text, monkeypatch):
@@ -547,6 +566,16 @@ def _regime_outputs(text, masses):
     return out
 
 
+def _certify_pass(coefficients):
+    """The certify benchmark operation at M = 1 on parsed coefficients."""
+    for c in coefficients:
+        try:
+            if classify(c).clause.startswith("blowup"):
+                design_blowup(c, 1.0, *default_candidates(c, None, None))
+        except CoefficientError as err:
+            assert c.text == "exp(-r)" and str(err) == EXP_ERROR
+
+
 class TestBatchedRegimePath:
     """The batched grid and cell sweeps give what the scalar loops gave."""
 
@@ -603,6 +632,19 @@ class TestBatchedRegimePath:
         assert len(design.search_trace) == 8
         assert calls == {"psi": 3, "psi1": 1}
 
+    def test_second_certify_pass_builds_no_grid(self, monkeypatch):
+        # the two supremum grids are built on first use and then shared: ten
+        # np.geomspace calls per certify pass before
+        regime._log_grid.cache_clear()
+        calls = []
+        real = np.geomspace
+        monkeypatch.setattr(np, "geomspace", lambda *a, **k: (calls.append(a), real(*a, **k))[1])
+        for passes in (2, 0):
+            coefficients = [coefficient_from_text(text) for text in CERTIFY]
+            calls.clear()
+            _certify_pass(coefficients)
+            assert len(calls) == passes
+
     def test_certify_pass_evaluation_budget(self, monkeypatch):
         # the certify benchmark operation at M = 1; each callable is counted
         # in every smolpois module that holds it, as the benchmark tracer does
@@ -618,13 +660,7 @@ class TestBatchedRegimePath:
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "smolpois" and vars(module).get(attr) is real:
                     monkeypatch.setattr(module, attr, counted)
-        for text in CERTIFY:
-            try:
-                c = coefficient_from_text(text)
-                if classify(c).clause.startswith("blowup"):
-                    design_blowup(c, 1.0, *default_candidates(c, None, None))
-            except CoefficientError as err:
-                assert text == "exp(-r)" and str(err) == EXP_ERROR
+        _certify_pass(coefficient_from_text(text) for text in CERTIFY)
         # 2122 and 337 while Potentials also computed psi1(0); 1942 evaluate
         # calls (against a bound of 2077) with two calls per bisection; 754
         # and 183 with 64 cells per call and no knot table; 363 and 145
@@ -641,9 +677,9 @@ class TestBatchedRegimePath:
 
 
 def _sequential_choose_eps(p, M, q):
-    """regime._choose_eps with one psi~ call per dyadic eps."""
+    """regime._choose_eps with one psi~ call per dyadic eps, down to 2^-1022."""
     budget = 0.5 * M**2 / (q * (q + 1.0))
-    for k in range(1, 200):
+    for k in range(1, 1023):
         eps = 2.0**-k
         if p.psi_tilde(eps) <= budget:
             return eps
@@ -652,7 +688,7 @@ def _sequential_choose_eps(p, M, q):
 
 def _sequential_select_delta(p, M, q, theta, mu_m, c2, n_y=400):
     """regime.select_delta with one psi and one psi1 call per halving level."""
-    cap = delta_cap(M, q)
+    cap = regime.delta_cap(M, q)
     trace = []
     k = 1
     while True:
@@ -719,7 +755,7 @@ class TestSearchRounds:
     bit, what one call per level gave, and raise what it raised."""
 
     @pytest.mark.parametrize("M", (0.01, 0.1, 1.0, 10.0))
-    @pytest.mark.parametrize("text", CERTIFY + ("1/(2+r^2)", "r^0.5*(3+r)^-2", "(1+r)^-1.1"))
+    @pytest.mark.parametrize("text", CERTIFY + ("1/(2+r^2)", "r^0.5*(3+r)^-2", "(1+r)^-1.1", "(1+r)^-1.01"))
     def test_equals_sequential_search(self, text, M, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(regime, "_choose_eps", _sequential_choose_eps)
@@ -733,7 +769,13 @@ class TestSearchRounds:
         c = coefficient_from_text("(1+r)^-2")
         with pytest.raises(DesignFailure):
             design_blowup(c, 0.01, *default_candidates(c, None, None))
+        # eps_M ~ 1e-70 lies below 2^-199, the old end of the eps_M levels
         c = coefficient_from_text("(1+r)^-1.1")
+        with pytest.raises(DesignFailure) as err:
+            design_blowup(c, 0.01, *default_candidates(c, None, None))
+        assert len(err.value.trace) == 19
+        # eps_M ~ 1e-800 is not a double
+        c = coefficient_from_text("(1+r)^-1.01")
         with pytest.raises(RegimeError, match="no dyadic eps_M"):
             design_blowup(c, 0.01, *default_candidates(c, None, None))
 
@@ -756,6 +798,52 @@ class TestSearchRounds:
             assert got == repr(_sequential_select_delta(Potentials(c), *_SEARCH_ARGS))
         else:
             assert got == f"FloatingPointError: psi at r={self._profile_max(accepted)!r}"
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    @pytest.mark.parametrize(
+        "M, q, n_y, caps, message, judged",
+        [
+            (1.0, 4.0, 1, {}, "f needs a 1D array of at least 2 samples", 0),
+            # the profiles' cap 16 times below the search's: its first level is outside
+            (
+                1.0, 4.0, 400, {transform: lambda M, q: delta_cap(M, q) / 16.0},
+                "delta=0.21022410381342863 outside the admissible range (0, 0.052556025953357156)", 0,
+            ),
+            # delta^50 underflows to 0 at level 21, the fifth of the third round
+            (1.0, 50.0, 64, {}, "f samples must be positive and finite", 20),
+            # a cap of 1 admits delta > 2M, where the continuum sup exceeds 2/delta
+            (
+                0.01, 4.0, 400, {regime: lambda M, q: 1.0, transform: lambda M, q: 1.0},
+                "spike profile exceeded its analytic sup bound", 0,
+            ),
+        ],
+        ids=["samples", "range", "positive", "sup-bound"],
+    )
+    def test_profile_errors_at_the_same_level(self, M, q, n_y, caps, message, judged, monkeypatch):
+        c = coefficient_from_text("(1+r)^-2")
+        for module, cap in caps.items():
+            monkeypatch.setattr(module, "delta_cap", cap)
+        counted = []
+        real_lambda = regime._lambda
+        monkeypatch.setattr(regime, "_lambda", lambda *args: (counted.append(args[-1]), real_lambda(*args))[1])
+        outcomes = []
+        for search in (_sequential_select_delta, select_delta):
+            counted.clear()
+            # c2 = inf keeps Lambda(m_q(0)) from going negative
+            outcomes.append((_outcome(search, Potentials(c), M, q, 0.5, 207.47, math.inf, n_y), list(counted)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][0] == f"FieldError: {message}"
+        assert len(outcomes[1][1]) == judged
+
+    @pytest.mark.parametrize("start", (1, 9, 25))
+    @pytest.mark.parametrize("M, q", ((1.0, 4.0), (0.1, 6.2), (5.0, 5.1)))
+    @pytest.mark.parametrize("text", ("(1+r)^-2", "(1+r)*r^-2.5", "(2+r)^-2", "1/(1+r^2)"))
+    def test_round_lyapunov_equals_per_level(self, text, M, q, start):
+        p = Potentials(coefficient_from_text(text))
+        deltas = [delta_cap(M, q) * 2.0**-k / 2.0 for k in range(start, start + regime._SEARCH_ROUND)]
+        values = regime._spike_lyapunov(p, M, q, deltas, 400)
+        assert values == [lyapunov_L1(p, pam_profile(M, q, delta, 400), M) for delta in deltas]
+        assert all(type(value) is float for value in values)
 
     @pytest.mark.parametrize("raising", ("after", "at"))
     def test_choose_eps_fallback(self, raising):

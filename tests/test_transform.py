@@ -8,8 +8,10 @@ from smolpois.transform import (
     TouchDownError,
     f_to_u,
     pam_profile,
+    pam_profiles,
     u_to_f,
 )
+from smolpois import transform
 
 
 def cosine_u(n: int, amp: float = 0.5, mass: float = 1.0) -> FieldU:
@@ -140,3 +142,80 @@ class TestPamProfile:
         # spike thinner than a cell: renormalization yields the flat profile
         ff = pam_profile(1.0, 4.0, 1e-4, 400)
         assert np.allclose(ff.values, 1.0, rtol=1e-12)
+
+
+def _reference_profile(M, q, delta, n_y):
+    """The samples of one spike profile as ``pam_profile`` built them before
+    the rows were batched: ``FieldF.from_samples`` on one delta's ramp, with
+    its checks."""
+    cap = transform.delta_cap(M, q)
+    if not (0.0 < delta < cap):
+        raise FieldError(f"delta={delta!r} outside the admissible range (0, {cap!r})")
+    y = (np.arange(n_y) + 0.5) * (M / n_y)
+    floor = delta**q
+    slope = 2.0 * (1.0 - M * floor) / delta**2
+    field = FieldF.from_samples(slope * np.maximum(delta - y, 0.0) + floor, mass=M)
+    if 2.0 * (1.0 - M * floor) / delta + floor > 2.0 / delta + 1e-12:
+        raise FieldError("spike profile exceeded its analytic sup bound")
+    return field.values
+
+
+def _first_error(call):
+    try:
+        call()
+    except FieldError as err:
+        return str(err)
+    return None
+
+
+class TestPamProfiles:
+    """A round of eight spike profiles in one array has, row by row, the
+    bits of one profile at a time, and raises what the first failing delta
+    raises."""
+
+    @pytest.mark.parametrize("n_y", (400, 1600))
+    @pytest.mark.parametrize("M", (0.1, 1.0, 5.0))
+    @pytest.mark.parametrize("start", (1, 9, 25))
+    def test_rows_equal_single_profiles(self, M, n_y, start):
+        for q in (4.0, 6.2):
+            deltas = [transform.delta_cap(M, q) * 2.0**-k / 2.0 for k in range(start, start + 8)]
+            rows = pam_profiles(M, q, deltas, n_y)
+            assert rows.shape == (8, n_y)
+            for row, delta in zip(rows, deltas):
+                assert row.tobytes() == pam_profile(M, q, delta, n_y).values.tobytes()
+                assert row.tobytes() == _reference_profile(M, q, delta, n_y).tobytes()
+
+    def test_single_profile_is_a_field(self):
+        ff = pam_profile(1, 4.0, 0.1, 400)
+        assert isinstance(ff, FieldF) and ff.mass == 1.0 and type(ff.mass) is float
+        assert ff.values.shape == (400,)
+
+    @pytest.mark.parametrize(
+        "M, q, deltas, n_y, message",
+        [
+            (1.0, 4.0, [0.1, 0.05], 1, "f needs a 1D array of at least 2 samples"),
+            (1.0, 4.0, [0.1, 0.05, 1.5, 0.01], 400, "delta=1.5 outside the admissible range (0, 0.8408964152537145)"),
+            (1.0, 4.0, [0.0], 400, "delta=0.0 outside the admissible range (0, 0.8408964152537145)"),
+            # delta^50 underflows to 0 at the third delta, before the one outside the range
+            (1.0, 50.0, [2.0**-5, 2.0**-21, 2.0**-22, 1.5], 64, "f samples must be positive and finite"),
+            # no delta inside the range: the range error comes before the sample count
+            (1.0, 4.0, [1.5, 0.1], 1, "delta=1.5 outside the admissible range (0, 0.8408964152537145)"),
+        ],
+        ids=["samples", "range", "zero", "positive", "range-before-samples"],
+    )
+    def test_first_failing_delta_raises(self, M, q, deltas, n_y, message):
+        def loop():
+            for delta in deltas:
+                _reference_profile(M, q, delta, n_y)
+
+        assert _first_error(loop) == message
+        assert _first_error(lambda: pam_profiles(M, q, deltas, n_y)) == message
+
+    def test_sup_bound_checked(self, monkeypatch):
+        # below cap = min(1, 2M, (2M)^(-1/q)) the bound always holds; a cap
+        # of 1 admits delta > 2M, where the continuum sup exceeds 2/delta
+        monkeypatch.setattr(transform, "delta_cap", lambda M, q: 1.0)
+        message = "spike profile exceeded its analytic sup bound"
+        assert _first_error(lambda: pam_profiles(0.01, 4.0, [0.015, 0.5], 400)) == message
+        assert _first_error(lambda: _reference_profile(0.01, 4.0, 0.5, 400)) == message
+        assert _first_error(lambda: _reference_profile(0.01, 4.0, 0.015, 400)) is None
