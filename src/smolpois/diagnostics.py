@@ -32,15 +32,17 @@ from .transform import FieldF
 # --- discrete building blocks -------------------------------------------------
 
 
-def grad_norm_sq(h_vals: np.ndarray, dy: float) -> float:
-    """Squared L2 norm of the face-centered derivative of cell values."""
+def grad_norm_sq(h_vals: np.ndarray, dy: float) -> float | list[float]:
+    """Squared L2 norm of the face-centered derivative of cell values, over
+    the last axis: a float for one profile, a list of floats for a stack,
+    each row with the bits of its own call."""
     d = np.diff(h_vals) / dy
-    return dy * float(np.dot(d, d))
+    return (dy * np.vecdot(d, d)).tolist()
 
 
-def lyapunov_value(psi_f: np.ndarray, psi1_f: np.ndarray, dy: float, M: float, grad_sq: float) -> float:
-    """``lyapunov_L1`` from psi(f), psi1(f), cell width dy and grad_sq = ||d_y psi(f)||^2."""
-    return 0.5 * grad_sq + dy * float(np.sum(psi_f - M * psi1_f))
+def lyapunov_value(psi_f: np.ndarray, psi1_f: np.ndarray, dy: float, M: float, grad_sq) -> float | list[float]:
+    """``lyapunov_L1`` from psi(f), psi1(f), cell width dy and grad_sq, over the last axis as ``grad_norm_sq``."""
+    return (0.5 * np.asarray(grad_sq) + dy * np.sum(psi_f - M * psi1_f, axis=-1)).tolist()
 
 
 def lyapunov_L1(p: Potentials, f: FieldF, M: float) -> float:

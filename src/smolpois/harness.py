@@ -107,26 +107,21 @@ class RunConfig:
 
     def _validate_settings(self) -> "RunConfig":
         """Every check but the parse of the coefficient."""
-        if self.mass <= 0.0:
-            raise ConfigError("mass must be positive")
+        numbers = (
+            ("mass", self.mass), ("t_max", self.t_max), ("dt_init", self.dt_init),
+            ("eps_touchdown", self.eps_touchdown), ("dt_max", self.dt_max), ("output_interval", self.output_interval),
+        )
+        for name, value in numbers:
+            if value not in (None, "auto") and not 0.0 < float(value) < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite")
         if self.formulation not in ("f", "u", "both"):
             raise ConfigError("formulation must be one of f, u, both")
         if self.n < 2 or self.n_y < 2:
             raise ConfigError("grid.n and grid.n_y must be at least 2")
-        if self.t_max <= 0.0:
-            raise ConfigError("t_max must be positive")
-        if self.dt_init <= 0.0:
-            raise ConfigError("dt_init must be positive")
-        if self.dt_max != "auto" and float(self.dt_max) <= 0.0:
-            raise ConfigError("dt_max must be positive or 'auto'")
-        if self.output_interval is not None and self.output_interval <= 0.0:
-            raise ConfigError("output_interval must be positive")
         if self.initial_kind not in ("constant", "cosine", "pam", "samples"):
             raise ConfigError("initial.kind must be constant, cosine, pam or samples")
         if self.initial_kind == "samples" and not self.samples_file:
             raise ConfigError("initial.kind = samples needs initial.file")
-        if self.eps_touchdown <= 0.0:
-            raise ConfigError("eps_touchdown must be positive")
         for name, value in (("initial.q", self.pam_q), ("initial.delta", self.pam_delta)):
             if value != "auto":
                 try:

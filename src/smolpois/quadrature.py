@@ -15,12 +15,15 @@ knot table, one panel per point) go through ``integrate_cells``, which
 evaluates the integrand on the Kronrod nodes of up to ``_CELL_BLOCK``
 cells in one call and accepts a cell whose single panel meets the
 tolerance, the acceptance rule of QUADPACK (Piessens et al., 1983).  The rest go to ``integrate``.  The
-batching contract: each panel is one row of the node array, reduced by
+batching contract: every panel sum comes from one kernel,
+``_kronrod_rows``, with one panel per row of the node array, reduced by
 ``np.vecdot``, which runs the 1-D ``np.dot`` kernel on each row (a matrix
-product may sum in another order).  A set of cells or a pair of halves
-whose evaluation raises an ``ArithmeticError`` or is not finite falls
-back to per-cell ``integrate`` or per-panel ``_panel`` calls, in order.
-So every value, and every error raised, is bit-identical to the
+product may sum in another order); ``_panel`` is its one-row case.  The
+kernel raises what its one call of the integrand raises, or a
+``QuadratureError`` when a value is not finite, and a set of cells or a
+pair of halves whose evaluation raises an ``ArithmeticError`` falls back
+to per-cell ``integrate`` or per-panel ``_panel`` calls, in order.  So
+every value, and every error raised, is bit-identical to the
 one-panel-per-call evaluation.  A panel however long is accepted when its
 K15 and G7 agree, so callers keep cells short (``coefficient.Potentials``).
 
@@ -76,45 +79,38 @@ class QuadratureError(ArithmeticError):
         self.error = error
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |K15 - G7| error estimate on one panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _XK
+def _kronrod_rows(f: Callable, mid: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 15- and 7-point weighted sums of ``f`` on the panels with centres
+    ``mid`` and half-widths ``half``, one row per panel, before the factor
+    ``half``; one call of ``f``.  Raises what that call raises, or a
+    ``QuadratureError`` when ``f`` is not finite on some panel."""
+    x = mid[:, None] + half[:, None] * _XK
     with np.errstate(all="ignore"):
         y = np.asarray(f(x), dtype=float)
     if not np.all(np.isfinite(y)):
         raise QuadratureError("integrand not finite inside panel", np.nan, np.inf)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG, y[1::2]))
-    return k15, abs(k15 - g7)
-
-
-def _kronrod_rows(f: Callable, mid: np.ndarray, half: np.ndarray):
-    """The 15- and 7-point weighted sums of ``f`` on the panels with centres
-    ``mid`` and half-widths ``half``, one row per panel, as ``_panel`` forms
-    them before the factor ``half``; one call of ``f``.  None when ``f``
-    raises an ``ArithmeticError`` or is not finite on some panel."""
-    x = mid[:, None] + half[:, None] * _XK
-    try:
-        with np.errstate(all="ignore"):
-            y = np.asarray(f(x), dtype=float)
-    except ArithmeticError:
-        return None
-    if not np.all(np.isfinite(y)):
-        return None
     return np.vecdot(y, _WK), np.vecdot(y[:, 1::2], _WG)
+
+
+def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
+    """Kronrod value and |K15 - G7| error estimate on one panel: the one-row
+    case of ``_kronrod_rows``."""
+    half = 0.5 * (b - a)
+    k, g = (s.item() for s in _kronrod_rows(f, np.array([0.5 * (a + b)]), np.array([half])))
+    k15 = half * k
+    return k15, abs(k15 - half * g)
 
 
 def _bisect(f: Callable, pa: float, mid: float, pb: float) -> list[tuple]:
     """The panels (error, a, b, value) of [pa, mid] and [mid, pb], with the
-    values ``_panel`` gives, from one call of ``f``; when that call fails,
+    values ``_panel`` gives, from one call of ``f``; when that call raises,
     from the two ``_panel`` calls in order, which raise the error of the
     first failing half."""
     bounds = ((pa, mid), (mid, pb))
     halves = [0.5 * (qb - qa) for qa, qb in bounds]
-    sums = _kronrod_rows(f, np.array([0.5 * (qa + qb) for qa, qb in bounds]), np.array(halves))
-    if sums is None:
+    try:
+        sums = _kronrod_rows(f, np.array([0.5 * (qa + qb) for qa, qb in bounds]), np.array(halves))
+    except ArithmeticError:
         pairs = [_panel(f, qa, qb) for qa, qb in bounds]
     else:
         pairs = []
@@ -180,8 +176,9 @@ def integrate_cells(f: Callable, left, right, atol: float = DEFAULT_ATOL) -> np.
         a, b = left[start:start + _CELL_BLOCK], right[start:start + _CELL_BLOCK]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         half = 0.5 * (hi - lo)
-        sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
-        if sums is None:  # raised or not finite: the per-cell calls meet it again, in order
+        try:
+            sums = _kronrod_rows(f, 0.5 * (lo + hi), half)
+        except ArithmeticError:  # the per-cell calls meet it again, in order
             refine = range(a.size)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # a panel that overflowed

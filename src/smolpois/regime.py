@@ -50,7 +50,7 @@ from .coefficient import (
     PowerProductCoefficient,
     TailDivergenceError,
 )
-from .diagnostics import corollary_square, mu_mass
+from .diagnostics import corollary_square, grad_norm_sq, lyapunov_value, mu_mass
 from .quadrature import integrate_cells
 from .transform import delta_cap, pam_profiles
 
@@ -197,7 +197,7 @@ def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[
 
 
 def _check_decr_pair(theta: float, alpha: float) -> None:
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise RegimeError("theta must be positive")
     if not (theta / (1.0 + theta) < alpha <= 2.0):
         raise RegimeError(
@@ -294,6 +294,7 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
     ``_FROM_ONE`` grid, made by the first that needs it and dropped on
     return; only r^alpha and the refinement rounds differ between them."""
     theta = 0.5 if theta is None else theta
+    _check_decr_pair(theta, 2.0)  # theta first: alpha = 2 is admissible for every theta > 0
     if alpha is not None:
         return theta, alpha
     alpha_floor = theta / (1.0 + theta)
@@ -582,14 +583,10 @@ DELTA_FLOOR = 1e-8  # the halving search gives up below this spike width
 
 def _spike_lyapunov(p: Potentials, M: float, q: float, deltas: list, n_y: int) -> list:
     """L1 of the spike profile of each delta, from one psi and one psi1 call
-    on the stacked profiles: per row, ``lyapunov_value(psi, psi1, h, M,
-    grad_norm_sq(psi, h))`` bit for bit, with h = M/n_y (``FieldF.h``)."""
+    on the stacked profiles, with h = M/n_y (``FieldF.h``)."""
     f = pam_profiles(M, q, deltas, n_y)
-    psi_f, psi1_f = p.psi(f), p.psi1(f)
-    h = M / n_y
-    slope = np.diff(psi_f, axis=1) / h
-    sums = np.sum(psi_f - M * psi1_f, axis=1).tolist()
-    return [0.5 * (h * grad) + h * total for grad, total in zip(np.vecdot(slope, slope).tolist(), sums)]
+    psi_f, psi1_f, h = p.psi(f), p.psi1(f), M / n_y
+    return lyapunov_value(psi_f, psi1_f, h, M, grad_norm_sq(psi_f, h))
 
 
 def select_delta(
@@ -624,7 +621,9 @@ def select_delta(
 
     found = _first_accepted(levels, lambda deltas: _spike_lyapunov(p, M, q, deltas, n_y), judge)
     if found is None:
-        raise DesignFailure(f"no certificate delta above {DELTA_FLOOR:g}; Lambda stayed nonnegative", tuple(trace))
+        reason = ("Lambda stayed nonnegative" if levels
+                  else f"delta_cap(M, q) = {cap!r} puts the first level, cap/4, below it")
+        raise DesignFailure(f"no certificate delta above {DELTA_FLOOR:g}; {reason}", tuple(trace))
     return found
 
 
@@ -642,8 +641,8 @@ def design_blowup(
     an integrable tail; every constant is fully computed, nothing is left
     implicit.
     """
-    if M <= 0.0:
-        raise RegimeError("mass must be positive")
+    if not 0.0 < M < math.inf:
+        raise RegimeError("mass must be positive and finite")
     if not c.tail_integrable:
         raise TailDivergenceError("blowup design needs a integrable at infinity")
     gamma_theta, c_inf = compute_decr_constants(c, theta, alpha)

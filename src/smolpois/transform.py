@@ -13,7 +13,6 @@ integral constraint bit-tight after resampling.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -208,26 +207,25 @@ def pam_profiles(M: float, q: float, deltas: list, n_y: int) -> np.ndarray:
     delta^q, the slope and the rescale factor 1/(M/n_y * row sum) are
     Python scalars per delta and the ramp is one broadcast, so every row
     has the bits of ``FieldF.from_samples`` on that delta's samples.
-    The checks are those of a loop over the deltas, in order: delta in
-    (0, cap), at least 2 samples, positive and finite samples, and the
-    continuum sup bound; the first delta that fails one raises its error.
+    Each check runs once over the whole round, in this order: every delta
+    in (0, cap), at least 2 samples, positive and finite samples, and the
+    continuum sup bound.  Which delta of a failing round raises first is
+    left to the caller (``regime._first_accepted`` reruns it delta by delta).
     """
     cap = delta_cap(M, q)
-    inside = list(itertools.takewhile(lambda delta: 0.0 < delta < cap, deltas))
-    if inside and n_y < 2:
+    for delta in deltas:
+        if not 0.0 < delta < cap:
+            raise FieldError(f"delta={delta!r} outside the admissible range (0, {cap!r})")
+    if n_y < 2:
         raise FieldError("f needs a 1D array of at least 2 samples")
-    floors = [delta**q for delta in inside]
+    floors = [delta**q for delta in deltas]
     weights = [2.0 * (1.0 - M * floor) for floor in floors]
-    slopes = [weight / delta**2 for weight, delta in zip(weights, inside)]
+    slopes = [weight / delta**2 for weight, delta in zip(weights, deltas)]
     y = _cell_centers(n_y, M)
-    vals = np.array(slopes)[:, None] * np.maximum(np.array(inside)[:, None] - y, 0.0) + np.array(floors)[:, None]
-    sane = np.all((vals > 0.0) & np.isfinite(vals), axis=1)
-    for row_sane, weight, delta, floor in zip(sane, weights, inside, floors):
-        if not row_sane:
-            raise FieldError("f samples must be positive and finite")
-        if weight / delta + floor > 2.0 / delta + 1e-12:
-            raise FieldError("spike profile exceeded its analytic sup bound")
-    if len(inside) < len(deltas):
-        raise FieldError(f"delta={deltas[len(inside)]!r} outside the admissible range (0, {cap!r})")
+    vals = np.array(slopes)[:, None] * np.maximum(np.array(deltas)[:, None] - y, 0.0) + np.array(floors)[:, None]
+    if not np.all((vals > 0.0) & np.isfinite(vals)):
+        raise FieldError("f samples must be positive and finite")
+    if any(weight / delta + floor > 2.0 / delta + 1e-12 for weight, delta, floor in zip(weights, deltas, floors)):
+        raise FieldError("spike profile exceeded its analytic sup bound")
     scales = [1.0 / (M / n_y * total) for total in vals.sum(axis=1).tolist()]
     return vals * np.array(scales)[:, None]

@@ -15,8 +15,10 @@ from smolpois.diagnostics import (
     energy_E1,
     global_barrier,
     energy_norm_slacks,
+    grad_norm_sq,
     lyapunov_L1,
     lyapunov_interval_slack,
+    lyapunov_value,
     moment_interval_slack,
     moment_mq,
     mu_mass,
@@ -44,6 +46,22 @@ class TestLyapunov:
         f = flat_field(c, M)
         expected = M * (pot_inv2.psi(c) - M * pot_inv2.psi1(c))
         assert lyapunov_L1(pot_inv2, f, M) == pytest.approx(expected, rel=1e-12)
+
+    def test_stack_equals_row_calls(self, pot_inv2):
+        # a stack reduces over its last axis: one Python float per row, with
+        # the bits of the call on that row alone
+        rng = np.random.default_rng(34)
+        M = 2.0
+        f = 0.2 + rng.uniform(0.0, 3.0, (8, 400))
+        psi_f, psi1_f, h = pot_inv2.psi(f), pot_inv2.psi1(f), M / 400
+        grads = grad_norm_sq(psi_f, h)
+        values = lyapunov_value(psi_f, psi1_f, h, M, grads)
+        rows = [grad_norm_sq(row, h) for row in psi_f]
+        row_values = [lyapunov_value(row, row1, h, M, g) for row, row1, g in zip(psi_f, psi1_f, rows)]
+        for stacked, single in ((grads, rows), (values, row_values)):
+            assert isinstance(stacked, list) and len(stacked) == 8
+            assert all(type(v) is float for v in stacked + single)
+            assert [v.hex() for v in stacked] == [v.hex() for v in single]
 
     def test_spike_profile_matches_fine_grid_oracle(self, pot_inv2):
         # brute-force refinement oracle: the spike kink concentrates the

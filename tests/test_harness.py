@@ -472,6 +472,20 @@ class TestErrorContract:
                      "solver error: cosine amplitude 1.0 must lie in [0, M)", id="amplitude-at-mass"),
         pytest.param(["simulate", "--preset", "blowup-demo", "--formulation", "u"], {}, 2,
                      "solver error: initial data does not define a u profile", id="pam-without-u-profile"),
+        pytest.param(["simulate", "--preset", "global-demo", "--t-max", "nan"], {}, 1,
+                     "error: t_max must be positive and finite", id="t-max-nan"),
+        pytest.param(["simulate", "--preset", "global-demo", "--t-max", "inf"], {}, 1,
+                     "error: t_max must be positive and finite", id="t-max-inf"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": BASIC.replace("mass = 1.0", "mass = nan")}, 1,
+                     "error: mass must be positive and finite", id="config-mass-nan"),
+        pytest.param(["design", "--coeff", "(1+r)^-2", "--mass", "nan"], {}, 1,
+                     "error: mass must be positive and finite", id="design-mass-nan"),
+        pytest.param(["design", "--coeff", "(1+r)^-2", "--mass", "inf"], {}, 1,
+                     "error: mass must be positive and finite", id="design-mass-inf"),
+        pytest.param(["classify", "--coeff", "(1+r)*r^-2.5", "--theta", "-1"], {}, 1,
+                     "error: theta must be positive", id="classify-theta-minus-one"),
+        pytest.param(["classify", "--coeff", "(1+r)*r^-2.5", "--theta", "nan"], {}, 1,
+                     "error: theta must be positive", id="classify-theta-nan"),
     ])
     def test_one_line_and_exit_code(self, tmp_path, monkeypatch, capsys, argv, files, code, message):
         monkeypatch.chdir(tmp_path)

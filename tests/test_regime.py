@@ -779,6 +779,17 @@ class TestSearchRounds:
         with pytest.raises(RegimeError, match="no dyadic eps_M"):
             design_blowup(c, 0.01, *default_candidates(c, None, None))
 
+    def test_no_level_above_the_floor(self):
+        # at M = 1e-300 the cap 2M puts the first level, cap/4, below
+        # DELTA_FLOOR: no delta is tried, and the reason names the cap
+        c = coefficient_from_text("(1+r)^-2")
+        with pytest.raises(DesignFailure) as err:
+            design_blowup(c, 1e-300, *default_candidates(c, None, None))
+        assert err.value.trace == ()
+        assert str(err.value) == (
+            "no certificate delta above 1e-08; delta_cap(M, q) = 2e-300 puts the first level, cap/4, below it"
+        )
+
     def _profile_max(self, level):
         M, q = _SEARCH_ARGS[:2]
         return float(pam_profile(M, q, delta_cap(M, q) * 2.0**-level / 2.0, 400).values.max())

@@ -170,8 +170,8 @@ def _first_error(call):
 
 class TestPamProfiles:
     """A round of eight spike profiles in one array has, row by row, the
-    bits of one profile at a time, and raises what the first failing delta
-    raises."""
+    bits of one profile at a time, and raises a FieldError when one of its
+    deltas does."""
 
     @pytest.mark.parametrize("n_y", (400, 1600))
     @pytest.mark.parametrize("M", (0.1, 1.0, 5.0))
@@ -204,12 +204,15 @@ class TestPamProfiles:
         ids=["samples", "range", "zero", "positive", "range-before-samples"],
     )
     def test_first_failing_delta_raises(self, M, q, deltas, n_y, message):
-        def loop():
-            for delta in deltas:
-                _reference_profile(M, q, delta, n_y)
-
-        assert _first_error(loop) == message
-        assert _first_error(lambda: pam_profiles(M, q, deltas, n_y)) == message
+        # each delta alone raises the reference's message (the first failing
+        # one raises ``message``); the whole round raises a FieldError, and
+        # which delta's is left to regime._first_accepted, which reruns it
+        errors = [_first_error(lambda: _reference_profile(M, q, delta, n_y)) for delta in deltas]
+        assert next(filter(None, errors)) == message
+        assert [_first_error(lambda: pam_profiles(M, q, [delta], n_y)) for delta in deltas] == errors
+        assert [_first_error(lambda: pam_profile(M, q, delta, n_y)) for delta in deltas] == errors
+        with pytest.raises(FieldError):
+            pam_profiles(M, q, deltas, n_y)
 
     def test_sup_bound_checked(self, monkeypatch):
         # below cap = min(1, 2M, (2M)^(-1/q)) the bound always holds; a cap
