@@ -19,7 +19,7 @@ zero iff e > -1 and at infinity iff e < -1 where the exponent is known, and
 ``dyadic_decay_probe`` decides where it is not, a verdict labelled numeric.
 Whatever the class, an integral with a closed primitive is read from it and
 one without falls back to quadrature: A(r) to ``integrate_tail``, int_0^1 a
-to ``integrate``, psi and psi1 to a cumulative table at the knots 2^(k/8) plus one panel per distinct point.
+to ``integrate``, psi and psi1 to its cumulative table at the knots 2^(k/8) plus one panel per distinct point.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ _PARTIAL_FRACTION_PASSES = 40
 # the last point the from-below bracket search of ``psi_inverse`` reaches:
 # 8^-310 = 2^-930, the smallest power of 1/8 not below 1e-280
 _BRACKET_FLOOR = math.ldexp(1.0, -930)
+
+# the knot tables' knots 2^(k/8), k = -8600 ... 8600: 0 to inf, 1 at KNOTS[KNOT_ONE]
+KNOTS, KNOT_ONE = np.arange(-1075.0, 1075.0625, 0.125), 8600
+with np.errstate(over="ignore"):
+    np.exp2(KNOTS, out=KNOTS)  # in place: a quarter of the peak memory
+_TABLE_CHUNK = 64  # cells per call of a table's exact growth, and at most past an overflow
 
 
 class CoefficientError(ValueError):
@@ -159,6 +165,35 @@ class Coefficient:
         regime layer has estimated them on its grid for this coefficient;
         a power product's are closed forms and are not kept here."""
         return {}
+
+    @cached_property
+    def knot_tables(self) -> dict:
+        """``knot_table``'s tables by (potential name, +1 up or -1 down from p = 1)."""
+        return {}
+
+    def knot_table(self, name: str, g, direction: int, last: int) -> np.ndarray:
+        """C(p_k) = int_1^{p_k} g at p_k = 2^(direction k/8), g = a for "psi" and a/s for
+        "psi1", for every ``Potentials`` and for gamma; grown one cell per knot to at least
+        twice its size and k = last in one silenced call, or to k = last in calls of
+        ``_TABLE_CHUNK`` cells, raising what they raise, if that call raises; summed onto C_last
+        by ``np.add.accumulate`` (the same bits whatever was asked before), ended by an overflow."""
+        values = self.knot_tables.get((name, direction), np.zeros(1))
+        knots = KNOTS[KNOT_ONE::direction]
+        ahead = True
+        while values.size <= last and np.isfinite(values[-1]):
+            end = min(max(last, 2 * values.size - 1), KNOT_ONE) if ahead else min(last, values.size - 1 + _TABLE_CHUNK)
+            try:
+                with np.errstate(all="ignore" if ahead else None):
+                    cells = integrate_cells(g, knots[values.size - 1:end], knots[values.size:end + 1])
+            except Exception:
+                if not ahead:
+                    raise
+                ahead = False
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.add.accumulate(np.concatenate((values[-1:], cells)))
+            self.knot_tables[name, direction] = values = np.concatenate((values, sums[1:]))
+        return values
 
     def tail_integral(self, r):
         """A(r) = -int_r^inf a(s) ds, or -inf as the divergence flag: the
@@ -386,24 +421,16 @@ def coefficient_from_text(text: str) -> Coefficient:
 # --- potentials --------------------------------------------------------------
 
 
-# the potential tables' knots 2^(k/8), k = -8600 ... 8600: 0 to inf, 1 at _KNOTS[_ONE]
-_KNOTS, _ONE = np.arange(-1075.0, 1075.0625, 0.125), 8600
-with np.errstate(over="ignore"):
-    np.exp2(_KNOTS, out=_KNOTS)  # in place: a quarter of the peak memory
-_TABLE_CHUNK = 64  # cells per call of a table's exact growth, and at most past an overflow
-
-
 class Potentials:
     """Evaluators for psi, psi1 and psi~ derived from one coefficient.
 
-    Closed forms are used when the coefficient provides antiderivatives, a
+    Closed forms are used when the coefficient provides antiderivatives, its
     knot table plus one Kronrod panel per point (abs tol 1e-10) otherwise.
     """
 
     def __init__(self, coefficient: Coefficient):
         self.coefficient = coefficient
         self._primitive_at_one = {}  # potential name -> its primitive at 1 (None: none)
-        self._tables = {}  # (potential name, +1 up or -1 down from p = 1) -> C at its knots
 
     # -- limits --
 
@@ -435,10 +462,9 @@ class Potentials:
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0):
             raise CoefficientError(f"{name} needs r > 0")
-        try:
-            prim = self._primitive_at_one[name]
-        except KeyError:
-            prim = self._primitive_at_one[name] = primitive(1.0)
+        if name not in self._primitive_at_one:
+            self._primitive_at_one[name] = primitive(1.0)
+        prim = self._primitive_at_one[name]
         if prim is not None:
             value = prim - primitive(1.0 / r_arr)
         else:
@@ -447,46 +473,22 @@ class Potentials:
 
     def _tabulated(self, name: str, g, r_arr: np.ndarray) -> np.ndarray:
         """int_{1/r}^1 g = -(C(p_k) + int_{p_k}^p g) at p = 1/r, -C past a table's
-        end, with p_k the last knot from 1 toward p, C from ``_table`` and the panels
-        of the distinct p, as they first occur, from one ``integrate_cells`` call."""
+        end, with p_k the last knot from 1 toward p, C from ``Coefficient.knot_table``
+        and the panels of the distinct p, as they first occur, from one ``integrate_cells`` call."""
         p_all = 1.0 / r_arr.ravel()
         _, first, inverse = np.unique(p_all, return_index=True, return_inverse=True)
         p = p_all[np.sort(first)]
         up = p >= 1.0
-        i = np.searchsorted(_KNOTS, p, side="right") - 1
-        i += ~up & (_KNOTS[i] < p)  # below 1, the knot at or above p
-        k = np.abs(i - _ONE)
+        i = np.searchsorted(KNOTS, p, side="right") - 1
+        i += ~up & (KNOTS[i] < p)  # below 1, the knot at or above p
+        k = np.abs(i - KNOT_ONE)
         base = np.empty(p.size)
         for direction, at in ((1, up), (-1, ~up)):
-            table = self._table(name, g, direction, int(k.max(initial=0, where=at)))
+            table = self.coefficient.knot_table(name, g, direction, int(k.max(initial=0, where=at)))
             base[at] = table[np.minimum(k[at], table.size - 1)]
         inside = np.isfinite(base)
-        base[inside] += integrate_cells(g, _KNOTS[i[inside]], p[inside])
+        base[inside] += integrate_cells(g, KNOTS[i[inside]], p[inside])
         return -base[np.argsort(np.argsort(first))[inverse]].reshape(r_arr.shape)  # int_{p}^{1} = -int_1^p
-
-    def _table(self, name: str, g, direction: int, last: int) -> np.ndarray:
-        """C(p_k) = int_1^{p_k} g at p_k = 2^(direction k/8), grown one cell per
-        knot to at least twice its size and k = last in one silenced call, or
-        to k = last in calls of ``_TABLE_CHUNK`` cells, raising what they raise,
-        if that call raises; summed onto C_last by ``np.add.accumulate`` (the
-        same bits whatever was asked before) and ended by its first overflow."""
-        values = self._tables.get((name, direction), np.zeros(1))
-        knots = _KNOTS[_ONE::direction]
-        ahead = True
-        while values.size <= last and np.isfinite(values[-1]):
-            end = min(max(last, 2 * values.size - 1), _ONE) if ahead else min(last, values.size - 1 + _TABLE_CHUNK)
-            try:
-                with np.errstate(all="ignore" if ahead else None):
-                    cells = integrate_cells(g, knots[values.size - 1:end], knots[values.size:end + 1])
-            except Exception:
-                if not ahead:
-                    raise
-                ahead = False
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = np.add.accumulate(np.concatenate((values[-1:], cells)))
-            self._tables[name, direction] = values = np.concatenate((values, sums[1:]))
-        return values
 
     def psi_tilde(self, r):
         """psi~(r) = psi(r) - psi(0) = int_{1/r}^inf a(s) ds >= 0."""

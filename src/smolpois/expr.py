@@ -279,13 +279,9 @@ OPERATIONS = {
 }
 
 
-def _checked(name: str, values: list):
-    return OPERATIONS[name][0](*values)
-
-
 def _eval(node: Node, r):
     """The checked walk: ``node`` at r by the checked operations."""
-    return fold(node, r, _identity, _checked)
+    return fold(node, r, _identity, lambda name, values: OPERATIONS[name][0](*values))
 
 
 def evaluate(tree: Node, r):

@@ -21,15 +21,15 @@ The decay-pair suprema gamma_theta and C_inf of a recognized power product
 c r^p (b+r)^beta are closed forms: the largest of the value at r = 1, the
 limit at the open end and the value at the critical point, with divergence
 decided by the exponents.  Every other supremum (gamma, and every
-supremum of an expression coefficient) is estimated on a 2048-point log
-grid, refined around the maximizer in rounds of 65 evenly spaced points;
-divergence at the corner of the interval is decided exactly where the
-exponents are known and by decade-growth heuristics (flagged "numeric")
-otherwise; one estimator, ``_sup_estimate``, serves every grid supremum.
-Whatever the class of a, gamma's tail integrals come from its closed
-primitive when there is one and otherwise from one cumulative
-``integrate_cells`` sweep.  The grid and each round are one array call of
-phi, each value bit-identical to phi at that point alone.
+supremum of an expression coefficient) is estimated on a grid, refined
+around the maximizer in rounds of 65 evenly spaced points; divergence at
+the corner of the interval is decided exactly where the exponents are
+known and by decade-growth heuristics (flagged "numeric") otherwise; one
+estimator, ``_sup_estimate``, serves every grid supremum.  The grid is
+2048 log-spaced points, or, for gamma of an a without a closed primitive,
+the knots of a's table (``Coefficient.knot_table``) below 1.  The grid and
+each round are one array call of phi, each value bit-identical to phi at
+that point alone.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ import numpy as np
 
 from .coefficient import (
     CLOSED_FORM,
+    KNOT_ONE,
+    KNOTS,
     NUMERIC,
     Coefficient,
     Potentials,
@@ -168,21 +170,19 @@ def compute_gamma(c: Coefficient) -> float:
 
 
 def _gamma_numeric(c: Coefficient) -> float:
-    """gamma without a closed primitive: one cumulative sweep of the tail
-    integral over the log grid (2048 independent improper integrals would
-    be needlessly slow)."""
-    lo, hi, corner = _UNIT_INTERVAL
-    grid = _log_grid(lo, hi)
-    cells = integrate_cells(c, grid[:-1], grid[1:])
-    # tails[k] = tails[k + 1] + int_{grid[k]}^{grid[k+1]} a, summed downward
-    start = -c.tail_integral(float(grid[-1]))
-    tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]
+    """gamma without a closed primitive, on the knots 2^(-k/8) = 9.7e-9 ... 1, k = 213 ... 0,
+    of a's downward ``Coefficient.knot_table`` C: int_r^inf a = -C(r) - psi(0) there (C's last
+    value past an overflow), plus, in a refinement round, one ``integrate_cells`` call up to the next knot."""
+    k = np.arange(213, -1, -1)
+    knots = KNOTS[KNOT_ONE - k]
+    table = c.knot_table("psi", c, -1, 213)
+    tails = -table[np.minimum(k, table.size - 1)] - c.tail_integral(1.0)
 
     def phi(r: np.ndarray) -> np.ndarray:
-        k = np.searchsorted(grid, r)  # the refinement brackets are grid cells: r <= grid[-1]
-        return r * (tails[k] + integrate_cells(c, r, grid[k]))
+        i = np.searchsorted(knots, r)  # the refinement brackets are knot cells: r <= 1
+        return r * (tails[i] + integrate_cells(c, r, knots[i]))
 
-    return _sup_estimate(grid, grid * tails, phi, corner)
+    return _sup_estimate(knots, knots * tails, phi, "left")
 
 
 def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[float, float]:
@@ -197,8 +197,8 @@ def compute_decr_constants(c: Coefficient, theta: float, alpha: float) -> tuple[
 
 
 def _check_decr_pair(theta: float, alpha: float) -> None:
-    if not theta > 0.0:
-        raise RegimeError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise RegimeError("theta must be " + ("finite" if theta > 0.0 else "positive"))
     if not (theta / (1.0 + theta) < alpha <= 2.0):
         raise RegimeError(
             f"alpha={alpha!r} outside the admissible range ({theta/(1+theta)!r}, 2]"

@@ -630,6 +630,25 @@ class TestKnotTable:
         assert len(calls) <= 72
 
 
+class TestSharedTables:
+    """The knot tables live on the coefficient: every ``Potentials`` of it reads
+    and grows the same ones."""
+
+    @pytest.mark.parametrize("name", ["psi", "psi1"])
+    def test_second_potentials_reads_the_first_ones_table(self, name, monkeypatch):
+        c = coefficient_from_text("1/(1+r^2)")
+        points = np.geomspace(1e-9, 1e9, 41)
+        first = getattr(Potentials(c), name)(points)
+        tables = dict(c.knot_tables)
+        nodes = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda tree, r: (nodes.append(np.size(r)), real(tree, r))[1])
+        assert getattr(Potentials(c), name)(points).tobytes() == first.tobytes()
+        assert c.knot_tables.keys() == tables.keys()
+        assert all(c.knot_tables[key] is table for key, table in tables.items())
+        assert nodes == [points.size * 15]  # one panel per point, and no table cell
+
+
 class TestTableLookAhead:
     """A table that must grow grows to at least twice its size in one call,
     and falls back to growing exactly to the request when that call raises."""
@@ -644,7 +663,7 @@ class TestTableLookAhead:
             else:
                 for r in points if order == "small" else points[::-1]:
                     pot.psi1(float(r))
-            grown.append(pot._tables)
+            grown.append(pot.coefficient.knot_tables)
         for key in grown[0]:
             tables = [tables[key] for tables in grown]
             size = min(table.size for table in tables)
@@ -657,7 +676,7 @@ class TestTableLookAhead:
         # look-ahead of psi1(1e95) crosses that point, and must give what
         # growing exactly to the request gives, without a warning
         pot = Potentials(coefficient_from_text("1/(r^2*(1+r))+exp(-r)"))
-        table = lambda: pot._tables["psi1", -1]
+        table = lambda: pot.coefficient.knot_tables["psi1", -1]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # "error" would turn a warning into a fallback
             pot.psi1(1e30)

@@ -486,6 +486,12 @@ class TestErrorContract:
                      "error: theta must be positive", id="classify-theta-minus-one"),
         pytest.param(["classify", "--coeff", "(1+r)*r^-2.5", "--theta", "nan"], {}, 1,
                      "error: theta must be positive", id="classify-theta-nan"),
+        pytest.param(["classify", "--coeff", "(1+r)*r^-2.5", "--theta", "inf"], {}, 1,
+                     "error: theta must be finite", id="classify-theta-inf"),
+        pytest.param(["design", "--coeff", "(1+r)^-2", "--theta", "inf"], {}, 1,
+                     "error: theta must be finite", id="design-theta-inf"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": PAM + "q = 4\ndelta = 1e-200\n"}, 1,
+                     "error: delta=1e-200 is too small: delta^2 underflows to 0", id="pam-delta-square-underflows"),
     ])
     def test_one_line_and_exit_code(self, tmp_path, monkeypatch, capsys, argv, files, code, message):
         monkeypatch.chdir(tmp_path)

@@ -63,21 +63,36 @@ def _count_tail_integrals(monkeypatch) -> list:
     return calls
 
 
+def _sweep_gamma(c):
+    """gamma by the cumulative sweep of the 2047 cells of the 2048-point log grid
+    of [1e-8, 1 - 1e-15], started from one tail integral at its right end."""
+    grid = np.geomspace(1e-8, 1.0 - 1e-15, 2048)
+    cells = quadrature.integrate_cells(c, grid[:-1], grid[1:])
+    start = -c.tail_integral(float(grid[-1]))
+    tails = np.add.accumulate(np.concatenate(([start], cells[::-1])))[::-1]
+
+    def phi(r):
+        k = np.searchsorted(grid, r)
+        return r * (tails[k] + quadrature.integrate_cells(c, r, grid[k]))
+
+    return regime._sup_estimate(grid, grid * tails, phi, "left")
+
+
 class TestGammaWithoutPrimitive:
-    """A power product with no closed primitive takes the one cumulative
-    sweep of an expression, not one improper integral per grid point."""
+    """A coefficient with no closed primitive takes gamma from the downward
+    knot table of a, not one improper integral per grid point."""
 
     def test_one_sweep(self, monkeypatch):
         c = coefficient_from_text("r^0.5*(3+r)^-2")
         assert isinstance(c, PowerProductCoefficient) and c.primitive(1.0) is None
         calls = _count_tail_integrals(monkeypatch)
-        assert compute_gamma(c) == 0.8545997880355279
+        assert compute_gamma(c) == 0.8545997880355288
         # over 2,000 with one improper integral per grid point and refinement
         assert len(calls) <= 2
 
     def test_exponent_slice_budget(self, monkeypatch):
         # classify and design of a (p, beta) slice of a = r^p (1+r)^beta:
-        # each cell needs psi(0) and the start of its gamma sweep, where it
+        # each cell needs psi(0) for gamma and for the design, where it
         # made about 2,116 calls with one per grid point
         calls = _count_tail_integrals(monkeypatch)
         for p in (-1.5, -0.5, 0.5):
@@ -87,6 +102,34 @@ class TestGammaWithoutPrimitive:
                 assert classify(c).clause == "blowup-via-(1)"
                 design_blowup(c, 1.0, *default_candidates(c, None, None))
         assert len(calls) <= 18
+
+    @pytest.mark.parametrize("text, exact", [("1/(1+r^2)", math.pi / 4.0), ("exp(-r)", math.exp(-1.0))])
+    def test_closed_values(self, text, exact):
+        # r int_r^inf a climbs to int_1^inf a at r = 1: pi/4 and 1/e
+        assert compute_gamma(coefficient_from_text(text)) == pytest.approx(exact, rel=4e-15, abs=0.0)
+
+    def test_equals_the_log_grid_sweep(self):
+        # c r^p (b+r)^beta with beta not a nonnegative integer and p != 0
+        rng = np.random.default_rng(35)
+        for _ in range(30):
+            p = float(rng.uniform(-1.5, 1.5))
+            beta = float(rng.uniform(-3.0, -1.2)) - max(p, 0.0)
+            c = PowerProductCoefficient(float(rng.uniform(0.5, 2.0)), p, beta, float(rng.uniform(0.5, 3.0)))
+            assert c.primitive(1.0) is None
+            gamma, sweep = compute_gamma(c), _sweep_gamma(c)
+            assert math.isfinite(gamma) and gamma == pytest.approx(sweep, rel=2e-15, abs=0.0), c
+
+    def test_points_of_a_certificate(self, monkeypatch):
+        # classify, the candidates and the design share the knot tables of a:
+        # 61,021 points with gamma on its own 2047-cell sweep and a fresh
+        # Potentials per design
+        c = coefficient_from_text("1/(1+r^2)")
+        points = []
+        real = expr.evaluate
+        monkeypatch.setattr(expr, "evaluate", lambda tree, r: (points.append(np.size(r)), real(tree, r))[1])
+        classify(c)
+        design_blowup(c, 1.0, *default_candidates(c, None, None))
+        assert sum(points) <= 34_000
 
 
 class TestDecrConstants:
@@ -158,6 +201,16 @@ class TestDecrConstants:
             compute_decr_constants(c, 0.5, 2.5)
         with pytest.raises(RegimeError):
             compute_decr_constants(c, 0.5, 0.3)  # below theta/(1+theta) = 1/3
+
+    @pytest.mark.parametrize("theta, message", [(math.inf, "theta must be finite"),
+                                                (math.nan, "theta must be positive")])
+    def test_theta_not_finite_is_named(self, theta, message):
+        # theta/(1+theta) is nan at theta = inf, which blamed alpha
+        for c in (coefficient_from_text("(1+r)^-2"), coefficient_from_text("(1+r)*r^-2.5")):
+            with pytest.raises(RegimeError, match=f"^{message}$"):
+                compute_decr_constants(c, theta, 2.0)
+            with pytest.raises(RegimeError, match=f"^{message}$"):
+                classify(c, theta=theta)
 
 
 class TestClassify:
@@ -464,7 +517,11 @@ def _pointwise_refine_max(phi, lo, hi):
 
 def _scalar_sup_on_grid(phi, lo, hi, corner):
     grid = np.geomspace(lo, hi, 2048)
-    vals = np.array([phi(r) for r in grid])
+    return _scalar_sup_estimate(grid, np.array([phi(r) for r in grid]), phi, corner)
+
+
+def _scalar_sup_estimate(grid, vals, phi, corner):
+    lo, hi = grid[0], grid[-1]
     if corner == "left":
         corner_mask = grid < lo * 10.0
         next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
@@ -483,40 +540,30 @@ def _scalar_sup_on_grid(phi, lo, hi, corner):
     return max(float(vals[imax]), _pointwise_refine_max(phi, float(a), float(b)))
 
 
-def _scalar_gamma_numeric(c):
-    lo, hi = 1e-8, 1.0 - 1e-15
-    grid = np.geomspace(lo, hi, 2048)
-    tails = np.empty(2048)
-    tails[-1] = -c.tail_integral(float(grid[-1]))
-    for k in range(2046, -1, -1):
-        tails[k] = tails[k + 1] + integrate(c, float(grid[k]), float(grid[k + 1]))
-    vals = grid * tails
-    corner_mask = grid < lo * 10.0
-    next_mask = (grid >= lo * 10.0) & (grid < lo * 100.0)
-    m_corner = float(vals[corner_mask].max())
-    m_next = float(vals[next_mask].max())
-    if m_corner > 10.0 * m_next:
-        return math.inf
-    imax = int(np.argmax(vals))
-    if bool(corner_mask[imax]) and m_corner > m_next * (1.0 + 1e-3):
-        return math.inf
-
-    def phi(r):
-        k = int(np.searchsorted(grid, r))
-        if k >= 2048:
-            return r * -c.tail_integral(r)
-        return r * (tails[k] + integrate(c, r, float(grid[k])))
-
-    a = grid[max(imax - 1, 0)]
-    b = grid[min(imax + 1, grid.size - 1)]
-    return max(float(vals[imax]), _pointwise_refine_max(phi, float(a), float(b)))
-
-
 # the knots 2^(k/8) and 2^(-k/8), k = 0 ... 8600, of the potentials' tables,
 # each with its keys sign * knot, which increase with k
 with np.errstate(over="ignore"):
     _KNOTS = {sign: np.exp2(sign * np.arange(8601) / 8).tolist() for sign in (1, -1)}
 _KNOT_KEYS = {sign: [sign * x for x in knots] for sign, knots in _KNOTS.items()}
+
+
+def _scalar_gamma_numeric(c):
+    """gamma on the knots 1 ... 2^(-213/8) point by point: the tail at each knot
+    as -psi(0) less the running sum of one integrate per cell down from 1, and
+    from r up to the next knot one integrate per refinement point."""
+    knots = _KNOTS[-1][:214]
+    psi0 = c.tail_integral(1.0)
+    running = [0.0]
+    for j in range(1, 214):
+        running.append(running[-1] + integrate(c, knots[j - 1], knots[j]))
+    grid = np.array(knots[::-1])
+    tails = np.array([-x - psi0 for x in running[::-1]])
+
+    def phi(r):
+        k = int(np.searchsorted(grid, r))
+        return r * (tails[k] + integrate(c, r, float(grid[k])))
+
+    return _scalar_sup_estimate(grid, grid * tails, phi, "left")
 
 
 def _scalar_tabulated(self, name, g, r_arr):

@@ -138,6 +138,11 @@ class TestPamProfile:
         with pytest.raises(FieldError):
             pam_profile(1.0, 4.0, 0.0, 100)
 
+    def test_delta_whose_square_underflows_is_named(self):
+        # 1e-200**2 is 0.0, and the slope divided by it
+        with pytest.raises(FieldError, match=r"^delta=1e-200 is too small: delta\^2 underflows to 0$"):
+            pam_profiles(1.0, 4.0, [1e-200], 100)
+
     def test_below_resolution_collapses_to_constant(self):
         # spike thinner than a cell: renormalization yields the flat profile
         ff = pam_profile(1.0, 4.0, 1e-4, 400)
