@@ -117,17 +117,7 @@ class Coefficient:
 
         On an array, the error names the first offending point (a plain float)
         and is the one that evaluating point by point, in order, would raise.
-        A float takes the same checks, in the same order, without numpy reductions.
         """
-        if isinstance(r, float):
-            if r <= 0.0:
-                raise CoefficientError("coefficient evaluated at r <= 0")
-            value = self(r)
-            if not math.isfinite(value):
-                raise expr.EvalDomainError(f"coefficient not finite at r={float(r)!r}")
-            if value <= 0.0:
-                raise CoefficientError(f"coefficient not positive at r={float(r)!r}")
-            return value
         r_arr = np.asarray(r)
         if np.any(r_arr <= 0.0):
             raise CoefficientError("coefficient evaluated at r <= 0")
@@ -165,6 +155,11 @@ class Coefficient:
         regime layer has estimated them on its grid for this coefficient;
         a power product's are closed forms and are not kept here."""
         return {}
+
+    @cached_property
+    def potentials(self) -> Potentials:
+        """The coefficient's one ``Potentials``, which classify, the design and a run read."""
+        return Potentials(self)
 
     @cached_property
     def knot_tables(self) -> dict:

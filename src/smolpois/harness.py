@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import diagnostics as diag
-from .coefficient import CoefficientError, Potentials, PsiRangeError, TailDivergenceError, coefficient_from_text
+from .coefficient import CoefficientError, PsiRangeError, TailDivergenceError, coefficient_from_text
 from .expr import ParseError, evaluate, parse_coefficient
 from .regime import (
     CertificateUnavailable,
@@ -479,7 +479,7 @@ def _regime_clauses() -> tuple[bool, str]:
 
 def _potentials_check(text: str, rng) -> tuple[bool, str]:
     """Derivative consistency and inverse round-trip of the potentials of text."""
-    pot = Potentials(coefficient_from_text(text))
+    pot = coefficient_from_text(text).potentials
     rs = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 12))
     worst = 0.0
     for r in rs:
@@ -507,7 +507,7 @@ def _energy_norm_random(rng) -> tuple[bool, str]:
     """Energy/norm inequalities on random unit-integral profiles."""
     worst = math.inf
     for text in ("(1+r)^-1", "(1+r)^-2"):
-        pot = Potentials(coefficient_from_text(text))
+        pot = coefficient_from_text(text).potentials
         for _ in range(20):
             f = FieldF.from_samples(_random_profile(rng, 1.0, 200), 1.0)
             worst = min(worst, *diag.energy_norm_slacks(pot, f, 1.0))

@@ -176,7 +176,7 @@ def _gamma_numeric(c: Coefficient) -> float:
     k = np.arange(213, -1, -1)
     knots = KNOTS[KNOT_ONE - k]
     table = c.knot_table("psi", c, -1, 213)
-    tails = -table[np.minimum(k, table.size - 1)] - c.tail_integral(1.0)
+    tails = -table[np.minimum(k, table.size - 1)] - c.potentials.psi0
 
     def phi(r: np.ndarray) -> np.ndarray:
         i = np.searchsorted(knots, r)  # the refinement brackets are knot cells: r <= 1
@@ -205,15 +205,14 @@ def _check_decr_pair(theta: float, alpha: float) -> None:
         )
 
 
-def _weighted_sup(c: Coefficient, e: float, interval: tuple, eval_a=None) -> float:
+def _weighted_sup(c: Coefficient, e: float, interval: tuple) -> float:
     """sup of r^e a(r) over ``interval``: in closed form for a power
-    product, otherwise estimated on the grid once per coefficient, with a
-    from ``eval_a`` (default ``c.eval_a``)."""
+    product, otherwise estimated on the grid once per coefficient."""
     if isinstance(c, PowerProductCoefficient):
         return _power_product_sup(c, e, interval)
     memo = c.weighted_suprema
     if (e, interval) not in memo:
-        memo[e, interval] = _sup_on_grid(_weighted_a(c, e, eval_a), *interval)
+        memo[e, interval] = _sup_on_grid(_weighted_a(c, e), *interval)
     return memo[e, interval]
 
 
@@ -249,10 +248,10 @@ def _power_product_sup(c: PowerProductCoefficient, e: float, interval: tuple) ->
     return float(max(candidates))
 
 
-def _weighted_a(c: Coefficient, e: float, eval_a=None):
-    """phi(r) = r^e a(r) on a scalar or an array, with a from ``eval_a``
-    (default ``c.eval_a``) and r^e by Python's float pow per element, so
-    arrays equal ``_power_product_sup``'s scalars bit for bit.
+def _weighted_a(c: Coefficient, e: float):
+    """phi(r) = r^e a(r) on a scalar or an array, with a from ``c.eval_a``
+    and r^e by Python's float pow per element, so arrays equal
+    ``_power_product_sup``'s scalars bit for bit.
 
     Kept on purpose: on the 2048-point supremum grids ``np.power`` differs
     from the scalar pow at 118 points for e = 2.5 on (1e-8, 1), at 82-131
@@ -261,8 +260,7 @@ def _weighted_a(c: Coefficient, e: float, eval_a=None):
     ``np.fromiter`` saves at most 0.09 ms of a 0.3 ms grid, within timing
     noise (2-vCPU shared host).
     """
-    eval_a = c.eval_a if eval_a is None else eval_a
-    return lambda r: (r**e if np.ndim(r) == 0 else np.fromiter((x**e for x in r.flat), float, r.size)) * eval_a(r)
+    return lambda r: (r**e if np.ndim(r) == 0 else np.fromiter((x**e for x in r.flat), float, r.size)) * c.eval_a(r)
 
 
 # --- classification --------------------------------------------------------------
@@ -288,11 +286,7 @@ class RegimeReport:
 
 def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[float]) -> tuple[float, float]:
     """Fill unspecified (theta, alpha): theta = 0.5 and alpha the largest
-    admissible value in (theta/(1+theta), 2] keeping C_inf finite.
-
-    The candidates' grid suprema share one evaluation of a on the
-    ``_FROM_ONE`` grid, made by the first that needs it and dropped on
-    return; only r^alpha and the refinement rounds differ between them."""
+    admissible value in (theta/(1+theta), 2] keeping C_inf finite."""
     theta = 0.5 if theta is None else theta
     _check_decr_pair(theta, 2.0)  # theta first: alpha = 2 is admissible for every theta > 0
     if alpha is not None:
@@ -303,13 +297,10 @@ def default_candidates(c: Coefficient, theta: Optional[float], alpha: Optional[f
         if alpha <= alpha_floor:
             alpha = 2.0  # no admissible choice keeps C_inf finite; report as such
         return theta, alpha
-    grid = _log_grid(*_FROM_ONE[:2])
-    a_on_grid = functools.cache(lambda: c.eval_a(grid))  # evaluated by the first candidate that needs it
-    eval_a = lambda r: a_on_grid() if r is grid else c.eval_a(r)
     for candidate in np.arange(2.0, alpha_floor, -0.1):
         alpha = float(candidate)
         _check_decr_pair(theta, alpha)
-        if math.isfinite(_weighted_sup(c, alpha, _FROM_ONE, eval_a)):
+        if math.isfinite(_weighted_sup(c, alpha, _FROM_ONE)):
             return theta, alpha
     return theta, 2.0
 
@@ -627,14 +618,7 @@ def select_delta(
     return found
 
 
-def design_blowup(
-    c: Coefficient,
-    M: float,
-    theta: float,
-    alpha: float,
-    n_y: int = 400,
-    potentials: Optional[Potentials] = None,
-) -> BlowupDesign:
+def design_blowup(c: Coefficient, M: float, theta: float, alpha: float, n_y: int = 400) -> BlowupDesign:
     """Assemble the explicit certificate for finite-time blowup at mass M.
 
     Requires the decay pair (theta, alpha) to hold with finite constants and
@@ -651,7 +635,7 @@ def design_blowup(
             f"decay pair (theta={theta}, alpha={alpha}) has infinite constants: "
             f"gamma_theta={gamma_theta}, C_inf={c_inf}"
         )
-    p = potentials if potentials is not None else Potentials(c)
+    p = c.potentials
     q = _choose_q(theta, alpha)
     eps_m = _choose_eps(p, M, q)
     mu_m = mu_mass(p, M)

@@ -546,9 +546,9 @@ class RunSummary:
         }
 
 
-def build_initial_data(config, coeff, pot) -> tuple[FieldU | FieldF, Optional[BlowupDesign]]:
+def build_initial_data(config, coeff) -> tuple[FieldU | FieldF, Optional[BlowupDesign]]:
     """The initial field of ``config.formulation`` and, for 'auto' spike
-    parameters, the blowup design from the run's coeff and pot."""
+    parameters, the blowup design from the run's coeff."""
     M = config.mass
     u_form = config.formulation == "u"
     field_type = FieldU if u_form else FieldF
@@ -567,7 +567,7 @@ def build_initial_data(config, coeff, pot) -> tuple[FieldU | FieldF, Optional[Bl
         design = None
         if config.pam_q == "auto":  # validation leaves q and delta both 'auto' or both set
             theta, alpha = default_candidates(coeff, config.theta, config.alpha)
-            design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y, potentials=pot)
+            design = design_blowup(coeff, M, theta, alpha, n_y=config.n_y)
             q, delta = design.q, design.delta
         else:
             q, delta = float(config.pam_q), float(config.pam_delta)
@@ -613,9 +613,9 @@ def run(config, coeff: Optional[Coefficient] = None):
         raise SolverFailure(f"run() advances one formulation, got {formulation!r}")
     if coeff is None:
         coeff = coefficient_from_text(config.coefficient_text)
-    pot = Potentials(coeff)
+    pot = coeff.potentials
     regime_report = classify(coeff, config.theta, config.alpha)
-    field0, design = build_initial_data(config, coeff, pot)
+    field0, design = build_initial_data(config, coeff)
     M = config.mass
     eps_td = config.eps_touchdown
     notes = list(regime_report.notes)

@@ -208,9 +208,10 @@ def pam_profiles(M: float, q: float, deltas: list, n_y: int) -> np.ndarray:
     Python scalars per delta and the ramp is one broadcast, so every row
     has the bits of ``FieldF.from_samples`` on that delta's samples.
     Each check runs once over the whole round, in this order: every delta
-    in (0, cap) with delta^2 > 0, at least 2 samples, positive and finite samples, and the
-    continuum sup bound.  Which delta of a failing round raises first is
-    left to the caller (``regime._first_accepted`` reruns it delta by delta).
+    in (0, cap) with delta^2 > 0 and a finite slope, at least 2 samples,
+    positive and finite samples, and the continuum sup bound.  Which delta
+    of a failing round raises first is left to the caller
+    (``regime._first_accepted`` reruns it delta by delta).
     """
     cap = delta_cap(M, q)
     for delta in deltas:
@@ -218,6 +219,8 @@ def pam_profiles(M: float, q: float, deltas: list, n_y: int) -> np.ndarray:
             raise FieldError(f"delta={delta!r} outside the admissible range (0, {cap!r})")
         if delta**2 == 0.0:  # the slope 2 (1 - M delta^q) / delta^2 would divide by zero
             raise FieldError(f"delta={delta!r} is too small: delta^2 underflows to 0")
+        if np.isinf(2.0 * (1.0 - M * delta**q) / delta**2):  # inf * 0 past the ramp would be nan
+            raise FieldError(f"delta={delta!r} is too small: the slope 2 (1 - M delta^q) / delta^2 overflows")
     if n_y < 2:
         raise FieldError("f needs a 1D array of at least 2 samples")
     floors = [delta**q for delta in deltas]

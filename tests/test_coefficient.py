@@ -248,8 +248,8 @@ class TestEval:
 
 
 def _reference_eval_a(c, r):
-    """Coefficient.eval_a before its float path: numpy reductions on every r,
-    and the offending r named as a plain float."""
+    """Coefficient.eval_a with one path for a float and an array: numpy
+    reductions on every r, and the offending r named as a plain float."""
     r_arr = np.asarray(r)
     if np.any(r_arr <= 0.0):
         raise CoefficientError("coefficient evaluated at r <= 0")

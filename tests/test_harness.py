@@ -492,6 +492,9 @@ class TestErrorContract:
                      "error: theta must be finite", id="design-theta-inf"),
         pytest.param(["simulate", "--config", "run.ini"], {"run.ini": PAM + "q = 4\ndelta = 1e-200\n"}, 1,
                      "error: delta=1e-200 is too small: delta^2 underflows to 0", id="pam-delta-square-underflows"),
+        pytest.param(["simulate", "--config", "run.ini"], {"run.ini": PAM + "q = 4\ndelta = 1e-155\n"}, 1,
+                     "error: delta=1e-155 is too small: the slope 2 (1 - M delta^q) / delta^2 overflows",
+                     id="pam-slope-overflows"),
     ])
     def test_one_line_and_exit_code(self, tmp_path, monkeypatch, capsys, argv, files, code, message):
         monkeypatch.chdir(tmp_path)

@@ -103,6 +103,15 @@ class TestGammaWithoutPrimitive:
                 design_blowup(c, 1.0, *default_candidates(c, None, None))
         assert len(calls) <= 18
 
+    def test_psi0_integrated_once_per_coefficient(self, monkeypatch):
+        # gamma and the design read psi(0) from the coefficient's one
+        # Potentials: two improper integrals of one value when each had its own
+        calls = _count_tail_integrals(monkeypatch)
+        c = coefficient_from_text("1/(1+r^2)")
+        assert classify(c).clause == "blowup-via-(1)"
+        design_blowup(c, 1.0, *default_candidates(c, None, None))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("text, exact", [("1/(1+r^2)", math.pi / 4.0), ("exp(-r)", math.exp(-1.0))])
     def test_closed_values(self, text, exact):
         # r int_r^inf a climbs to int_1^inf a at r = 1: pi/4 and 1/e
@@ -157,22 +166,16 @@ class TestDecrConstants:
         assert default_candidates(coefficient_from_text(text), None, None) == (0.5, 2.0)
         assert calls == [regime._FROM_ONE]
 
-    def test_candidates_evaluate_a_once_on_the_grid(self, monkeypatch):
+    def test_candidates_keep_their_suprema(self):
         # (1+r^2)^-0.6 ~ r^-1.2 tries alpha = 2.0, 1.9, ..., 1.2: nine grid
-        # suprema, which took nine evaluations of a on the same 2048 points
+        # suprema, each kept on the coefficient for the design to read
         text = "(1+r^2)^-0.6"
         reference = coefficient_from_text(text)
         alphas = [float(a) for a in np.arange(2.0, 0.5 / 1.5, -0.1)[:9]]
         expected = [regime._weighted_sup(reference, alpha, regime._FROM_ONE) for alpha in alphas]
         assert [math.isfinite(v) for v in expected] == [False] * 8 + [True]
-        sizes = []
-        real = expr.evaluate
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "smolpois" and vars(module).get("evaluate") is real:
-                monkeypatch.setattr(module, "evaluate", lambda tree, r: (sizes.append(np.size(r)), real(tree, r))[1])
         c = coefficient_from_text(text)
         assert default_candidates(c, None, None) == (0.5, alphas[-1])
-        assert sizes.count(regime._GRID_POINTS) == 1
         assert c.weighted_suprema == {(alpha, regime._FROM_ONE): v for alpha, v in zip(alphas, expected)}
         assert repr(compute_decr_constants(c, 0.5, alphas[-1])[1]) == repr(expected[-1])
 

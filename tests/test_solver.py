@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from smolpois import regime, solver
+from smolpois import coefficient, regime, solver
 from smolpois.coefficient import Potentials, coefficient_from_text
 from smolpois.diagnostics import check_moment_ode, lyapunov_L1, moment_interval_slack, sigma
 from smolpois.regime import BlowupDesign, moment_at_start
@@ -596,12 +596,24 @@ class TestRunBlowup:
                 super().__init__(coefficient)
 
         monkeypatch.setattr(solver, "coefficient_from_text", lambda text: parses.append(text) or parse(text))
-        monkeypatch.setattr(solver, "Potentials", RecordedPotentials)
-        monkeypatch.setattr(regime, "Potentials", RecordedPotentials)
+        monkeypatch.setattr(coefficient, "Potentials", RecordedPotentials)
         summary, _ = run(preset_config("blowup-demo").with_overrides(t_max=0.01))
         assert summary.design is not None
         assert parses == ["(1+r)^-2"]
         assert len(potentials) == 1
+
+    def test_design_reads_the_runs_potentials(self, monkeypatch):
+        # the coefficient owns one Potentials: the pam design and the steps share it
+        designed = []
+        select = regime.select_delta
+        monkeypatch.setattr(regime, "select_delta", lambda p, *args, **kw: designed.append(p) or select(p, *args, **kw))
+        cfg = preset_config("blowup-demo").with_overrides(t_max=0.01)
+        coeff = coefficient_from_text(cfg.coefficient_text)
+        assert coeff.potentials is coeff.potentials
+        summary, _ = run(cfg, coeff)
+        assert summary.design is not None
+        assert designed == [coeff.potentials]
+        assert designed[0] is summary.final_state.potentials is coeff.potentials
 
 
 class TestRunVerdictPaths:
@@ -803,7 +815,7 @@ class TestNewtonStall:
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
         )
         coeff = coefficient_from_text(cfg.coefficient_text)
-        return build_initial_data(cfg, coeff, Potentials(coeff))[0]
+        return build_initial_data(cfg, coeff)[0]
 
     def test_stalled_solve_rejected_at_once(self, f0):
         pot = CountingPotentials(coefficient_from_text("(1+r)^-1"))
@@ -1007,7 +1019,7 @@ class TestNewtonReuse:
             initial_kind="cosine", amplitude=1e-3, n=1600, n_y=1600
         )
         coeff = coefficient_from_text(cfg.coefficient_text)
-        return build_initial_data(cfg, coeff, Potentials(coeff))[0]
+        return build_initial_data(cfg, coeff)[0]
 
     def test_carried_start_changes_no_bit(self, f0, monkeypatch):
         solve = solver._solve_f
@@ -1047,7 +1059,7 @@ class TestNewtonReuse:
         # (three evaluations before the initial state carried its record)
         made = []
         build = solver.build_initial_data
-        monkeypatch.setattr(solver, "Potentials", CountingPotentials)
+        monkeypatch.setattr(coefficient, "Potentials", CountingPotentials)
         monkeypatch.setattr(solver, "build_initial_data", lambda *args: made.append(build(*args)) or made[-1])
         cfg = preset_config("global-demo").with_overrides(
             coefficient_text=text, initial_kind="cosine", amplitude=0.5, n=200, n_y=200, t_max=0.01

@@ -143,6 +143,13 @@ class TestPamProfile:
         with pytest.raises(FieldError, match=r"^delta=1e-200 is too small: delta\^2 underflows to 0$"):
             pam_profiles(1.0, 4.0, [1e-200], 100)
 
+    @pytest.mark.parametrize("delta", [1e-154, 1e-155, 1e-160])
+    def test_delta_whose_slope_overflows_is_named(self, delta):
+        # delta^2 is nonzero, and subnormal below about 1.5e-154, but 2 (1 - M delta^q) / delta^2
+        # overflows, and the inf slope times the zero past the ramp was nan
+        with pytest.raises(FieldError, match=rf"^delta={delta!r} is too small: the slope .* overflows$"):
+            pam_profiles(1.0, 4.0, [delta], 400)
+
     def test_below_resolution_collapses_to_constant(self):
         # spike thinner than a cell: renormalization yields the flat profile
         ff = pam_profile(1.0, 4.0, 1e-4, 400)
